@@ -35,7 +35,7 @@ from .core import (
     uniform_shift,
 )
 from .errors import FormatError, LoadshiftError
-from .simulate import FleetConfig
+from .simulate import MODES, FleetConfig
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -331,6 +331,26 @@ def save_bundle(config: FleetConfig, path) -> Path:
     return root
 
 
+_JSON_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind: type, path, what: str):
+    """A manifest field of the JSON type ``kind``; anything else fails."""
+    if not isinstance(value, kind):
+        _fail(path, None, f"{what} must be {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _expect_number(value, path, what: str) -> float:
+    """A manifest field that must be a JSON number, as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    _fail(path, None, f"{what} must be a number, got {value!r}")
+
+
 def _load_manifest(root: Path) -> dict:
     path = root / "manifest.json"
     try:
@@ -350,35 +370,42 @@ def _load_manifest(root: Path) -> dict:
         _fail(path, None, f"unsupported format_version {doc['format_version']!r}")
     if not isinstance(doc["households"], list) or not doc["households"]:
         _fail(path, None, "manifest lists no households")
+    if doc["mode"] not in MODES:
+        _fail(path, None, f"mode must be one of {MODES}, got {doc['mode']!r}")
+    _expect(doc["days"], list, path, "days")
+    _expect(doc["pricing"], str, path, "pricing")
     return doc
 
 
 def _load_household(root: Path, entry, manifest_path) -> Household:
     if not isinstance(entry, dict) or "id" not in entry:
         _fail(manifest_path, None, f"bad household entry: {entry!r}")
-    hid = entry["id"]
+    hid = _expect(entry["id"], str, manifest_path, "household id")
     for key in ("appliances", "history"):
         if key not in entry:
             _fail(manifest_path, None, f"household {hid}: missing {key!r}")
+        _expect(entry[key], str, manifest_path, f"household {hid}: {key}")
     appliances = read_appliances_csv(root / entry["appliances"])
     history = read_history_csv(root / entry["history"])
 
     pv = None
     pv_entry = entry.get("pv")
     if pv_entry is not None:
+        _expect(pv_entry, dict, manifest_path, f"household {hid}: pv")
         for key in ("generation_history", "battery_capacity", "battery_soc",
                     "charge_rate", "charge_efficiency"):
             if key not in pv_entry:
                 _fail(manifest_path, None, f"household {hid}: pv missing {key!r}")
+        _expect(pv_entry["generation_history"], str, manifest_path,
+                f"household {hid}: pv generation_history")
+        numbers = {
+            key: _expect_number(pv_entry[key], manifest_path, f"household {hid}: pv {key}")
+            for key in ("battery_capacity", "battery_soc", "charge_rate", "charge_efficiency")
+        }
         pv_history = read_history_csv(root / pv_entry["generation_history"])
         try:
             pv = PvSystem(
-                generation=np.zeros(SLOT_COUNT),
-                battery_capacity=pv_entry["battery_capacity"],
-                battery_soc=pv_entry["battery_soc"],
-                charge_rate=pv_entry["charge_rate"],
-                charge_efficiency=pv_entry["charge_efficiency"],
-                history=pv_history,
+                generation=np.zeros(SLOT_COUNT), history=pv_history, **numbers
             )
         except LoadshiftError as exc:
             raise FormatError(f"{manifest_path}: household {hid}: {exc}") from exc
@@ -410,13 +437,16 @@ def load_bundle(path) -> FleetConfig:
     households = tuple(
         _load_household(root, entry, manifest_path) for entry in doc["households"]
     )
-    return FleetConfig(
-        households=households,
-        pricing=pricing,
-        days=tuple(days),
-        mode=doc["mode"],
-        recipe=doc.get("recipe"),
-    )
+    try:
+        return FleetConfig(
+            households=households,
+            pricing=pricing,
+            days=tuple(days),
+            mode=doc["mode"],
+            recipe=doc.get("recipe"),
+        )
+    except LoadshiftError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from exc
 
 
 def lint_bundle(path) -> tuple[str, ...]:
@@ -444,6 +474,8 @@ def lint_bundle(path) -> tuple[str, ...]:
     seen = set()
     for entry in doc["households"]:
         hid = entry.get("id") if isinstance(entry, dict) else None
+        if not isinstance(hid, str):
+            hid = None
         if hid in seen:
             problems.append(f"{root / 'manifest.json'}: duplicate household id {hid!r}")
         seen.add(hid)

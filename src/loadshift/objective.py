@@ -233,9 +233,6 @@ class ObjectiveCurve:
     def energy_kwh(self) -> float:
         return float(self.values.sum() * SLOT_HOURS)
 
-    def as_curve(self) -> LoadCurve:
-        return LoadCurve(self.values)
-
 
 def _compose(
     predicted: np.ndarray,

@@ -10,7 +10,7 @@ and the two optimizations alternate to a fixed point.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -98,9 +98,6 @@ class ScheduleAssignment:
                 raise FormatError(f"battery_soc needs {SLOT_COUNT} entries")
             soc.setflags(write=False)
             object.__setattr__(self, "battery_soc", soc)
-
-    def shift_of(self, instance: ApplianceInstance) -> int:
-        return int(self.starts[instance.instance_id]) - instance.preferred_start
 
     def to_json_dict(self, instances: Sequence[ApplianceInstance]) -> dict:
         """Export schema: per-appliance placement plus the sourcing vector.
@@ -462,42 +459,73 @@ class _CandidateSpace:
         return {self.ids[i]: int(self.starts[i][row]) for i, row in enumerate(choice)}
 
 
+# Candidates scored per block.  At 48 slot columns one block of curves is
+# 4096 * 48 * 8 B = 1.5 MB, so working memory stays bounded however large
+# the start product is.
+_BLOCK_ROWS = 4096
+
+
 def _enumerate_exact(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
-    """Exhaustive search over the start product; returns (choice, evaluations)."""
+    """Exhaustive search over the start product; returns (choice, evaluations).
+
+    Candidates are scored in fixed-size blocks of at most ``_BLOCK_ROWS``
+    rows, taken in row-major order of the product: the leading instances'
+    rows are gathered for a run of prefixes and the trailing instances are
+    broadcast.  Each candidate still gets the arithmetic of a one-by-one
+    loop, so exact float ties stay exact: ``residual + c_0 + ... + c_{k-1}``
+    added element-wise in instance order, one row-wise einsum on a
+    C-contiguous block for the squared deviation, then
+    ``blend * (0 + p_0 + ... + p_{k-1})``.  Ties on the total go to the
+    least total |shift|, then to the least start tuple.
+    """
     k = len(space.starts)
     if k == 0:
         return (), 1
 
-    # every candidate must flow through the same einsum so that exact ties
-    # stay exact; seeding from a differently-ordered sum can be off by an ulp
+    sizes = [s.size for s in space.starts]
+    # instances split..k-1 are broadcast inside a block (inner rows per
+    # prefix); the prefixes over instances 0..split-1 are walked in groups
+    split, inner = k - 1, sizes[-1]
+    while split > 0 and inner * sizes[split - 1] <= _BLOCK_ROWS:
+        split -= 1
+        inner *= sizes[split]
+    group = max(1, _BLOCK_ROWS // inner)
+    prefixes = math.prod(sizes[:split])
+
     best_key: tuple[float, int, tuple[int, ...]] | None = None
     best_choice = tuple(0 for _ in range(k))
     evaluations = 0
-    prefix_ranges = [range(s.size) for s in space.starts[:-1]]
-    last_contrib = space.contribs[-1]
-    last_pen = space.penalties[-1]
-    last_shift = space.shift_abs[-1]
-    for prefix in itertools.product(*prefix_ranges):
-        curve = space.residual.copy()
-        penalty = 0.0
-        shift_sum = 0
-        for i, row in enumerate(prefix):
-            curve += space.contribs[i][row]
-            penalty += space.penalties[i][row]
-            shift_sum += int(space.shift_abs[i][row])
-        gaps = curve + last_contrib
-        totals = np.einsum("ij,ij->i", gaps, gaps) + space.blend * (penalty + last_pen)
+    for lo in range(0, prefixes, group):
+        hi = min(lo + group, prefixes)
+        rows = np.unravel_index(np.arange(lo, hi), sizes[:split]) if split else ()
+        curve = space.residual[np.newaxis]
+        penalty = np.zeros(hi - lo)
+        for i, row in enumerate(rows):
+            curve = curve + space.contribs[i][row]
+            penalty = penalty + space.penalties[i][row]
+        for i in range(split, k):
+            curve = curve[..., np.newaxis, :] + space.contribs[i]
+            penalty = penalty[..., np.newaxis] + space.penalties[i]
+        gaps = curve.reshape(-1, curve.shape[-1])
+        totals = np.einsum("ij,ij->i", gaps, gaps) + space.blend * penalty.reshape(-1)
         evaluations += totals.size
-        threshold = np.inf if best_key is None else best_key[0]
-        for row in np.flatnonzero(totals <= threshold):
-            choice = prefix + (int(row),)
-            key = (
-                float(totals[row]),
-                shift_sum + int(last_shift[row]),
-                tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
-            )
-            if best_key is None or key < best_key:
-                best_key, best_choice = key, choice
+
+        least = totals.min()
+        if best_key is not None and least > best_key[0]:
+            continue
+        # starts rise with the row index, so among the least shifts the
+        # first flat index is the least start tuple
+        tied = np.unravel_index(np.flatnonzero(totals == least) + lo * inner, sizes)
+        shift = sum(space.shift_abs[i][row] for i, row in enumerate(tied))
+        pick = int(np.argmin(shift))
+        choice = tuple(int(row[pick]) for row in tied)
+        key = (
+            float(least),
+            int(shift[pick]),
+            tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
+        )
+        if best_key is None or key < best_key:
+            best_key, best_choice = key, choice
     return best_choice, evaluations
 
 
@@ -567,10 +595,12 @@ def solve(
     Fixed instances are pinned at their preferred starts; shiftable ones are
     optimized over their feasible start sets, exhaustively when the product
     of set sizes stays within ``config.exact_threshold``, otherwise by seeded
-    local search.  With a PV system, sourcing flags are arbitrated against
-    each intermediate schedule and start optimization repeats until the flags
-    reach a fixed point (or the iteration cap); the best self-consistent
-    schedule wins.
+    local search.  Exhaustive search scores the product in fixed-size blocks
+    with bounded memory, giving each candidate the same arithmetic as when
+    scored alone (see ``_enumerate_exact``).  With a PV system, sourcing
+    flags are arbitrated against each intermediate schedule and start
+    optimization repeats until the flags reach a fixed point (or the
+    iteration cap); the best self-consistent schedule wins.
 
     Args:
         instances: all appliance instances (fixed and shiftable).

@@ -2,6 +2,7 @@
 
 import datetime
 import json
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,67 @@ def test_manifest_bad_json_cites_line(tmp_path):
     root = save_bundle(tiny_fleet(), tmp_path / "bundle")
     (root / "manifest.json").write_text('{\n  "mode": "offline",,\n}\n')
     with pytest.raises(FormatError, match=r"manifest.json:2: invalid JSON"):
+        load_bundle(root)
+
+
+def _pv(doc):
+    return doc["households"][0]["pv"]
+
+
+# manifest fields of the wrong JSON type: (mutation, expected message)
+WRONG_TYPED_FIELDS = {
+    "days": (lambda doc: doc.update(days=5), r"days must be a list, got 5"),
+    "mode": (
+        lambda doc: doc.update(mode=["offline"]),
+        r"mode must be one of \('offline', 'online'\), got \['offline'\]",
+    ),
+    "pricing": (lambda doc: doc.update(pricing=5), r"pricing must be a string, got 5"),
+    "household id": (
+        lambda doc: doc["households"][0].update(id=["h001"]),
+        r"household id must be a string, got \['h001'\]",
+    ),
+    "appliances": (
+        lambda doc: doc["households"][0].update(appliances=7),
+        r"household h001: appliances must be a string, got 7",
+    ),
+    "pv": (
+        lambda doc: doc["households"][0].update(pv=3),
+        r"household h001: pv must be an object, got 3",
+    ),
+    "battery_capacity": (
+        lambda doc: _pv(doc).update(battery_capacity="abc"),
+        r"household h001: pv battery_capacity must be a number, got 'abc'",
+    ),
+    "battery_soc": (
+        lambda doc: _pv(doc).update(battery_soc=True),
+        r"household h001: pv battery_soc must be a number, got True",
+    ),
+    "charge_rate": (
+        lambda doc: _pv(doc).update(charge_rate=10**400),
+        r"household h001: pv charge_rate must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_TYPED_FIELDS))
+def test_manifest_wrong_typed_field_is_a_format_error(tmp_path, field):
+    mutate, message = WRONG_TYPED_FIELDS[field]
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    doc = json.loads((root / "manifest.json").read_text())
+    mutate(doc)
+    (root / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
+    problems = lint_bundle(root)
+    assert any(re.search(message, p) for p in problems), problems
+
+
+def test_load_wraps_fleet_errors_as_format_errors(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    doc = json.loads((root / "manifest.json").read_text())
+    doc["days"] = doc["days"][::-1]
+    (root / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=r"manifest.json: simulation days must be strictly"):
         load_bundle(root)
 
 

@@ -121,6 +121,30 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     assert "pricing.csv:10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.update(days=5), "days must be a list, got 5"),
+        (
+            lambda doc: doc["households"][0]["pv"].update(battery_capacity="abc"),
+            "pv battery_capacity must be a number, got 'abc'",
+        ),
+    ],
+    ids=["days", "battery_capacity"],
+)
+def test_wrong_typed_manifest_field_exits_2(tmp_path, capsys, mutate, message):
+    bundle = generate(tmp_path)
+    doc = json.loads((bundle / "manifest.json").read_text())
+    mutate(doc)
+    (bundle / "manifest.json").write_text(json.dumps(doc))
+
+    assert cli.main(["validate", "--bundle", str(bundle)]) == 2
+    assert message in capsys.readouterr().err
+    rc = cli.main(["run", "--bundle", str(bundle), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_bundle_exits_2(tmp_path, capsys):
     rc = cli.main(["validate", "--bundle", str(tmp_path / "nowhere")])
     assert rc == 2

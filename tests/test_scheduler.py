@@ -25,6 +25,7 @@ from loadshift.errors import (
     InfeasibleProblemError,
     ParameterError,
 )
+from loadshift import scheduler
 from loadshift.objective import ObjectiveCurve
 from loadshift.scheduler import (
     DiscomfortWeights,
@@ -383,17 +384,18 @@ def random_problem(rng, n_appliances=3, with_fixed=True):
     return instances, objective, weights
 
 
-def brute_force_optimum(instances, objective, weights, blend):
+def brute_force_optimum(instances, objective, weights, blend, baseline=None, not_before=1):
     shiftable = sorted(
         (i for i in instances if i.kind == "shiftable"), key=lambda i: i.instance_id
     )
     fixed = {i.instance_id: i.preferred_start for i in instances if i.kind == "fixed"}
     best = None
-    for combo in itertools.product(*(feasible_starts(i) for i in shiftable)):
+    for combo in itertools.product(*(feasible_starts(i, not_before) for i in shiftable)):
         starts = dict(fixed)
         starts.update({inst.instance_id: s for inst, s in zip(shiftable, combo)})
         cost = evaluate_cost(
-            ScheduleAssignment(starts), objective, weights, instances, blend=blend
+            ScheduleAssignment(starts), objective, weights, instances,
+            blend=blend, baseline=baseline, active_from=not_before,
         )
         shift_sum = sum(abs(s - i.preferred_start) for i, s in zip(shiftable, combo))
         key = (cost.total, shift_sum, combo)
@@ -414,6 +416,103 @@ def test_solve_matches_exhaustive_oracle():
         assert result.assignment.starts == best_starts
 
 
+@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
+def test_solve_matches_exhaustive_oracle_on_online_resolves(monkeypatch, block_rows):
+    # the call shape of an intra-day re-solve: committed load as a baseline
+    # and starts (and scored slots) clipped to not_before > 1; tiny blocks
+    # split each product across many of them
+    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 8:
+        instances, objective, weights = random_problem(rng)
+        shiftable = [i for i in instances if i.kind == "shiftable"]
+        not_before = int(rng.integers(2, 25))
+        try:
+            sets = [feasible_starts(i, not_before) for i in shiftable]
+        except InfeasibleApplianceError:
+            continue
+        baseline = np.zeros(48)
+        baseline[: not_before - 1] = rng.uniform(0.0, 1.5, not_before - 1)
+        baseline += rng.uniform(0.0, 0.5, 48)
+        result = solve(
+            instances, objective, weights, config=SolverConfig(blend=0.2),
+            baseline=baseline, not_before=not_before,
+        )
+        assert result.mode == "exhaustive"
+        assert result.evaluations == int(np.prod([len(s) for s in sets]))
+        best_key, best_starts = brute_force_optimum(
+            instances, objective, weights, blend=0.2,
+            baseline=baseline, not_before=not_before,
+        )
+        assert result.cost.total == best_key[0]
+        assert result.assignment.starts == best_starts
+        checked += 1
+
+
+def prefix_loop_reference(space):
+    """Exhaustive search one start prefix at a time: the arithmetic and the
+    tie-break that block enumeration must reproduce exactly."""
+    best_key, best_choice = None, None
+    last = len(space.starts) - 1
+    for prefix in itertools.product(*(range(s.size) for s in space.starts[:-1])):
+        curve = space.residual.copy()
+        penalty = 0.0
+        for i, row in enumerate(prefix):
+            curve += space.contribs[i][row]
+            penalty += space.penalties[i][row]
+        gaps = curve + space.contribs[last]
+        totals = np.einsum("ij,ij->i", gaps, gaps) + space.blend * (penalty + space.penalties[last])
+        for row, total in enumerate(totals):
+            choice = prefix + (row,)
+            key = (
+                float(total),
+                sum(int(space.shift_abs[i][c]) for i, c in enumerate(choice)),
+                tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
+            )
+            if best_key is None or key < best_key:
+                best_key, best_choice = key, choice
+    return best_choice
+
+
+@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
+def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, block_rows):
+    # random float problems, and flat unreachable targets with integer
+    # powers and zero weights, where exact ties are everywhere
+    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(37)
+    for trial in range(12):
+        instances, objective, weights = random_problem(rng, with_fixed=False)
+        if trial % 2:
+            instances = [
+                make_instance(
+                    inst.instance_id, power=float(rng.integers(1, 3)),
+                    duration=inst.duration_slots, preferred=inst.preferred_start,
+                    window=(inst.window_start, inst.window_end), max_shift=inst.max_shift,
+                )
+                for inst in instances
+            ]
+            objective = make_objective(np.full(48, 50.0))
+            weights = DiscomfortWeights()
+        not_before = 1 + int(rng.integers(0, 3))
+        try:
+            sets = {i.instance_id: feasible_starts(i, not_before) for i in instances}
+        except InfeasibleApplianceError:
+            continue
+        space = scheduler._CandidateSpace(
+            sorted(instances, key=lambda i: i.instance_id),
+            rng.uniform(-1.0, 0.0, 48) if trial % 2 == 0 else -objective.values,
+            rng.uniform(size=48) < 0.2,
+            weights,
+            0.2,
+            not_before,
+            sets,
+        )
+        choice, evaluations = scheduler._enumerate_exact(space)
+        assert choice == prefix_loop_reference(space)
+        assert evaluations == int(np.prod([len(s) for s in sets.values()]))
+
+
 def test_solve_flat_unreachable_objective_keeps_preferred():
     # far-above-reach flat target: every start ties on deviation (integer
     # powers keep the float sums exact), so the zero-discomfort preferred
@@ -431,15 +530,30 @@ def test_solve_flat_unreachable_objective_keeps_preferred():
 
 
 def test_solve_breaks_exact_ties_lexicographically():
-    instances = [
+    objective = make_objective(np.full(48, 50.0))
+    # separating the two runs beats stacking them; among the cost ties with
+    # total displacement 1, (9, 10) is the lexicographically least start pair
+    pair = [
         make_instance("a1", power=1.0, duration=1, preferred=10),
         make_instance("a2", power=1.0, duration=1, preferred=10),
     ]
-    objective = make_objective(np.full(48, 50.0))
-    result = solve(instances, objective, DiscomfortWeights())
-    # separating the two runs beats stacking them; among the cost ties with
-    # total displacement 1, (9, 10) is the lexicographically least start pair
+    result = solve(pair, objective, DiscomfortWeights())
     assert result.assignment.starts == {"a1": 9, "a2": 10}
+
+    # the same collision ahead of three 17-start runs: every placement with
+    # no two runs in one slot ties on cost, the first blocks already hold
+    # such ties at larger shifts, and the four displacement-1 ties lie in
+    # different blocks; the earliest of them, (3, 4), must survive the rest
+    collision = [
+        make_instance("a1", power=1.0, duration=1, window=(1, 8), preferred=4),
+        make_instance("a2", power=1.0, duration=1, window=(1, 8), preferred=4),
+    ] + [
+        make_instance(name, power=1.0, duration=1, window=(9, 48), preferred=p, max_shift=8)
+        for name, p in (("b", 20), ("c", 30), ("d", 40))
+    ]
+    result = solve(collision, objective, DiscomfortWeights())
+    assert result.evaluations == 8 * 8 * 17**3 > 4 * scheduler._BLOCK_ROWS
+    assert result.assignment.starts == {"a1": 3, "a2": 4, "b": 20, "c": 30, "d": 40}
 
 
 def test_solve_achievable_objective_reaches_zero_deviation():
