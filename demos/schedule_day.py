@@ -17,7 +17,6 @@ from loadshift import (
     solve,
     split_consumption,
     total_curve,
-    uniform_shift,
     validate_assignment,
 )
 
@@ -30,7 +29,7 @@ def shiftable(id, kw, duration, window, preferred, max_shift):
     return ApplianceSpec(
         id=id, kind="shiftable", power_profile=np.full(duration, kw),
         duration_slots=duration, window_start=window[0], window_end=window[1],
-        preferred_start=preferred, preference_shift=uniform_shift(max_shift),
+        preferred_start=preferred, max_shift=max_shift,
     )
 
 
@@ -40,7 +39,7 @@ specs = [
     shiftable("aircon", 1.5, 6, (26, 48), preferred=35, max_shift=10),
     ApplianceSpec(id="fridge", kind="fixed", power_profile=np.full(48, 0.12),
                   duration_slots=48, window_start=1, window_end=48,
-                  preferred_start=1, preference_shift=np.zeros(48, dtype=int)),
+                  preferred_start=1, max_shift=0),
 ]
 instances = expand_instances(specs)
 

@@ -10,9 +10,7 @@ Layout under a bundle directory::
 
 Single curves use ``slot,value_kw``.  Floats are written with ``repr`` so a
 save/load round trip is bit-exact.  Every parse failure raises a
-:class:`FormatError` citing the file and line.  The appliance table carries
-the scalar ``max_shift`` cap; richer per-slot shift preferences exist only
-in the API.
+:class:`FormatError` citing the file and line.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .core import (
     LoadCurve,
     PricingSignal,
     PvSystem,
-    uniform_shift,
 )
 from .errors import FormatError, LoadshiftError
 from .simulate import MODES, FleetConfig
@@ -60,12 +57,21 @@ def _fail(path, line: int | None, message: str):
     raise FormatError(f"{place}: {message}")
 
 
-def _open_rows(path, expected_columns):
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def _open_rows(path, expected_columns):
+    reader = csv.reader(_read_text(path).splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        _fail(path, reader.line_num, f"bad CSV: {exc}")
     if not rows:
         _fail(path, 1, "empty file")
     if tuple(rows[0]) != tuple(expected_columns):
@@ -272,7 +278,7 @@ def read_appliances_csv(path) -> tuple[ApplianceSpec, ...]:
                     window_start=_parse_int(row[3], path, line, "window_start"),
                     window_end=_parse_int(row[4], path, line, "window_end"),
                     preferred_start=_parse_int(row[5], path, line, "preferred_start"),
-                    preference_shift=uniform_shift(_parse_int(row[6], path, line, "max_shift")),
+                    max_shift=_parse_int(row[6], path, line, "max_shift"),
                     count=_parse_int(row[8], path, line, "count"),
                 )
             )
@@ -298,7 +304,7 @@ def _manifest_entry(household: Household) -> dict:
         entry["pv"] = {
             "generation_history": f"{base}/pv_history.csv",
             "battery_capacity": float(household.pv.battery_capacity),
-            "battery_soc": float(household.pv.initial_soc),
+            "battery_soc": float(household.pv.battery_soc),
             "charge_rate": float(household.pv.charge_rate),
             "charge_efficiency": float(household.pv.charge_efficiency),
         }
@@ -307,6 +313,11 @@ def _manifest_entry(household: Household) -> dict:
 
 def save_bundle(config: FleetConfig, path) -> Path:
     """Write the fleet as a bundle directory; returns its root."""
+    for household in config.households:
+        if household.id in (".", "..") or any(c in household.id for c in "/\\\0"):
+            raise FormatError(
+                f"household id {household.id!r} cannot name a bundle directory"
+            )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     write_pricing_csv(config.pricing, root / "pricing.csv")
@@ -351,16 +362,47 @@ def _expect_number(value, path, what: str) -> float:
     _fail(path, None, f"{what} must be a number, got {value!r}")
 
 
+def _bundle_path(root: Path, value, manifest_path, what: str) -> Path:
+    """A manifest file path, which must be a string naming a file inside the bundle."""
+    _expect(value, str, manifest_path, what)
+    try:
+        inside = not Path(value).is_absolute() and (
+            (root / value).resolve().is_relative_to(root.resolve())
+        )
+    except (OSError, ValueError):
+        inside = False
+    if not inside:
+        _fail(manifest_path, None, f"{what} {value!r} is not a path inside the bundle")
+    return root / value
+
+
+def _parse_days(doc: dict, manifest_path) -> tuple[datetime.date, ...]:
+    """The manifest's simulation days, which must be ISO dates in strictly increasing order."""
+    days = []
+    for raw in _expect(doc["days"], list, manifest_path, "days"):
+        try:
+            day = datetime.date.fromisoformat(raw)
+        except (TypeError, ValueError):
+            _fail(manifest_path, None, f"bad day: {raw!r}")
+        if days and day <= days[-1]:
+            message = f"simulation days must be strictly increasing: {days[-1]} then {day}"
+            _fail(manifest_path, None, message)
+        days.append(day)
+    if not days:
+        _fail(manifest_path, None, "no simulation days")
+    return tuple(days)
+
+
 def _load_manifest(root: Path) -> dict:
     path = root / "manifest.json"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # int digit limit, or nesting deeper than the parser's recursion limit
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         _fail(path, None, "manifest must be a JSON object")
     for key in ("format_version", "mode", "days", "pricing", "households"):
@@ -372,8 +414,6 @@ def _load_manifest(root: Path) -> dict:
         _fail(path, None, "manifest lists no households")
     if doc["mode"] not in MODES:
         _fail(path, None, f"mode must be one of {MODES}, got {doc['mode']!r}")
-    _expect(doc["days"], list, path, "days")
-    _expect(doc["pricing"], str, path, "pricing")
     return doc
 
 
@@ -381,12 +421,13 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
     if not isinstance(entry, dict) or "id" not in entry:
         _fail(manifest_path, None, f"bad household entry: {entry!r}")
     hid = _expect(entry["id"], str, manifest_path, "household id")
+    files = {}
     for key in ("appliances", "history"):
         if key not in entry:
             _fail(manifest_path, None, f"household {hid}: missing {key!r}")
-        _expect(entry[key], str, manifest_path, f"household {hid}: {key}")
-    appliances = read_appliances_csv(root / entry["appliances"])
-    history = read_history_csv(root / entry["history"])
+        files[key] = _bundle_path(root, entry[key], manifest_path, f"household {hid}: {key}")
+    appliances = read_appliances_csv(files["appliances"])
+    history = read_history_csv(files["history"])
 
     pv = None
     pv_entry = entry.get("pv")
@@ -396,13 +437,13 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
                     "charge_rate", "charge_efficiency"):
             if key not in pv_entry:
                 _fail(manifest_path, None, f"household {hid}: pv missing {key!r}")
-        _expect(pv_entry["generation_history"], str, manifest_path,
-                f"household {hid}: pv generation_history")
+        generation_path = _bundle_path(root, pv_entry["generation_history"], manifest_path,
+                                       f"household {hid}: pv generation_history")
         numbers = {
             key: _expect_number(pv_entry[key], manifest_path, f"household {hid}: pv {key}")
             for key in ("battery_capacity", "battery_soc", "charge_rate", "charge_efficiency")
         }
-        pv_history = read_history_csv(root / pv_entry["generation_history"])
+        pv_history = read_history_csv(generation_path)
         try:
             pv = PvSystem(
                 generation=np.zeros(SLOT_COUNT), history=pv_history, **numbers
@@ -425,15 +466,8 @@ def load_bundle(path) -> FleetConfig:
     root = Path(path)
     manifest_path = root / "manifest.json"
     doc = _load_manifest(root)
-
-    days = []
-    for raw in doc["days"]:
-        try:
-            days.append(datetime.date.fromisoformat(raw))
-        except (TypeError, ValueError):
-            _fail(manifest_path, None, f"bad day: {raw!r}")
-
-    pricing = read_pricing_csv(root / doc["pricing"])
+    days = _parse_days(doc, manifest_path)
+    pricing = read_pricing_csv(_bundle_path(root, doc["pricing"], manifest_path, "pricing"))
     households = tuple(
         _load_household(root, entry, manifest_path) for entry in doc["households"]
     )
@@ -441,7 +475,7 @@ def load_bundle(path) -> FleetConfig:
         return FleetConfig(
             households=households,
             pricing=pricing,
-            days=tuple(days),
+            days=days,
             mode=doc["mode"],
             recipe=doc.get("recipe"),
         )
@@ -452,22 +486,19 @@ def load_bundle(path) -> FleetConfig:
 def lint_bundle(path) -> tuple[str, ...]:
     """Collect every problem found in a bundle instead of stopping at one."""
     root = Path(path)
+    manifest_path = root / "manifest.json"
     problems = []
     try:
         doc = _load_manifest(root)
     except LoadshiftError as exc:
         return (str(exc),)
 
-    for raw in doc["days"]:
-        try:
-            datetime.date.fromisoformat(raw)
-        except (TypeError, ValueError):
-            problems.append(f"{root / 'manifest.json'}: bad day: {raw!r}")
-    if not doc["days"]:
-        problems.append(f"{root / 'manifest.json'}: no simulation days")
-
     try:
-        read_pricing_csv(root / doc["pricing"])
+        _parse_days(doc, manifest_path)
+    except LoadshiftError as exc:
+        problems.append(str(exc))
+    try:
+        read_pricing_csv(_bundle_path(root, doc["pricing"], manifest_path, "pricing"))
     except LoadshiftError as exc:
         problems.append(str(exc))
 
@@ -477,10 +508,10 @@ def lint_bundle(path) -> tuple[str, ...]:
         if not isinstance(hid, str):
             hid = None
         if hid in seen:
-            problems.append(f"{root / 'manifest.json'}: duplicate household id {hid!r}")
+            problems.append(f"{manifest_path}: duplicate household id {hid!r}")
         seen.add(hid)
         try:
-            _load_household(root, entry, root / "manifest.json")
+            _load_household(root, entry, manifest_path)
         except LoadshiftError as exc:
             problems.append(str(exc))
     return tuple(problems)

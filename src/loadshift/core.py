@@ -23,47 +23,10 @@ SLOT_HOURS = SLOT_MINUTES / 60.0
 APPLIANCE_KINDS = ("fixed", "shiftable")
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class DayGrid:
-    """The scheduling grid: 48 slots of 30 minutes.
-
-    The grid is fixed for this package; the dataclass exists so slot
-    arithmetic has one home and one pair of conversion methods.
-    """
-
-    slot_count: int = SLOT_COUNT
-    slot_minutes: int = SLOT_MINUTES
-
-    def __post_init__(self):
-        if self.slot_count * self.slot_minutes != 24 * 60:
-            raise ParameterError(
-                f"grid does not cover one day: {self.slot_count} x {self.slot_minutes} min"
-            )
-
-    @property
-    def slot_hours(self) -> float:
-        return self.slot_minutes / 60.0
-
-    def slot_to_index(self, slot: int) -> int:
-        """External slot number (1-based) to array index (0-based)."""
-        if not 1 <= slot <= self.slot_count:
-            raise ParameterError(f"slot {slot} outside 1..{self.slot_count}")
-        return slot - 1
-
-    def index_to_slot(self, index: int) -> int:
-        """Array index (0-based) back to the external slot number."""
-        if not 0 <= index < self.slot_count:
-            raise ParameterError(f"index {index} outside 0..{self.slot_count - 1}")
-        return index + 1
-
-
-GRID = DayGrid()
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +62,6 @@ class LoadCurve:
             return NotImplemented
         return LoadCurve(self.values + other.values)
 
-    def __mul__(self, factor: float) -> "LoadCurve":
-        return LoadCurve(self.values * float(factor))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class DailyRecord:
@@ -130,9 +88,8 @@ class ApplianceSpec:
         duration_slots: number of consecutive slots one run occupies.
         window_start, window_end: permitted window (external slots, inclusive).
         preferred_start: the customer's preferred start slot.
-        preference_shift: permitted |shift| from each candidate preferred slot,
-            length 48 (one entry per slot; the entry at the preferred slot is
-            the shift cap that applies).
+        max_shift: the most slots a run may start away from
+            ``preferred_start``, in either direction; 0 for a fixed appliance.
         count: number of identical instances of this appliance.
     """
 
@@ -143,7 +100,7 @@ class ApplianceSpec:
     window_start: int
     window_end: int
     preferred_start: int
-    preference_shift: np.ndarray
+    max_shift: int
     count: int = 1
 
     def __post_init__(self):
@@ -178,14 +135,9 @@ class ApplianceSpec:
                 f"appliance {self.id}: preferred start {pref} does not fit window [{ws},{we}]"
             )
 
-        shift = np.asarray(self.preference_shift, dtype=int)
-        if shift.shape != (SLOT_COUNT,):
-            raise FormatError(
-                f"appliance {self.id}: preference_shift needs {SLOT_COUNT} entries"
-            )
-        if np.any(shift < 0):
-            raise ParameterError(f"appliance {self.id}: preference_shift must be >= 0")
-        object.__setattr__(self, "preference_shift", _readonly(shift, dtype=int))
+        if int(self.max_shift) != self.max_shift or self.max_shift < 0:
+            raise ParameterError(f"appliance {self.id}: max_shift must be an integer >= 0")
+        object.__setattr__(self, "max_shift", int(self.max_shift))
 
         if int(self.count) != self.count or self.count < 1:
             raise ParameterError(f"appliance {self.id}: count must be a positive integer")
@@ -197,25 +149,13 @@ class ApplianceSpec:
                 raise ParameterError(
                     f"appliance {self.id}: fixed appliance window must equal its run"
                 )
-            if shift.any():
+            if self.max_shift:
                 raise ParameterError(
                     f"appliance {self.id}: fixed appliance cannot permit shifts"
                 )
 
-    @property
-    def max_shift(self) -> int:
-        """Shift cap at the declared preferred start."""
-        return int(self.preference_shift[self.preferred_start - 1])
-
     def energy_kwh(self) -> float:
         return float(self.power_profile.sum() * SLOT_HOURS)
-
-
-def uniform_shift(max_shift: int) -> np.ndarray:
-    """Preference-shift vector with the same cap at every slot."""
-    if max_shift < 0:
-        raise ParameterError("max_shift must be >= 0")
-    return np.full(SLOT_COUNT, int(max_shift), dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +243,9 @@ class PricingSignal:
         return mask
 
     def is_peak(self, slot: int) -> bool:
-        return bool(self.peak_mask()[GRID.slot_to_index(slot)])
+        if not 1 <= slot <= SLOT_COUNT:
+            raise ParameterError(f"slot {slot} outside 1..{SLOT_COUNT}")
+        return bool(self.peak_mask()[slot - 1])
 
     def peak_slots(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.peak_mask()) + 1)
@@ -319,8 +261,8 @@ class PvSystem:
     Args:
         generation: per-slot generation forecast for the day (kW, >= 0).
         battery_capacity: usable battery capacity (kWh).
-        battery_soc: state of charge per slot (kWh); a scalar is broadcast.
-            Slot 1's entry is the charge available at the start of the day.
+        battery_soc: charge held at the start of the day (kWh), in
+            [0, capacity].  ``pv_arbitrate`` derives the per-slot trajectory.
         charge_rate: charging power used to estimate time-to-full (kW).
         charge_efficiency: fraction of generated energy that reaches the
             battery, in (0, 1].
@@ -329,7 +271,7 @@ class PvSystem:
 
     generation: np.ndarray
     battery_capacity: float
-    battery_soc: np.ndarray | float = 0.0
+    battery_soc: float = 0.0
     charge_rate: float = 1.0
     charge_efficiency: float = 0.95
     history: tuple[DailyRecord, ...] = ()
@@ -346,24 +288,18 @@ class PvSystem:
             raise ParameterError("battery capacity must be > 0")
         object.__setattr__(self, "battery_capacity", float(self.battery_capacity))
 
-        soc = np.asarray(self.battery_soc, dtype=float)
-        if soc.ndim == 0:
-            soc = np.full(SLOT_COUNT, float(soc))
-        if soc.shape != (SLOT_COUNT,):
-            raise FormatError(f"battery soc needs {SLOT_COUNT} values or a scalar")
-        if not np.all(np.isfinite(soc)) or np.any(soc < 0) or np.any(soc > self.battery_capacity):
+        if np.ndim(self.battery_soc) != 0:
+            raise FormatError("battery soc must be a scalar: the charge at the start of the day")
+        soc = float(self.battery_soc)
+        if not 0 <= soc <= self.battery_capacity:
             raise ParameterError("battery soc must lie in [0, capacity]")
-        object.__setattr__(self, "battery_soc", _readonly(soc))
+        object.__setattr__(self, "battery_soc", soc)
 
         if not (np.isfinite(self.charge_rate) and self.charge_rate > 0):
             raise ParameterError("charge rate must be > 0")
         if not (0 < self.charge_efficiency <= 1):
             raise ParameterError("charge efficiency must be in (0, 1]")
         object.__setattr__(self, "history", tuple(self.history))
-
-    @property
-    def initial_soc(self) -> float:
-        return float(self.battery_soc[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,9 +123,8 @@ class TrainingConfig:
     """Levenberg-Marquardt training knobs.
 
     ``validation_fraction`` and ``test_fraction`` leave the training fraction
-    implied (the three sum to 1).  ``monthly_weights`` (12 entries, January
-    first) weight each sample's residual by its calendar month; default is
-    uniform.
+    implied (the three sum to 1).  ``fit_series`` weights every training
+    sample's residual equally.
     """
 
     max_epochs: int = 200
@@ -138,7 +137,6 @@ class TrainingConfig:
     validation_fraction: float = 0.15
     test_fraction: float = 0.15
     rng_seed: int = 0
-    monthly_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -157,13 +155,6 @@ class TrainingConfig:
             raise ParameterError("fractions must be >= 0")
         if self.validation_fraction + self.test_fraction >= 1:
             raise ParameterError("validation + test fractions must leave room for training")
-        if self.monthly_weights is not None:
-            weights = tuple(float(w) for w in self.monthly_weights)
-            if len(weights) != 12:
-                raise FormatError("monthly_weights needs 12 entries")
-            if any(w <= 0 or not np.isfinite(w) for w in weights):
-                raise ParameterError("monthly_weights must be positive and finite")
-            object.__setattr__(self, "monthly_weights", weights)
 
 
 # ---------------------------------------------------------------- network
@@ -215,10 +206,6 @@ class NarNetwork:
     @property
     def hidden_size(self) -> int:
         return int(self.w_in.shape[0])
-
-    @property
-    def output_size(self) -> int:
-        return 1
 
     @property
     def parameter_count(self) -> int:
@@ -523,18 +510,6 @@ def train_lm(
     return finish("max_epochs")
 
 
-def monthly_sample_weights(
-    ds: SeriesDataset, target_indices: np.ndarray, cfg: TrainingConfig
-) -> np.ndarray | None:
-    """Per-pair weights from the calendar month of each target sample."""
-    if cfg.monthly_weights is None:
-        return None
-    targets = np.asarray(sorted(int(i) for i in target_indices))
-    targets = targets[targets >= ds.lag]
-    months = np.array([ds.timestamp(int(t)).month for t in targets])
-    return np.asarray(cfg.monthly_weights, dtype=float)[months - 1]
-
-
 def fit_series(
     ds: SeriesDataset, cfg: TrainingConfig, hidden_size: int = 10
 ) -> tuple[TrainingResult, DatasetSplit]:
@@ -542,9 +517,8 @@ def fit_series(
     split = split_dataset(ds, cfg)
     x_train, y_train = ds.pairs_for_targets(split.train_indices)
     x_val, y_val = ds.pairs_for_targets(split.validation_indices)
-    weights = monthly_sample_weights(ds, split.train_indices, cfg)
     net = initialize_network(input_size=ds.lag, hidden_size=hidden_size, seed=cfg.rng_seed)
-    result = train_lm(net, (x_train, y_train), (x_val, y_val), cfg, sample_weights=weights)
+    result = train_lm(net, (x_train, y_train), (x_val, y_val), cfg)
     return result, split
 
 
@@ -644,7 +618,7 @@ def network_to_dict(net: NarNetwork, seed: int | None = None, config: TrainingCo
     doc = {
         "input_size": net.input_size,
         "hidden_size": net.hidden_size,
-        "output_size": net.output_size,
+        "output_size": 1,
         "hidden_activation": "tanh",
         "output_activation": "identity",
         "parameters": {
@@ -669,7 +643,6 @@ def network_to_dict(net: NarNetwork, seed: int | None = None, config: TrainingCo
             "validation_fraction": config.validation_fraction,
             "test_fraction": config.test_fraction,
             "rng_seed": config.rng_seed,
-            "monthly_weights": list(config.monthly_weights) if config.monthly_weights else None,
         }
     return doc
 

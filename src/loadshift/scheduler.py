@@ -122,22 +122,6 @@ class ScheduleAssignment:
         }
 
 
-def shifted_counts(
-    instances: Sequence[ApplianceInstance], assignment: ScheduleAssignment
-) -> tuple[dict[tuple[str, int], int], dict[tuple[str, int], int]]:
-    """Per (type, slot) tallies of runs shifted to and away from each slot."""
-    shifted_to: dict[tuple[str, int], int] = {}
-    shifted_away: dict[tuple[str, int], int] = {}
-    for inst in instances:
-        start = int(assignment.starts[inst.instance_id])
-        if start != inst.preferred_start:
-            to_key = (inst.type_id, start)
-            away_key = (inst.type_id, inst.preferred_start)
-            shifted_to[to_key] = shifted_to.get(to_key, 0) + 1
-            shifted_away[away_key] = shifted_away.get(away_key, 0) + 1
-    return shifted_to, shifted_away
-
-
 def validate_assignment(
     instances: Sequence[ApplianceInstance], assignment: ScheduleAssignment
 ) -> tuple[str, ...]:
@@ -145,7 +129,7 @@ def validate_assignment(
 
     Checks: exactly one start per instance; integral starts (half-hour
     granularity); runs inside the permitted window; shift caps respected;
-    shifted-count tallies non-negative and bounded by the controllable count.
+    fixed instances at their preferred start.
     """
     violations = []
     ids = {inst.instance_id for inst in instances}
@@ -174,23 +158,11 @@ def validate_assignment(
                 f"{inst.instance_id}: shift {start - inst.preferred_start} exceeds "
                 f"cap {inst.max_shift}"
             )
-
-    if not violations:
-        to_counts, away_counts = shifted_counts(instances, assignment)
-        controllable = sum(1 for inst in instances if inst.kind == "shiftable")
-        for counts in (to_counts, away_counts):
-            for key, value in counts.items():
-                if value < 0:  # unreachable with dict tallies; guards the contract
-                    violations.append(f"negative shifted count at {key}")
-        per_slot_away: dict[int, int] = {}
-        for (_, slot), value in away_counts.items():
-            per_slot_away[slot] = per_slot_away.get(slot, 0) + value
-        for slot, value in sorted(per_slot_away.items()):
-            if value > controllable:
-                violations.append(
-                    f"slot {slot}: {value} runs shifted away exceeds the "
-                    f"{controllable} controllable devices"
-                )
+        if inst.kind == "fixed" and start != inst.preferred_start:
+            violations.append(
+                f"{inst.instance_id}: fixed appliance moved from slot "
+                f"{inst.preferred_start} to {start}"
+            )
     return tuple(violations)
 
 
@@ -280,7 +252,7 @@ def pv_arbitrate(
     flags = np.zeros(SLOT_COUNT, dtype=bool)
     soc_trace = np.empty(SLOT_COUNT)
     supplied = np.zeros(SLOT_COUNT)
-    soc = pv.initial_soc
+    soc = pv.battery_soc
     for idx in range(SLOT_COUNT):
         slot = idx + 1
         soc_trace[idx] = soc

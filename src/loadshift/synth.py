@@ -27,7 +27,6 @@ from .core import (
     LoadCurve,
     PricingSignal,
     PvSystem,
-    uniform_shift,
 )
 from .errors import ConfigError, ParameterError
 from .simulate import FleetConfig, derive_seed
@@ -147,7 +146,7 @@ def _appliance_from(name: str, archetype: Archetype, power_scale: float) -> Appl
         window_start=archetype.window[0],
         window_end=archetype.window[1],
         preferred_start=archetype.preferred_start,
-        preference_shift=uniform_shift(archetype.max_shift),
+        max_shift=archetype.max_shift,
         count=1,
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from loadshift.core import ApplianceSpec, PricingSignal, uniform_shift
+from loadshift.core import ApplianceSpec, PricingSignal
 
 
 def make_pricing(peak_price=0.30, off_price=0.10, peak_windows=((35, 44),)):
@@ -32,7 +32,7 @@ def make_shiftable(
         window_start=window[0],
         window_end=window[1],
         preferred_start=preferred,
-        preference_shift=uniform_shift(max_shift),
+        max_shift=max_shift,
         count=count,
     )
 
@@ -46,7 +46,7 @@ def make_fixed(id="base", power=0.5, duration=4, start=1):
         window_start=start,
         window_end=start + duration - 1,
         preferred_start=start,
-        preference_shift=np.zeros(48, dtype=int),
+        max_shift=0,
     )
 
 

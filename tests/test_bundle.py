@@ -1,11 +1,17 @@
 """Bundle IO: round trips, strict parsing, and the collect-all linter."""
 
+import dataclasses
 import datetime
 import json
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshift.bundle import (
     lint_bundle,
@@ -21,7 +27,7 @@ from loadshift.bundle import (
     write_pricing_csv,
 )
 from loadshift.core import DailyRecord, LoadCurve
-from loadshift.errors import FormatError
+from loadshift.errors import FormatError, LoadshiftError
 from loadshift.synth import SyntheticRecipe, generate_fleet
 
 from conftest import make_fixed, make_pricing, make_shiftable
@@ -204,7 +210,7 @@ def test_bundle_round_trip_preserves_everything(tmp_path):
         assert [s.id for s in hb.appliances] == [s.id for s in ha.appliances]
         for sa, sb in zip(ha.appliances, hb.appliances):
             assert np.array_equal(sa.power_profile, sb.power_profile)
-            assert np.array_equal(sa.preference_shift, sb.preference_shift)
+            assert sa.max_shift == sb.max_shift
         assert len(hb.history) == len(ha.history)
         for ra, rb in zip(ha.history, hb.history):
             assert ra.day == rb.day
@@ -214,7 +220,7 @@ def test_bundle_round_trip_preserves_everything(tmp_path):
             assert hb.pv.battery_capacity == ha.pv.battery_capacity
             assert hb.pv.charge_rate == ha.pv.charge_rate
             assert hb.pv.charge_efficiency == ha.pv.charge_efficiency
-            assert np.array_equal(hb.pv.initial_soc, ha.pv.initial_soc)
+            assert hb.pv.battery_soc == ha.pv.battery_soc
             for ra, rb in zip(ha.pv.history, hb.pv.history):
                 assert ra.day == rb.day
                 assert np.array_equal(ra.curve.values, rb.curve.values)
@@ -313,6 +319,12 @@ def test_load_wraps_fleet_errors_as_format_errors(tmp_path):
     with pytest.raises(FormatError, match=r"manifest.json: simulation days must be strictly"):
         load_bundle(root)
 
+    doc["days"] = doc["days"][::-1]
+    doc["households"].append(doc["households"][0])
+    (root / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=r"manifest.json: household ids must be unique"):
+        load_bundle(root)
+
 
 def test_load_raises_first_problem_lint_collects_all(tmp_path):
     root = save_bundle(tiny_fleet(), tmp_path / "bundle")
@@ -346,3 +358,167 @@ def test_lint_flags_duplicate_household_ids(tmp_path):
 def test_lint_on_clean_bundle_is_quiet(tmp_path):
     root = save_bundle(tiny_fleet(), tmp_path / "bundle")
     assert lint_bundle(root) == ()
+
+
+@pytest.mark.parametrize("days", [["2025-01-09", "2025-01-08"], ["2025-01-08", "2025-01-08"]])
+def test_lint_and_load_agree_on_day_order(tmp_path, days):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    doc = json.loads((root / "manifest.json").read_text())
+    doc["days"] = days
+    (root / "manifest.json").write_text(json.dumps(doc))
+    message = r"manifest.json: simulation days must be strictly increasing: 2025-01-0. then"
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
+    problems = lint_bundle(root)
+    assert len(problems) == 1 and re.search(message, problems[0]), problems
+
+
+@pytest.mark.parametrize(
+    "name", ["manifest.json", "pricing.csv", "households/h001/appliances.csv"]
+)
+def test_invalid_utf8_is_a_format_error(tmp_path, name):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    with (root / name).open("ab") as handle:
+        handle.write(b"\xff\xfe")
+    message = rf"{re.escape(name)}: not UTF-8 text"
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
+    problems = lint_bundle(root)
+    assert any(re.search(message, p) for p in problems), problems
+
+
+def test_csv_field_over_the_parser_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("slot,value_kw\n1," + "1" * 200_000 + "\n")
+    with pytest.raises(FormatError, match=rf"{re.escape(str(path))}:2: bad CSV: field larger"):
+        read_curve_csv(path)
+
+
+def test_manifest_integer_over_the_digit_limit_is_a_format_error(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    text = (root / "manifest.json").read_text()
+    (root / "manifest.json").write_text(
+        text.replace('"format_version": 1', '"format_version": ' + "9" * 5000)
+    )
+    message = r"manifest.json: invalid JSON: Exceeds the limit"
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
+    assert re.search(message, lint_bundle(root)[0])
+
+
+# each manifest file path: (how to set it, its name in the error, the file it names)
+FILE_FIELDS = {
+    "pricing": (lambda doc, value: doc.update(pricing=value), "pricing", "pricing.csv"),
+    "appliances": (
+        lambda doc, value: doc["households"][0].update(appliances=value),
+        "household h001: appliances",
+        "households/h001/appliances.csv",
+    ),
+    "history": (
+        lambda doc, value: doc["households"][0].update(history=value),
+        "household h001: history",
+        "households/h001/history.csv",
+    ),
+    "generation_history": (
+        lambda doc, value: _pv(doc).update(generation_history=value),
+        "household h001: pv generation_history",
+        "households/h001/pv_history.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", ["absolute", "parent"])
+@pytest.mark.parametrize("field", sorted(FILE_FIELDS))
+def test_manifest_paths_must_stay_inside_the_bundle(tmp_path, field, where):
+    set_path, what, source = FILE_FIELDS[field]
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    # a valid file outside the bundle, so only the path check can refuse it
+    outside = tmp_path / "outside.csv"
+    shutil.copy(root / source, outside)
+    value = str(outside) if where == "absolute" else "../outside.csv"
+    doc = json.loads((root / "manifest.json").read_text())
+    set_path(doc, value)
+    (root / "manifest.json").write_text(json.dumps(doc))
+    message = f"{what} {value!r} is not a path inside the bundle"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_bundle(root)
+    problems = lint_bundle(root)
+    assert any(message in p for p in problems), problems
+
+
+def test_manifest_paths_may_wander_inside_the_bundle(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    doc = json.loads((root / "manifest.json").read_text())
+    doc["pricing"] = "households/../pricing.csv"
+    (root / "manifest.json").write_text(json.dumps(doc))
+    assert lint_bundle(root) == ()
+    load_bundle(root)
+
+
+@pytest.mark.parametrize("household_id", ["../x", "ABSOLUTE", "a/b", "a\\b", ".", ".."])
+def test_save_refuses_ids_that_are_not_one_path_component(tmp_path, household_id):
+    if household_id == "ABSOLUTE":
+        household_id = str(tmp_path / "elsewhere")
+    fleet = tiny_fleet()
+    first = dataclasses.replace(fleet.households[0], id=household_id)
+    fleet = dataclasses.replace(fleet, households=(first, *fleet.households[1:]))
+    with pytest.raises(FormatError, match="cannot name a bundle directory"):
+        save_bundle(fleet, tmp_path / "bundle")
+    assert list(tmp_path.iterdir()) == []
+
+
+# -------------------------------------------------------------- mutated bundles
+
+
+@pytest.fixture(scope="module")
+def clean_bundle(tmp_path_factory):
+    return save_bundle(tiny_fleet(), tmp_path_factory.mktemp("clean") / "bundle")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _value_slots(node):
+    """(container, key) for every value nested anywhere in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _value_slots(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_bundle_loads_or_raises_a_loadshift_error(clean_bundle, data):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(shutil.copytree(clean_bundle, Path(scratch) / "bundle"))
+        kind = data.draw(st.sampled_from(["manifest value", "truncate", "append"]))
+        if kind == "manifest value":
+            doc = json.loads((root / "manifest.json").read_text())
+            node, key = data.draw(st.sampled_from(list(_value_slots(doc))))
+            old = node[key]
+            node[key] = data.draw(json_values.filter(lambda v: type(v) is not type(old)))
+            (root / "manifest.json").write_text(json.dumps(doc))
+        else:
+            files = sorted(p for p in root.rglob("*") if p.is_file())
+            path = data.draw(st.sampled_from(files))
+            content = path.read_bytes()
+            if kind == "truncate":
+                content = content[: data.draw(st.integers(0, len(content) - 1))]
+            else:
+                content += data.draw(st.binary(min_size=1, max_size=64))
+            path.write_bytes(content)
+
+        try:
+            load_bundle(root)
+            loaded = True
+        except LoadshiftError:
+            loaded = False
+        problems = lint_bundle(root)
+        assert all(isinstance(p, str) for p in problems)
+        assert loaded == (problems == ()), problems

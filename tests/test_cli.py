@@ -145,6 +145,43 @@ def test_wrong_typed_manifest_field_exits_2(tmp_path, capsys, mutate, message):
     assert message in capsys.readouterr().err
 
 
+def _break_days_order(bundle):
+    doc = json.loads((bundle / "manifest.json").read_text())
+    doc["days"] = ["2025-02-02", "2025-02-01"]
+    (bundle / "manifest.json").write_text(json.dumps(doc))
+
+
+def _append_invalid_utf8(bundle):
+    with (bundle / "pricing.csv").open("ab") as handle:
+        handle.write(b"\xff\xfe")
+
+
+def _oversized_manifest_integer(bundle):
+    text = (bundle / "manifest.json").read_text()
+    (bundle / "manifest.json").write_text(
+        text.replace('"format_version": 1', '"format_version": ' + "9" * 5000)
+    )
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_break_days_order, "simulation days must be strictly increasing"),
+        (_append_invalid_utf8, "pricing.csv: not UTF-8 text"),
+        (_oversized_manifest_integer, "manifest.json: invalid JSON: Exceeds the limit"),
+    ],
+    ids=["days out of order", "invalid utf-8", "oversized integer"],
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, breakage, message):
+    bundle = generate(tmp_path)
+    breakage(bundle)
+    assert cli.main(["validate", "--bundle", str(bundle)]) == 2
+    assert message in capsys.readouterr().err
+    rc = cli.main(["run", "--bundle", str(bundle), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_bundle_exits_2(tmp_path, capsys):
     rc = cli.main(["validate", "--bundle", str(tmp_path / "nowhere")])
     assert rc == 2

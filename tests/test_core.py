@@ -10,11 +10,8 @@ import pytest
 
 from conftest import make_fixed, make_pricing, make_shiftable
 from loadshift.core import (
-    GRID,
-    SLOT_COUNT,
     ApplianceSpec,
     DailyRecord,
-    DayGrid,
     Household,
     LoadCurve,
     PricingSignal,
@@ -25,7 +22,6 @@ from loadshift.core import (
     preferred_starts,
     split_consumption,
     total_curve,
-    uniform_shift,
 )
 from loadshift.errors import (
     FormatError,
@@ -33,26 +29,6 @@ from loadshift.errors import (
     PlacementError,
     UndefinedMetricError,
 )
-
-
-# ---------------------------------------------------------------- grid
-
-
-def test_grid_is_one_day():
-    assert GRID.slot_count * GRID.slot_minutes == 1440
-    with pytest.raises(ParameterError):
-        DayGrid(slot_count=48, slot_minutes=31)
-
-
-def test_slot_index_round_trip():
-    for slot in range(1, SLOT_COUNT + 1):
-        assert GRID.index_to_slot(GRID.slot_to_index(slot)) == slot
-    with pytest.raises(ParameterError):
-        GRID.slot_to_index(0)
-    with pytest.raises(ParameterError):
-        GRID.slot_to_index(49)
-    with pytest.raises(ParameterError):
-        GRID.index_to_slot(48)
 
 
 # ---------------------------------------------------------------- curves
@@ -80,7 +56,6 @@ def test_curve_arithmetic():
     a = LoadCurve(rng.uniform(0, 2, 48))
     b = LoadCurve(rng.uniform(0, 2, 48))
     npt.assert_allclose((a + b).values, a.values + b.values)
-    npt.assert_allclose((2.5 * a).values, 2.5 * a.values)
 
 
 # ---------------------------------------------------------------- appliances
@@ -96,7 +71,7 @@ def test_fixed_appliance_must_be_pinned():
             window_start=5,
             window_end=10,  # window wider than the run
             preferred_start=5,
-            preference_shift=np.zeros(48, dtype=int),
+            max_shift=0,
         )
     with pytest.raises(ParameterError):
         ApplianceSpec(
@@ -107,7 +82,7 @@ def test_fixed_appliance_must_be_pinned():
             window_start=5,
             window_end=6,
             preferred_start=5,
-            preference_shift=uniform_shift(3),  # fixed cannot shift
+            max_shift=3,  # fixed cannot shift
         )
 
 
@@ -130,7 +105,7 @@ def test_profile_and_counts():
             window_start=1,
             window_end=10,
             preferred_start=1,
-            preference_shift=uniform_shift(2),
+            max_shift=2,
         )
     with pytest.raises(ParameterError):
         make_shiftable(power=-1.0)
@@ -149,20 +124,25 @@ def test_expand_instances_names_and_count():
     assert instances[0].max_shift == spec.max_shift
 
 
-def test_max_shift_reads_preference_row_at_preferred_slot():
-    shift = np.zeros(48, dtype=int)
-    shift[9] = 7  # slot 10
-    spec = ApplianceSpec(
-        id="dev",
-        kind="shiftable",
-        power_profile=np.ones(2),
-        duration_slots=2,
-        window_start=1,
-        window_end=48,
-        preferred_start=10,
-        preference_shift=shift,
-    )
-    assert spec.max_shift == 7
+def test_max_shift_validation():
+    with pytest.raises(ParameterError, match="max_shift"):
+        make_shiftable(max_shift=-1)
+    with pytest.raises(ParameterError, match="max_shift"):
+        make_shiftable(max_shift=2.5)
+    with pytest.raises(ParameterError, match="cannot permit shifts"):
+        ApplianceSpec(
+            id="lamp",
+            kind="fixed",
+            power_profile=np.ones(2),
+            duration_slots=2,
+            window_start=5,
+            window_end=6,
+            preferred_start=5,
+            max_shift=1,
+        )
+    spec = make_shiftable(max_shift=np.int64(7))
+    assert spec.max_shift == 7 and type(spec.max_shift) is int
+    assert make_fixed().max_shift == 0
 
 
 # ---------------------------------------------------------------- total_curve
@@ -296,7 +276,7 @@ def test_bill_linear():
     a = LoadCurve(rng.uniform(0, 2, 48))
     b = LoadCurve(rng.uniform(0, 2, 48))
     assert bill(a + b, pricing) == pytest.approx(bill(a, pricing) + bill(b, pricing))
-    assert bill(3.0 * a, pricing) == pytest.approx(3.0 * bill(a, pricing))
+    assert bill(LoadCurve(3.0 * a.values), pricing) == pytest.approx(3.0 * bill(a, pricing))
 
 
 def test_bill_length_mismatch():
@@ -325,6 +305,14 @@ def test_pricing_peak_mask():
     assert len(pricing.off_peak_slots()) == 43
 
 
+def test_is_peak_rejects_slots_outside_the_day():
+    pricing = make_pricing()
+    assert pricing.is_peak(35) and not pricing.is_peak(48)
+    for slot in (0, 49):
+        with pytest.raises(ParameterError, match="outside 1..48"):
+            pricing.is_peak(slot)
+
+
 def test_pv_system_validation():
     gen = np.zeros(48)
     with pytest.raises(ParameterError):
@@ -333,9 +321,12 @@ def test_pv_system_validation():
         PvSystem(generation=np.full(48, -0.1), battery_capacity=2.0)
     with pytest.raises(ParameterError):
         PvSystem(generation=gen, battery_capacity=2.0, charge_efficiency=1.5)
-    pv = PvSystem(generation=gen, battery_capacity=2.0, battery_soc=1.0)
-    assert pv.initial_soc == 1.0
-    assert pv.battery_soc.shape == (48,)
+    with pytest.raises(ParameterError):
+        PvSystem(generation=gen, battery_capacity=2.0, battery_soc=-0.1)
+    with pytest.raises(FormatError, match="scalar"):
+        PvSystem(generation=gen, battery_capacity=2.0, battery_soc=np.full(48, 1.0))
+    pv = PvSystem(generation=gen, battery_capacity=2.0, battery_soc=np.float64(1))
+    assert pv.battery_soc == 1.0 and type(pv.battery_soc) is float
 
 
 def test_household_validation():

@@ -35,7 +35,6 @@ from loadshift.scheduler import (
     evaluate_cost,
     feasible_starts,
     pv_arbitrate,
-    shifted_counts,
     solve,
     validate_assignment,
 )
@@ -171,7 +170,7 @@ def test_pv_arbitrate_waits_to_recharge_before_peak():
     expected[24:34] = False
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[24:34], 2.0 - 0.025 * 24)
-    assert result.supplied_total() <= pv.initial_soc + 1e-9
+    assert result.supplied_total() <= pv.battery_soc + 1e-9
 
 
 def test_pv_arbitrate_empty_battery_never_raises():
@@ -209,7 +208,7 @@ def test_pv_arbitrate_energy_conservation():
         )
         demand = rng.uniform(0, 3, 48)
         result = pv_arbitrate(pv, demand, pricing, max_app_duration=int(rng.integers(1, 8)))
-        available = pv.initial_soc + pv.charge_efficiency * pv.generation.sum() * 0.5
+        available = pv.battery_soc + pv.charge_efficiency * pv.generation.sum() * 0.5
         assert result.supplied_total() <= available + 1e-9
         assert (result.soc >= -1e-12).all() and (result.soc <= capacity + 1e-12).all()
         npt.assert_allclose(result.supplied_kwh[result.flags], demand[result.flags] * 0.5)
@@ -346,12 +345,26 @@ def test_validate_assignment_reports_each_violation():
     assert any("whole slot" in m for m in fractional)
 
 
-def test_shifted_counts_tallies():
-    instances = expand_instances([make_shiftable("w", duration=1, preferred=10, count=3)])
-    assignment = ScheduleAssignment({"w#1": 10, "w#2": 12, "w#3": 12})
-    to_counts, away_counts = shifted_counts(instances, assignment)
-    assert to_counts == {("w", 12): 2}
-    assert away_counts == {("w", 10): 2}
+def test_validate_assignment_flags_moved_fixed_instance():
+    # hand-built fixed instances whose window and cap would let them move
+    lamps = [
+        make_instance(f"lamp#{k}", duration=2, window=(10, 20), preferred=10, kind="fixed")
+        for k in (1, 2)
+    ]
+    both_moved = validate_assignment(lamps, ScheduleAssignment({"lamp#1": 12, "lamp#2": 12}))
+    assert both_moved == (
+        "lamp#1: fixed appliance moved from slot 10 to 12",
+        "lamp#2: fixed appliance moved from slot 10 to 12",
+    )
+
+    beside_shiftable = [lamps[0], make_instance("wash", duration=2, preferred=30)]
+    messages = validate_assignment(
+        beside_shiftable, ScheduleAssignment({"lamp#1": 14, "wash": 30})
+    )
+    assert messages == ("lamp#1: fixed appliance moved from slot 10 to 14",)
+    assert validate_assignment(
+        beside_shiftable, ScheduleAssignment({"lamp#1": 10, "wash": 33})
+    ) == ()
 
 
 # ---------------------------------------------------------------- solve: exact
