@@ -66,6 +66,18 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
+def read_json(path):
+    """Parse a UTF-8 JSON file; any unreadable or malformed input is a ``FormatError``."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # int digit limit, or nesting deeper than the parser's recursion limit
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _open_rows(path, expected_columns):
     reader = csv.reader(_read_text(path).splitlines())
     try:
@@ -395,14 +407,7 @@ def _parse_days(doc: dict, manifest_path) -> tuple[datetime.date, ...]:
 
 def _load_manifest(root: Path) -> dict:
     path = root / "manifest.json"
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
-        # int digit limit, or nesting deeper than the parser's recursion limit
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         _fail(path, None, "manifest must be a JSON object")
     for key in ("format_version", "mode", "days", "pricing", "households"):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import lint_bundle, load_bundle, save_bundle
+from .bundle import lint_bundle, load_bundle, read_json, save_bundle
 from .core import LoadCurve, PricingSignal
 from .errors import FeasibilityError, FormatError, LoadshiftError
 from .forecast import TrainingConfig, fit_series, hourly_series_from_history, save_network
@@ -137,22 +137,24 @@ def _cmd_run(args) -> int:
 
 
 def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: results file must be a JSON object")
     for key in ("format_version", "mode", "pricing", "results"):
         if key not in doc:
             raise FormatError(f"{path}: results file is missing {key!r}")
     if doc["format_version"] != RESULTS_FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format_version {doc['format_version']!r}")
+    if not isinstance(doc["results"], list):
+        raise FormatError(f"{path}: 'results' must be a list")
 
-    pricing = PricingSignal(
-        prices=np.array(doc["pricing"]["prices"], dtype=float),
-        peak_windows=tuple(tuple(w) for w in doc["pricing"]["peak_windows"]),
-    )
+    try:
+        pricing = PricingSignal(
+            prices=np.array(doc["pricing"]["prices"], dtype=float),
+            peak_windows=tuple(tuple(w) for w in doc["pricing"]["peak_windows"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad pricing: {exc}") from exc
     mode = doc["mode"]
     results = []
     for row in doc["results"]:

@@ -246,16 +246,32 @@ def with_params(net: NarNetwork, theta: np.ndarray) -> NarNetwork:
         raise FormatError(
             f"parameter vector needs {net.parameter_count} entries, got {theta.shape}"
         )
-    w_in = theta[: h * d].reshape(h, d)
-    b_in = theta[h * d : h * d + h]
-    w_out = theta[h * d + h : h * d + 2 * h]
-    b_out = theta[-1]
+    w_in, b_in, w_out, b_out = _unpack(theta, h, d)
     return replace(net, w_in=w_in, b_in=b_in, w_out=w_out, b_out=float(b_out))
 
 
-def _forward_normalized(net: NarNetwork, x_norm: np.ndarray) -> np.ndarray:
-    hidden = np.tanh(x_norm @ net.w_in.T + net.b_in)
-    return hidden @ net.w_out + net.b_out
+def _unpack(theta: np.ndarray, hidden: int, inputs: int):
+    """Views (w_in, b_in, w_out, b_out) of a flat vector in ``flatten_params`` order.
+
+    ``w_in`` is a C-contiguous (hidden, inputs) view, laid out like the
+    copy a ``NarNetwork`` stores, so products with it round the same way.
+    """
+    split = hidden * inputs
+    return (
+        theta[:split].reshape(hidden, inputs),
+        theta[split : split + hidden],
+        theta[split + hidden : split + 2 * hidden],
+        theta[-1],
+    )
+
+
+def _forward_normalized(w_in, b_in, w_out, b_out, x_norm: np.ndarray) -> np.ndarray:
+    hidden = np.tanh(x_norm @ w_in.T + b_in)
+    return hidden @ w_out + b_out
+
+
+def _layers(net: NarNetwork):
+    return net.w_in, net.b_in, net.w_out, net.b_out
 
 
 def forward(net: NarNetwork, window: Sequence[float]) -> float:
@@ -269,7 +285,7 @@ def forward(net: NarNetwork, window: Sequence[float]) -> float:
         raise FormatError(f"window needs {net.input_size} values, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("window contains non-finite values")
-    y_norm = _forward_normalized(net, net.normalize(arr)[None, :])[0]
+    y_norm = _forward_normalized(*_layers(net), net.normalize(arr)[None, :])[0]
     return float(net.denormalize(y_norm))
 
 
@@ -280,25 +296,46 @@ def prediction_jacobian(net: NarNetwork, x_norm: np.ndarray) -> np.ndarray:
         x_norm: (n, input_size) inputs already in normalized space.
 
     Returns:
-        (n, parameter_count) matrix, columns ordered like ``flatten_params``.
+        (n, parameter_count) C-contiguous matrix, columns ordered like
+        ``flatten_params``; each block is written in place, with no
+        intermediate copy of the (n, hidden*input) weight block.
     """
     x_norm = np.atleast_2d(np.asarray(x_norm, dtype=float))
     hidden = np.tanh(x_norm @ net.w_in.T + net.b_in)  # (n, h)
     gain = (1.0 - hidden**2) * net.w_out  # d y / d preactivation_j
-    n = x_norm.shape[0]
-    d_w_in = np.einsum("nj,nk->njk", gain, x_norm).reshape(n, -1)
-    return np.concatenate([d_w_in, gain, hidden, np.ones((n, 1))], axis=1)
+    n, (h, d) = x_norm.shape[0], net.w_in.shape
+    jac = np.empty((n, net.parameter_count))
+    # einsum adds each product to a zeroed output, so an exact-zero product is
+    # stored as +0.0; np.multiply would keep -0.0 and could flip zero signs in J^T J
+    np.einsum("nj,nk->njk", gain, x_norm, out=jac[:, : h * d].reshape(n, h, d))
+    jac[:, h * d : h * d + h] = gain
+    jac[:, h * d + h : -1] = hidden
+    jac[:, -1] = 1.0
+    return jac
 
 
-def damped_step(jacobian: np.ndarray, residuals: np.ndarray, damping: float) -> np.ndarray:
+def normal_equations(
+    jacobian: np.ndarray, residuals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Newton normal-equation terms ``(J^T J, J^T r)``.
+
+    They depend only on the current parameters, so ``train_lm`` builds them
+    once per epoch and every damping retry of that epoch reuses them.
+    """
+    return jacobian.T @ jacobian, jacobian.T @ residuals
+
+
+def damped_step(jtj: np.ndarray, jtr: np.ndarray, damping: float) -> np.ndarray:
     """Solve the damped normal equations (J^T J + damping*I) delta = J^T r.
 
-    ``residuals`` follow the target-minus-prediction convention, so the
-    returned delta is added to the parameters.
+    ``jtj`` and ``jtr`` come from ``normal_equations`` and are not modified:
+    the damping is added to the diagonal of a copy.  The residuals behind
+    ``jtr`` follow the target-minus-prediction convention, so the returned
+    delta is added to the parameters.
     """
-    jtj = jacobian.T @ jacobian
-    jtj[np.diag_indices_from(jtj)] += damping
-    return np.linalg.solve(jtj, jacobian.T @ residuals)
+    damped = jtj.copy()
+    damped[np.diag_indices_from(damped)] += damping
+    return np.linalg.solve(damped, jtr)
 
 
 # ---------------------------------------------------------------- splitting
@@ -379,9 +416,14 @@ def train_lm(
     """Train by Levenberg-Marquardt on raw-unit (window, target) pairs.
 
     Normalization bounds are taken from the training pairs and stored on the
-    returned network.  Each epoch solves (J^T J + lam*I) delta = J^T r; lam
-    shrinks after an accepted step and grows after a rejected one.  Training
-    stops at ``max_epochs``, when validation MSE stops improving for
+    returned network.  Each epoch builds J^T J and J^T r once
+    (``normal_equations``) at the current parameters, then solves
+    (J^T J + lam*I) delta = J^T r (``damped_step``) for each damping lam it
+    tries: lam shrinks after an accepted step and grows after a rejected
+    one, which is retried from the same normal equations.  Residuals of the
+    candidate steps are computed straight from the flat parameter vector;
+    only the returned network is built as a ``NarNetwork``.  Training stops
+    at ``max_epochs``, when validation MSE stops improving for
     ``stop_patience`` epochs, on an exact fit, or when lam hits its cap.
 
     Args:
@@ -389,7 +431,8 @@ def train_lm(
         train: (X, y) training pairs in original units.
         validation: (X, y) validation pairs in original units.
         cfg: training knobs.
-        sample_weights: optional per-training-sample residual weights.
+        sample_weights: optional per-training-sample residual weights;
+            ``None`` weights every sample equally without a multiply.
 
     Returns:
         TrainingResult with best-validation parameters and MSE traces.
@@ -408,9 +451,8 @@ def train_lm(
     if x_val.ndim != 2 or x_val.shape[1] != net.input_size:
         raise FormatError(f"validation windows must be (n, {net.input_size})")
 
-    if sample_weights is None:
-        weights = np.ones(y_train.size)
-    else:
+    weights = None
+    if sample_weights is not None:
         weights = np.asarray(sample_weights, dtype=float)
         if weights.shape != y_train.shape:
             raise FormatError("sample_weights must match the training targets")
@@ -427,16 +469,21 @@ def train_lm(
     xn_train, yn_train = net.normalize(x_train), net.normalize(y_train)
     xn_val, yn_val = net.normalize(x_val), net.normalize(y_val)
 
+    h, d = net.hidden_size, net.input_size
+
     def residuals(theta: np.ndarray) -> np.ndarray:
-        return yn_train - _forward_normalized(with_params(net, theta), xn_train)
+        return yn_train - _forward_normalized(*_unpack(theta, h, d), xn_train)
 
     def val_mse(theta: np.ndarray) -> float:
-        err = yn_val - _forward_normalized(with_params(net, theta), xn_val)
+        err = yn_val - _forward_normalized(*_unpack(theta, h, d), xn_val)
         return float(np.mean(err**2) * scale_sq)
+
+    def weighted(r: np.ndarray) -> np.ndarray:
+        return r if weights is None else weights * r
 
     theta = flatten_params(net)
     r = residuals(theta)
-    sse = float(np.sum((weights * r) ** 2))
+    sse = float(np.sum(weighted(r) ** 2))
     n_train = y_train.size
 
     train_trace = [sse / n_train * scale_sq]
@@ -458,13 +505,16 @@ def train_lm(
     damping = cfg.lm_initial_damping
     stale_epochs = 0
     for _ in range(cfg.max_epochs):
-        jac = prediction_jacobian(with_params(net, theta), xn_train) * weights[:, None]
-        r_w = weights * r
+        jac = prediction_jacobian(with_params(net, theta), xn_train)
+        if weights is not None:
+            jac *= weights[:, None]
+        jtj, jtr = normal_equations(jac, weighted(r))
+        del jac  # free it before the retries: they need only the normal equations
         accepted = False
         while True:
             solve_failed = False
             try:
-                delta = damped_step(jac, r_w, damping)
+                delta = damped_step(jtj, jtr, damping)
                 if not np.all(np.isfinite(delta)):
                     solve_failed = True
             except np.linalg.LinAlgError:
@@ -472,7 +522,7 @@ def train_lm(
             if not solve_failed:
                 candidate = theta + delta
                 r_new = residuals(candidate)
-                sse_new = float(np.sum((weights * r_new) ** 2))
+                sse_new = float(np.sum(weighted(r_new) ** 2))
                 if np.isfinite(sse_new) and sse_new < sse:
                     theta, r, sse = candidate, r_new, sse_new
                     damping = max(damping / cfg.lm_damping_down, 1e-12)
@@ -551,8 +601,9 @@ def predict_day(net: NarNetwork, history: SeriesDataset) -> LoadCurve:
     steps = MINUTES_PER_DAY // history.step_minutes
     window = net.normalize(history.values[-net.input_size :]).copy()
     preds = np.empty(steps)
+    layers = _layers(net)
     for k in range(steps):
-        preds[k] = _forward_normalized(net, window[None, :])[0]
+        preds[k] = _forward_normalized(*layers, window[None, :])[0]
         window[:-1] = window[1:]
         window[-1] = preds[k]
     hourly = np.maximum(net.denormalize(preds), 0.0)

@@ -232,3 +232,30 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
     rc = cli.main(["report", "--results", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"format_version": 1}\xff', "not UTF-8"),
+        (b"5", "must be a JSON object"),
+        (
+            b'{"format_version": 1, "mode": "offline", "pricing": {}, "results": []}',
+            "bad pricing",
+        ),
+        (
+            json.dumps({"format_version": 1, "mode": "offline", "results": 5,
+                        "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
+            "'results' must be a list",
+        ),
+    ],
+    ids=["invalid-utf8", "top-level-number", "pricing-without-prices", "results-not-a-list"],
+)
+def test_report_rejects_malformed_results_with_exit_2(tmp_path, capsys, content, message):
+    bad = tmp_path / "results.json"
+    bad.write_bytes(content)
+    rc = cli.main(["report", "--results", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+    assert not (tmp_path / "o").exists()

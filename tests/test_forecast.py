@@ -10,10 +10,12 @@ import numpy.testing as npt
 import pytest
 
 from loadshift.core import DailyRecord, LoadCurve
+from loadshift import forecast
 from loadshift.errors import (
     DatasetTooSmallError,
     FormatError,
     TemporalConsistencyError,
+    TrainingFailedError,
     UndefinedMetricError,
 )
 from loadshift.forecast import (
@@ -28,6 +30,7 @@ from loadshift.forecast import (
     hourly_series_from_history,
     initialize_network,
     load_network,
+    normal_equations,
     predict_day,
     prediction_jacobian,
     save_network,
@@ -181,9 +184,15 @@ def test_damped_step_matches_closed_form_toy():
     jac = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     res = np.array([0.5, -1.0, 2.0])
     lam = 0.7
-    delta = damped_step(jac, res, lam)
+    jtj, jtr = normal_equations(jac, res)
+    npt.assert_array_equal(jtj, [[35.0, 44.0], [44.0, 56.0]])
+    npt.assert_array_equal(jtr, [7.5, 9.0])
+    delta = damped_step(jtj, jtr, lam)
     oracle = np.linalg.solve(jac.T @ jac + lam * np.eye(2), jac.T @ res)
     npt.assert_allclose(delta, oracle, rtol=1e-12)
+    # every damping retry of an epoch reuses the same normal equations
+    npt.assert_array_equal(jtj, [[35.0, 44.0], [44.0, 56.0]])
+    npt.assert_array_equal(damped_step(jtj, jtr, lam), delta)
 
 
 def central_difference_jacobian(net, x_norm, h=1e-6):
@@ -308,6 +317,175 @@ def test_sample_weights_change_the_fit():
     skew[:5] = 25.0
     weighted = train_lm(net, (X, y), val, cfg, sample_weights=skew)
     assert not np.array_equal(flatten_params(plain.network), flatten_params(weighted.network))
+
+
+def reference_train_lm(net, train, validation, cfg, sample_weights=None):
+    """Levenberg-Marquardt as ``train_lm`` computed it before the normal
+    equations were shared between damping retries: every retry rebuilds
+    ``J^T J`` and ``J^T r``, every residual goes through a validated
+    ``NarNetwork`` and the weights default to ones, always multiplied in."""
+    x_train, y_train = (np.asarray(a, dtype=float) for a in train)
+    x_val, y_val = (np.asarray(a, dtype=float) for a in validation)
+    weights = np.ones(y_train.size) if sample_weights is None else np.asarray(sample_weights)
+    lo = min(x_train.min(), y_train.min())
+    hi = max(x_train.max(), y_train.max())
+    net = NarNetwork(w_in=net.w_in, b_in=net.b_in, w_out=net.w_out, b_out=net.b_out,
+                     norm_min=float(lo), norm_max=float(hi))
+    scale_sq = ((hi - lo) / 2.0) ** 2
+    xn_train, yn_train = net.normalize(x_train), net.normalize(y_train)
+    xn_val, yn_val = net.normalize(x_val), net.normalize(y_val)
+
+    def predict(theta, x):
+        p = with_params(net, theta)
+        return np.tanh(x @ p.w_in.T + p.b_in) @ p.w_out + p.b_out
+
+    def residuals(theta):
+        return yn_train - predict(theta, xn_train)
+
+    def val_mse(theta):
+        return float(np.mean((yn_val - predict(theta, xn_val)) ** 2) * scale_sq)
+
+    def step(jac, r, damping):
+        jtj = jac.T @ jac
+        jtj[np.diag_indices_from(jtj)] += damping
+        return np.linalg.solve(jtj, jac.T @ r)
+
+    theta = flatten_params(net)
+    r = residuals(theta)
+    sse = float(np.sum((weights * r) ** 2))
+    train_trace, val_trace = [sse / y_train.size * scale_sq], [val_mse(theta)]
+    best_theta, best_val, best_epoch = theta.copy(), val_trace[0], 0
+    if sse == 0.0:
+        return best_theta, train_trace, val_trace, best_epoch, "perfect_fit"
+    damping, stale = cfg.lm_initial_damping, 0
+    for _ in range(cfg.max_epochs):
+        jac = prediction_jacobian(with_params(net, theta), xn_train) * weights[:, None]
+        r_w = weights * r
+        accepted = False
+        while True:
+            failed = False
+            try:
+                delta = step(jac, r_w, damping)
+                failed = not np.all(np.isfinite(delta))
+            except np.linalg.LinAlgError:
+                failed = True
+            if not failed:
+                r_new = residuals(theta + delta)
+                sse_new = float(np.sum((weights * r_new) ** 2))
+                if np.isfinite(sse_new) and sse_new < sse:
+                    theta, r, sse = theta + delta, r_new, sse_new
+                    damping = max(damping / cfg.lm_damping_down, 1e-12)
+                    accepted = True
+                    break
+            damping *= cfg.lm_damping_up
+            if damping > cfg.lm_damping_cap:
+                if failed:
+                    raise TrainingFailedError("unsolvable at the cap", trace=tuple(train_trace))
+                break
+        if not accepted:
+            return best_theta, train_trace, val_trace, best_epoch, "damping_cap"
+        train_trace.append(sse / y_train.size * scale_sq)
+        current = val_mse(theta)
+        val_trace.append(current)
+        if current < best_val * (1.0 - cfg.improvement_tol):
+            best_theta, best_val, best_epoch, stale = theta.copy(), current, len(val_trace) - 1, 0
+        else:
+            stale += 1
+        if sse == 0.0:
+            return theta.copy(), train_trace, val_trace, len(val_trace) - 1, "perfect_fit"
+        if stale >= cfg.stop_patience:
+            return best_theta, train_trace, val_trace, best_epoch, "early_stop"
+    return best_theta, train_trace, val_trace, best_epoch, "max_epochs"
+
+
+def seeded_problem(seed, pairs, lag, hidden, weighted=False):
+    """A noisy daily-cycle series cut into (window, next value) pairs."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(pairs + pairs // 4 + lag)
+    values = 1.5 + np.sin(2 * np.pi * t / 24) + 0.3 * rng.standard_normal(t.size)
+    X = np.lib.stride_tricks.sliding_window_view(values[:-1], lag).copy()
+    y = values[lag:]
+    weights = rng.uniform(0.2, 3.0, size=pairs) if weighted else None
+    net = initialize_network(input_size=lag, hidden_size=hidden, seed=seed)
+    return net, (X[:pairs], y[:pairs]), (X[pairs:], y[pairs:]), weights
+
+
+@pytest.mark.parametrize(
+    "seed, pairs, lag, hidden, weighted, max_epochs",
+    [
+        (1, 200, 4, 3, False, 40),
+        (2, 300, 6, 5, False, 40),
+        (3, 200, 4, 3, True, 40),
+        (4, 300, 6, 5, True, 40),
+        (5, 150, 2, 8, False, 8),  # stops at max_epochs
+        (6, 2016, 24, 10, False, 12),  # the pipeline's shapes
+    ],
+)
+def test_train_lm_matches_per_retry_reference(monkeypatch, seed, pairs, lag, hidden,
+                                              weighted, max_epochs):
+    net, train, val, weights = seeded_problem(seed, pairs, lag, hidden, weighted)
+    cfg = TrainingConfig(max_epochs=max_epochs)
+    steps = []
+
+    def counted(jtj, jtr, damping):
+        steps.append(damping)
+        return damped_step(jtj, jtr, damping)
+
+    monkeypatch.setattr(forecast, "damped_step", counted)
+    result = train_lm(net, train, val, cfg, sample_weights=weights)
+    theta, train_trace, val_trace, best_epoch, reason = reference_train_lm(
+        net, train, val, cfg, sample_weights=weights
+    )
+    npt.assert_array_equal(flatten_params(result.network), theta)
+    assert result.train_mse == tuple(train_trace)
+    assert result.validation_mse == tuple(val_trace)
+    assert (result.best_epoch, result.stop_reason) == (best_epoch, reason)
+    # damping retries happen, and all of them reuse one set of normal equations
+    assert len(steps) > len(result.train_mse) - 1
+
+
+def test_unit_sample_weights_match_no_weights():
+    net, train, val, _ = seeded_problem(7, 250, 5, 4)
+    cfg = TrainingConfig(max_epochs=30)
+    plain = train_lm(net, train, val, cfg)
+    ones = train_lm(net, train, val, cfg, sample_weights=np.ones(train[1].size))
+    npt.assert_array_equal(flatten_params(ones.network), flatten_params(plain.network))
+    assert ones.train_mse == plain.train_mse
+    assert ones.validation_mse == plain.validation_mse
+    assert (ones.best_epoch, ones.stop_reason) == (plain.best_epoch, plain.stop_reason)
+
+
+def test_zero_steps_stop_at_the_damping_cap(monkeypatch):
+    net, train, val, _ = seeded_problem(8, 120, 3, 3)
+    dampings = []
+
+    def no_progress(jtj, jtr, damping):
+        dampings.append(damping)
+        return np.zeros_like(jtr)
+
+    monkeypatch.setattr(forecast, "damped_step", no_progress)
+    cfg = TrainingConfig(max_epochs=20)
+    result = train_lm(net, train, val, cfg)
+    assert result.stop_reason == "damping_cap"
+    assert len(result.train_mse) == 1 and result.best_epoch == 0
+    npt.assert_array_equal(flatten_params(result.network), flatten_params(net))
+    # every retry raised the damping, up to the cap and no further
+    assert dampings[0] == cfg.lm_initial_damping
+    assert all(b > a for a, b in zip(dampings, dampings[1:]))
+    assert dampings[-1] <= cfg.lm_damping_cap < dampings[-1] * cfg.lm_damping_up
+
+
+def test_non_finite_steps_fail_with_the_trace(monkeypatch):
+    net, train, val, _ = seeded_problem(8, 120, 3, 3)
+    cfg = TrainingConfig(max_epochs=20)
+    monkeypatch.setattr(forecast, "damped_step", lambda jtj, jtr, damping: np.zeros_like(jtr))
+    stalled = train_lm(net, train, val, cfg)
+    monkeypatch.setattr(
+        forecast, "damped_step", lambda jtj, jtr, damping: np.full_like(jtr, np.nan)
+    )
+    with pytest.raises(TrainingFailedError) as info:
+        train_lm(net, train, val, cfg)
+    assert info.value.trace == stalled.train_mse
 
 
 def test_fit_series_beats_persistence_baseline():
