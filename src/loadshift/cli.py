@@ -2,8 +2,9 @@
 
 Subcommands: ``generate`` a synthetic bundle, ``train`` one household's
 forecaster, ``run`` a simulation, ``report`` metrics from saved results,
-``validate`` a bundle.  Exit codes: 0 success, 2 validation/input failure,
-3 infeasible scheduling problem.
+``validate`` a bundle.  Exit codes: 0 success, 2 validation/input failure
+(including an output path that cannot be written), 3 infeasible scheduling
+problem.
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ def _cmd_run(args) -> int:
         recipe=fleet.recipe,
     )
     params = RunParams(max_epochs=args.epochs, history_window_days=args.history_window)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the fleet runs
     results = run_fleet(config, params, seed=args.seed, workers=args.workers)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     doc = _results_doc(config, results, args.seed)
     (out / "results.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -159,6 +160,8 @@ def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
     results = []
     for row in doc["results"]:
         try:
+            if not isinstance(row["household"], str):
+                raise TypeError(f"household id {row['household']!r} is not a string")
             predicted = LoadCurve(np.array(row["predicted"], dtype=float))
             assignment = row["assignment"]
             starts = {a["id"]: a["scheduled_start"] for a in assignment["appliances"]}
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LoadshiftError as exc:
+    except (LoadshiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,43 +118,31 @@ def hourly_series_from_history(
 # ---------------------------------------------------------------- config
 
 
+# Fixed training policy, used by train_lm and split_dataset.
+LM_INITIAL_DAMPING = 1e-3
+LM_DAMPING_UP = 10.0
+LM_DAMPING_DOWN = 10.0
+LM_DAMPING_CAP = 1e10
+STOP_PATIENCE = 6
+IMPROVEMENT_TOL = 1e-6  # validation MSE must beat best * (1 - IMPROVEMENT_TOL)
+VALIDATION_FRACTION = 0.15
+TEST_FRACTION = 0.15
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Levenberg-Marquardt training knobs.
+    """Per-fit training settings: the epoch budget and the seed.
 
-    ``validation_fraction`` and ``test_fraction`` leave the training fraction
-    implied (the three sum to 1).  ``fit_series`` weights every training
-    sample's residual equally.
+    The seed draws the validation/test split and the initial weights.
+    ``fit_series`` weights every training sample's residual equally.
     """
 
     max_epochs: int = 200
-    lm_initial_damping: float = 1e-3
-    lm_damping_up: float = 10.0
-    lm_damping_down: float = 10.0
-    lm_damping_cap: float = 1e10
-    stop_patience: int = 6
-    improvement_tol: float = 1e-6
-    validation_fraction: float = 0.15
-    test_fraction: float = 0.15
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ParameterError("max_epochs must be >= 1")
-        if self.lm_initial_damping <= 0:
-            raise ParameterError("lm_initial_damping must be > 0")
-        if self.lm_damping_up <= 1 or self.lm_damping_down <= 1:
-            raise ParameterError("damping factors must be > 1")
-        if self.lm_damping_cap <= self.lm_initial_damping:
-            raise ParameterError("damping cap must exceed the initial damping")
-        if self.stop_patience < 1:
-            raise ParameterError("stop_patience must be >= 1")
-        if self.improvement_tol < 0:
-            raise ParameterError("improvement_tol must be >= 0")
-        if self.validation_fraction < 0 or self.test_fraction < 0:
-            raise ParameterError("fractions must be >= 0")
-        if self.validation_fraction + self.test_fraction >= 1:
-            raise ParameterError("validation + test fractions must leave room for training")
 
 
 # ---------------------------------------------------------------- network
@@ -360,10 +348,11 @@ class DatasetSplit:
 def split_dataset(ds: SeriesDataset, cfg: TrainingConfig) -> DatasetSplit:
     """Partition the dataset's sample indices for training.
 
-    Sizes are computed on sample counts (``round(N * fraction)`` for
-    validation and test, remainder for training).  Training takes the
-    contiguous prefix; validation and test are drawn seeded-randomly from the
-    rest, so an 8760-sample year at 70/15/15 yields 6132/1314/1314.
+    Sizes are computed on sample counts (``round(N * VALIDATION_FRACTION)``
+    and ``round(N * TEST_FRACTION)``, remainder for training).  Training
+    takes the contiguous prefix; validation and test are drawn
+    seeded-randomly from the rest, so an 8760-sample year at 70/15/15 yields
+    6132/1314/1314.
 
     Raises:
         DatasetTooSmallError: fewer than ``lag + 10`` samples.
@@ -371,8 +360,8 @@ def split_dataset(ds: SeriesDataset, cfg: TrainingConfig) -> DatasetSplit:
     n = ds.sample_count
     if n < ds.lag + 10:
         raise DatasetTooSmallError(f"need at least lag + 10 = {ds.lag + 10} samples, got {n}")
-    n_val = int(round(n * cfg.validation_fraction))
-    n_test = int(round(n * cfg.test_fraction))
+    n_val = int(round(n * VALIDATION_FRACTION))
+    n_test = int(round(n * TEST_FRACTION))
     n_train = n - n_val - n_test
     if n_train <= ds.lag:
         raise DatasetTooSmallError("training prefix would contain no supervised pairs")
@@ -424,13 +413,14 @@ def train_lm(
     candidate steps are computed straight from the flat parameter vector;
     only the returned network is built as a ``NarNetwork``.  Training stops
     at ``max_epochs``, when validation MSE stops improving for
-    ``stop_patience`` epochs, on an exact fit, or when lam hits its cap.
+    ``STOP_PATIENCE`` epochs, on an exact fit, or when lam passes
+    ``LM_DAMPING_CAP``.
 
     Args:
         net: initial network (normalization bounds are overwritten).
         train: (X, y) training pairs in original units.
         validation: (X, y) validation pairs in original units.
-        cfg: training knobs.
+        cfg: epoch budget.
         sample_weights: optional per-training-sample residual weights;
             ``None`` weights every sample equally without a multiply.
 
@@ -502,7 +492,7 @@ def train_lm(
     if sse == 0.0:
         return finish("perfect_fit")
 
-    damping = cfg.lm_initial_damping
+    damping = LM_INITIAL_DAMPING
     stale_epochs = 0
     for _ in range(cfg.max_epochs):
         jac = prediction_jacobian(with_params(net, theta), xn_train)
@@ -525,11 +515,11 @@ def train_lm(
                 sse_new = float(np.sum(weighted(r_new) ** 2))
                 if np.isfinite(sse_new) and sse_new < sse:
                     theta, r, sse = candidate, r_new, sse_new
-                    damping = max(damping / cfg.lm_damping_down, 1e-12)
+                    damping = max(damping / LM_DAMPING_DOWN, 1e-12)
                     accepted = True
                     break
-            damping *= cfg.lm_damping_up
-            if damping > cfg.lm_damping_cap:
+            damping *= LM_DAMPING_UP
+            if damping > LM_DAMPING_CAP:
                 if solve_failed:
                     raise TrainingFailedError(
                         "damped normal equations unsolvable at the damping cap",
@@ -545,7 +535,7 @@ def train_lm(
         val_trace.append(current_val)
         epoch = len(train_trace) - 1
 
-        if current_val < best_val * (1.0 - cfg.improvement_tol):
+        if current_val < best_val * (1.0 - IMPROVEMENT_TOL):
             best_theta, best_val, best_epoch = theta.copy(), current_val, epoch
             stale_epochs = 0
         else:
@@ -554,7 +544,7 @@ def train_lm(
         if sse == 0.0:
             best_theta, best_val, best_epoch = theta.copy(), current_val, epoch
             return finish("perfect_fit")
-        if stale_epochs >= cfg.stop_patience:
+        if stale_epochs >= STOP_PATIENCE:
             return finish("early_stop")
 
     return finish("max_epochs")
@@ -685,14 +675,14 @@ def network_to_dict(net: NarNetwork, seed: int | None = None, config: TrainingCo
     if config is not None:
         doc["config"] = {
             "max_epochs": config.max_epochs,
-            "lm_initial_damping": config.lm_initial_damping,
-            "lm_damping_up": config.lm_damping_up,
-            "lm_damping_down": config.lm_damping_down,
-            "lm_damping_cap": config.lm_damping_cap,
-            "stop_patience": config.stop_patience,
-            "improvement_tol": config.improvement_tol,
-            "validation_fraction": config.validation_fraction,
-            "test_fraction": config.test_fraction,
+            "lm_initial_damping": LM_INITIAL_DAMPING,
+            "lm_damping_up": LM_DAMPING_UP,
+            "lm_damping_down": LM_DAMPING_DOWN,
+            "lm_damping_cap": LM_DAMPING_CAP,
+            "stop_patience": STOP_PATIENCE,
+            "improvement_tol": IMPROVEMENT_TOL,
+            "validation_fraction": VALIDATION_FRACTION,
+            "test_fraction": TEST_FRACTION,
             "rng_seed": config.rng_seed,
         }
     return doc

@@ -344,22 +344,12 @@ def evaluate_cost(
 # ---------------------------------------------------------------- solver
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Search knobs: exact-enumeration limit, local-search effort, seed."""
-
-    exact_threshold: int = 1_000_000
-    restarts: int = 3
-    max_passes: int = 60
-    seed: int = 0
-    blend: float | None = None
-    pv_iteration_cap: int = 5
-
-    def __post_init__(self):
-        if self.exact_threshold < 1 or self.restarts < 0 or self.max_passes < 1:
-            raise ParameterError("solver limits must be positive")
-        if self.pv_iteration_cap < 1:
-            raise ParameterError("pv_iteration_cap must be >= 1")
+# Fixed search policy: the largest start product enumerated exhaustively;
+# local search's random restarts and sweeps per descent; PV fixed-point rounds.
+_EXACT_LIMIT = 1_000_000
+_RESTARTS = 3
+_MAX_PASSES = 60
+_PV_ITERATION_CAP = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,20 +403,6 @@ class _CandidateSpace:
             self.penalties.append(w * np.abs(shift) + k * np.maximum(0, shift))
             self.shift_abs.append(np.abs(shift))
 
-    def key(self, choice: tuple[int, ...]) -> tuple[float, int, tuple[int, ...]]:
-        """Comparison key: (total cost, total |shift|, start tuple by id)."""
-        curve = self.residual.copy()
-        penalty = 0.0
-        shift_sum = 0
-        starts = []
-        for i, row in enumerate(choice):
-            curve += self.contribs[i][row]
-            penalty += self.penalties[i][row]
-            shift_sum += int(self.shift_abs[i][row])
-            starts.append(int(self.starts[i][row]))
-        total = float(np.sum(curve * curve)) + self.blend * penalty
-        return (total, shift_sum, tuple(starts))
-
     def starts_mapping(self, choice: tuple[int, ...]) -> dict[str, int]:
         return {self.ids[i]: int(self.starts[i][row]) for i, row in enumerate(choice)}
 
@@ -437,49 +413,54 @@ class _CandidateSpace:
 _BLOCK_ROWS = 4096
 
 
-def _enumerate_exact(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
-    """Exhaustive search over the start product; returns (choice, evaluations).
+def _enumerate_exact(
+    space: _CandidateSpace, rows: list[np.ndarray] | None = None
+) -> tuple[tuple[int, ...], tuple[float, int, tuple[int, ...]], int]:
+    """Exhaustive search over a start product; returns (choice, key, evaluations).
+
+    ``rows`` restricts instance i to the ascending row indices ``rows[i]``
+    (default: all of its rows); ``choice`` holds full row indices and
+    ``key`` is the winner's (total cost, total |shift|, start tuple by id).
 
     Candidates are scored in fixed-size blocks of at most ``_BLOCK_ROWS``
     rows, taken in row-major order of the product: the leading instances'
     rows are gathered for a run of prefixes and the trailing instances are
-    broadcast.  Each candidate still gets the arithmetic of a one-by-one
-    loop, so exact float ties stay exact: ``residual + c_0 + ... + c_{k-1}``
-    added element-wise in instance order, one row-wise einsum on a
-    C-contiguous block for the squared deviation, then
-    ``blend * (0 + p_0 + ... + p_{k-1})``.  Ties on the total go to the
+    broadcast.  Each candidate gets the arithmetic of a one-by-one loop,
+    whatever the block or the row subset, so exact float ties stay exact:
+    ``residual + c_0 + ... + c_{k-1}`` added element-wise in instance order,
+    one row-wise einsum on a C-contiguous block for the squared deviation,
+    then ``blend * (0 + p_0 + ... + p_{k-1})``.  Ties on the total go to the
     least total |shift|, then to the least start tuple.
     """
     k = len(space.starts)
-    if k == 0:
-        return (), 1
-
-    sizes = [s.size for s in space.starts]
+    if rows is None:
+        rows = [np.arange(s.size) for s in space.starts]
+    sizes = [r.size for r in rows]
     # instances split..k-1 are broadcast inside a block (inner rows per
     # prefix); the prefixes over instances 0..split-1 are walked in groups
-    split, inner = k - 1, sizes[-1]
+    split, inner = max(k - 1, 0), sizes[-1] if k else 1
     while split > 0 and inner * sizes[split - 1] <= _BLOCK_ROWS:
         split -= 1
         inner *= sizes[split]
     group = max(1, _BLOCK_ROWS // inner)
     prefixes = math.prod(sizes[:split])
+    tail = [(space.contribs[i][rows[i]], space.penalties[i][rows[i]]) for i in range(split, k)]
 
     best_key: tuple[float, int, tuple[int, ...]] | None = None
-    best_choice = tuple(0 for _ in range(k))
+    best_choice: tuple[int, ...] = ()
     evaluations = 0
     for lo in range(0, prefixes, group):
         hi = min(lo + group, prefixes)
-        rows = np.unravel_index(np.arange(lo, hi), sizes[:split]) if split else ()
+        picks = np.unravel_index(np.arange(lo, hi), sizes[:split]) if split else ()
         curve = space.residual[np.newaxis]
         penalty = np.zeros(hi - lo)
-        for i, row in enumerate(rows):
-            curve = curve + space.contribs[i][row]
-            penalty = penalty + space.penalties[i][row]
-        for i in range(split, k):
-            curve = curve[..., np.newaxis, :] + space.contribs[i]
-            penalty = penalty[..., np.newaxis] + space.penalties[i]
-        gaps = curve.reshape(-1, curve.shape[-1])
-        totals = np.einsum("ij,ij->i", gaps, gaps) + space.blend * penalty.reshape(-1)
+        for i, pick in enumerate(picks):
+            curve = curve + space.contribs[i][rows[i][pick]]
+            penalty = penalty + space.penalties[i][rows[i][pick]]
+        for contrib, pen in tail:
+            curve = (curve[:, np.newaxis] + contrib).reshape(-1, curve.shape[-1])
+            penalty = (penalty[:, np.newaxis] + pen).reshape(-1)
+        totals = np.einsum("ij,ij->i", curve, curve) + space.blend * penalty
         evaluations += totals.size
 
         least = totals.min()
@@ -487,8 +468,10 @@ def _enumerate_exact(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
             continue
         # starts rise with the row index, so among the least shifts the
         # first flat index is the least start tuple
-        tied = np.unravel_index(np.flatnonzero(totals == least) + lo * inner, sizes)
-        shift = sum(space.shift_abs[i][row] for i, row in enumerate(tied))
+        flat = np.flatnonzero(totals == least) + lo * inner
+        # (np.unravel_index rejects the empty shape of a problem with no instances)
+        tied = [rows[i][pos] for i, pos in enumerate(np.unravel_index(flat, sizes))] if k else []
+        shift = sum((space.shift_abs[i][row] for i, row in enumerate(tied)), np.zeros_like(flat))
         pick = int(np.argmin(shift))
         choice = tuple(int(row[pick]) for row in tied)
         key = (
@@ -498,53 +481,45 @@ def _enumerate_exact(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
         )
         if best_key is None or key < best_key:
             best_key, best_choice = key, choice
-    return best_choice, evaluations
+    return best_choice, best_key, evaluations
 
 
-def _local_search(
-    space: _CandidateSpace, config: SolverConfig
-) -> tuple[tuple[int, ...], tuple[float, ...], int]:
-    """Seeded multi-restart hill descent over single-appliance moves."""
-    rng = np.random.default_rng(config.seed)
+def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], tuple[float, ...], int]:
+    """Multi-restart hill descent over single-appliance moves.
+
+    One move of instance i is one ``_enumerate_exact`` call over all of its
+    rows with every other instance held at its current row; the instance
+    moves when the winner differs from its current row.  Keys are distinct,
+    so that is the candidate with the strictly lowest key.  Each tried row
+    other than the current one counts as an evaluation.
+    """
+    rng = np.random.default_rng(0)
     k = len(space.starts)
+    every_row = [np.arange(s.size) for s in space.starts]
     evaluations = 0
-
-    def preferred_choice() -> tuple[int, ...]:
-        choice = []
-        for i in range(k):
-            shifts = space.shift_abs[i]
-            choice.append(int(np.flatnonzero(shifts == shifts.min())[0]))
-        return tuple(choice)
 
     def polish(choice: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, list[float]]:
         nonlocal evaluations
-        current = list(choice)
-        key = space.key(tuple(current))
+        _, key, _ = _enumerate_exact(space, [np.array([row]) for row in choice])
         trace = [key[0]]
-        for _ in range(config.max_passes):
+        for _ in range(_MAX_PASSES):
             improved = False
             for i in range(k):
-                base_key = space.key(tuple(current))
-                best_row, best_key = current[i], base_key
-                for row in range(space.starts[i].size):
-                    if row == current[i]:
-                        continue
-                    trial = current.copy()
-                    trial[i] = row
-                    trial_key = space.key(tuple(trial))
-                    evaluations += 1
-                    if trial_key < best_key:
-                        best_key, best_row = trial_key, row
-                if best_row != current[i]:
-                    current[i] = best_row
-                    trace.append(best_key[0])
+                rows = [np.array([row]) for row in choice]
+                rows[i] = every_row[i]
+                winner, key, evals = _enumerate_exact(space, rows)
+                evaluations += evals - 1
+                if winner != choice:
+                    choice = winner
+                    trace.append(key[0])
                     improved = True
             if not improved:
                 break
-        return tuple(current), space.key(tuple(current)), trace
+        return choice, key, trace
 
-    best_choice, best_key, best_trace = polish(preferred_choice())
-    for _ in range(config.restarts):
+    # descent starts at the least-shift rows, then from random rows
+    best_choice, best_key, best_trace = polish(tuple(int(np.argmin(a)) for a in space.shift_abs))
+    for _ in range(_RESTARTS):
         start = tuple(int(rng.integers(space.starts[i].size)) for i in range(k))
         choice, key, trace = polish(start)
         if key < best_key:
@@ -558,7 +533,7 @@ def solve(
     weights: DiscomfortWeights | None = None,
     pricing: PricingSignal | None = None,
     pv: PvSystem | None = None,
-    config: SolverConfig | None = None,
+    blend: float | None = None,
     baseline: np.ndarray | None = None,
     not_before: int = 1,
 ) -> SolveResult:
@@ -566,13 +541,14 @@ def solve(
 
     Fixed instances are pinned at their preferred starts; shiftable ones are
     optimized over their feasible start sets, exhaustively when the product
-    of set sizes stays within ``config.exact_threshold``, otherwise by seeded
-    local search.  Exhaustive search scores the product in fixed-size blocks
-    with bounded memory, giving each candidate the same arithmetic as when
-    scored alone (see ``_enumerate_exact``).  With a PV system, sourcing
-    flags are arbitrated against each intermediate schedule and start
-    optimization repeats until the flags reach a fixed point (or the
-    iteration cap); the best self-consistent schedule wins.
+    of set sizes stays within ``_EXACT_LIMIT``, otherwise by local search
+    whose moves score one instance's rows at a time.  Both rank candidates
+    through ``_enumerate_exact``, which scores in fixed-size blocks with
+    bounded memory and gives each candidate the same arithmetic as when
+    scored alone.  With a PV system, sourcing flags are arbitrated against
+    each intermediate schedule and start optimization repeats until the
+    flags reach a fixed point (or ``_PV_ITERATION_CAP`` rounds); the best
+    self-consistent schedule wins.
 
     Args:
         instances: all appliance instances (fixed and shiftable).
@@ -580,7 +556,8 @@ def solve(
         weights: discomfort weights (default: all zero).
         pricing: required when ``pv`` is given (peak windows drive timing).
         pv: optional PV/battery system.
-        config: solver knobs.
+        blend: weight of discomfort in the cost, as in ``evaluate_cost``
+            (default ``default_blend(objective)``).
         baseline: committed grid load added to every candidate curve.
         not_before: earliest permitted start (intra-day re-solves); deviation
             is likewise evaluated on slots >= this.
@@ -589,7 +566,6 @@ def solve(
         InfeasibleProblemError: any instance has no feasible start.
     """
     weights = weights or DiscomfortWeights()
-    config = config or SolverConfig()
     if pv is not None and pricing is None:
         raise ParameterError("pricing is required for PV arbitration")
 
@@ -615,23 +591,23 @@ def solve(
     fixed_curve = total_curve(fixed, preferred_starts(fixed)).values
     committed = fixed_curve if baseline is None else fixed_curve + np.asarray(baseline, dtype=float)
     residual = committed - objective.values
-    blend = default_blend(objective) if config.blend is None else float(config.blend)
+    blend = default_blend(objective) if blend is None else float(blend)
     max_duration = max((i.duration_slots for i in shiftable), default=0)
 
     product = 1
     for starts in starts_by_id.values():
         product *= len(starts)
-    mode = "exhaustive" if product <= config.exact_threshold else "local_search"
+    mode = "exhaustive" if product <= _EXACT_LIMIT else "local_search"
 
     def optimize(flags: np.ndarray) -> tuple[dict[str, int], tuple[float, ...], int]:
         space = _CandidateSpace(
             shiftable, residual, flags, weights, blend, not_before, starts_by_id
         )
         if mode == "exhaustive":
-            choice, evals = _enumerate_exact(space)
-            trace = (space.key(choice)[0],)
+            choice, key, evals = _enumerate_exact(space)
+            trace = (key[0],)
         else:
-            choice, trace, evals = _local_search(space, config)
+            choice, trace, evals = _local_search(space)
         return space.starts_mapping(choice), trace, evals
 
     def complete(starts: dict[str, int], flags, soc) -> ScheduleAssignment:
@@ -659,7 +635,7 @@ def solve(
         flags, soc = arbitrated(preferred)
 
     best: tuple[CostBreakdown, ScheduleAssignment, tuple[float, ...]] | None = None
-    for _ in range(config.pv_iteration_cap if pv is not None else 1):
+    for _ in range(_PV_ITERATION_CAP if pv is not None else 1):
         starts, trace, evals = optimize(flags)
         evaluations += evals
         new_flags, new_soc = arbitrated(starts)

@@ -41,7 +41,6 @@ from .objective import ObjectiveCurve, build_objective, fit_peak_regression, upd
 from .scheduler import (
     DiscomfortWeights,
     ScheduleAssignment,
-    SolverConfig,
     pv_arbitrate,
     solve,
 )
@@ -73,7 +72,6 @@ class RunParams:
     degree: int = 1
     l_min: float = 2.0
     weights: DiscomfortWeights = field(default_factory=DiscomfortWeights)
-    solver: SolverConfig = field(default_factory=SolverConfig)
     online_noise_kw: float = 0.05
 
     def __post_init__(self):
@@ -233,7 +231,6 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
         params.weights,
         pricing=pricing,
         pv=pv,
-        config=params.solver,
     )
     assignment = result.assignment
 
@@ -263,10 +260,13 @@ def _replay_online(
 ):
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
 
-    Runs already started keep their slots and stay on their day-ahead PV
-    routing; only appliances whose starts lie ahead are reconsidered.  The
-    final schedule gets one fresh PV arbitration so its flags match the
-    executed demand.
+    Runs already started keep their slots; only appliances whose starts lie
+    ahead are reconsidered.  The re-solves see no PV: committed runs add
+    their grid share under the day-ahead flags as a baseline, and open runs
+    are costed as drawn entirely from the grid.  The final schedule then
+    gets one fresh PV arbitration of its whole shiftable demand, which
+    re-decides every slot, elapsed ones included, so the reported flags,
+    battery trajectory and curves all follow the executed demand.
     """
     rng = np.random.default_rng(derive_seed(seed, household_id, day, "online"))
     noise = rng.normal(0.0, params.online_noise_kw, SLOT_COUNT)
@@ -289,7 +289,6 @@ def _replay_online(
             open_instances + fixed,
             current,
             params.weights,
-            config=params.solver,
             baseline=baseline,
             not_before=slot_now,
         )

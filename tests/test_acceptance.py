@@ -29,7 +29,6 @@ from loadshift.objective import ObjectiveCurve, build_objective, fit_peak_regres
 from loadshift.scheduler import (
     DiscomfortWeights,
     ScheduleAssignment,
-    SolverConfig,
     evaluate_cost,
     feasible_starts,
     solve,
@@ -199,7 +198,7 @@ def test_4_scheduler_matches_exhaustive_oracle():
     mismatches = 0
     for _ in range(100):
         instances, objective, weights = random_problem(rng)
-        result = solve(instances, objective, weights, config=SolverConfig(blend=0.25))
+        result = solve(instances, objective, weights, blend=0.25)
         oracle = brute_force_total(instances, objective, weights, blend=0.25)
         if result.cost.total != oracle:  # tolerance 0: exact float equality
             mismatches += 1

@@ -248,8 +248,19 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
                         "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
             "'results' must be a list",
         ),
+        (
+            json.dumps({"format_version": 1, "mode": "offline", "results": [{"household": 1}],
+                        "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
+            "household id 1 is not a string",
+        ),
+        (
+            json.dumps({"format_version": 1, "mode": "offline", "results": [{"household": None}],
+                        "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
+            "household id None is not a string",
+        ),
     ],
-    ids=["invalid-utf8", "top-level-number", "pricing-without-prices", "results-not-a-list"],
+    ids=["invalid-utf8", "top-level-number", "pricing-without-prices", "results-not-a-list",
+         "integer-household", "null-household"],
 )
 def test_report_rejects_malformed_results_with_exit_2(tmp_path, capsys, content, message):
     bad = tmp_path / "results.json"
@@ -259,3 +270,54 @@ def test_report_rejects_malformed_results_with_exit_2(tmp_path, capsys, content,
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_report_out_naming_a_file_exits_2(tmp_path, capsys):
+    bundle = generate(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(
+        ["run", "--bundle", str(bundle), "--out", str(out), "--seed", "1", "--epochs", "5"]
+    ) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    capsys.readouterr()
+    rc = cli.main(["report", "--results", str(out / "results.json"), "--out", str(taken)])
+    assert rc == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "keep me"
+
+
+def test_run_out_naming_a_file_exits_2_before_simulating(tmp_path, capsys, monkeypatch):
+    bundle = generate(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+
+    def no_fleet(*args, **kwargs):
+        raise AssertionError("the fleet ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_fleet", no_fleet)
+    rc = cli.main(["run", "--bundle", str(bundle), "--out", str(taken)])
+    assert rc == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "keep me"
+
+
+def test_generate_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    rc = cli.main(["generate", "--out", str(taken), "--households", "1", "--history-days", "5"])
+    assert rc == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "keep me"
+
+
+def test_train_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    bundle = generate(tmp_path)
+    target = tmp_path / "missing" / "net.json"
+    rc = cli.main(
+        ["train", "--bundle", str(bundle), "--household", "h001", "--epochs", "2",
+         "--out", str(target)]
+    )
+    assert rc == 2
+    assert str(target) in capsys.readouterr().err
+    assert not target.parent.exists()

@@ -357,7 +357,7 @@ def reference_train_lm(net, train, validation, cfg, sample_weights=None):
     best_theta, best_val, best_epoch = theta.copy(), val_trace[0], 0
     if sse == 0.0:
         return best_theta, train_trace, val_trace, best_epoch, "perfect_fit"
-    damping, stale = cfg.lm_initial_damping, 0
+    damping, stale = forecast.LM_INITIAL_DAMPING, 0
     for _ in range(cfg.max_epochs):
         jac = prediction_jacobian(with_params(net, theta), xn_train) * weights[:, None]
         r_w = weights * r
@@ -374,11 +374,11 @@ def reference_train_lm(net, train, validation, cfg, sample_weights=None):
                 sse_new = float(np.sum((weights * r_new) ** 2))
                 if np.isfinite(sse_new) and sse_new < sse:
                     theta, r, sse = theta + delta, r_new, sse_new
-                    damping = max(damping / cfg.lm_damping_down, 1e-12)
+                    damping = max(damping / forecast.LM_DAMPING_DOWN, 1e-12)
                     accepted = True
                     break
-            damping *= cfg.lm_damping_up
-            if damping > cfg.lm_damping_cap:
+            damping *= forecast.LM_DAMPING_UP
+            if damping > forecast.LM_DAMPING_CAP:
                 if failed:
                     raise TrainingFailedError("unsolvable at the cap", trace=tuple(train_trace))
                 break
@@ -387,13 +387,13 @@ def reference_train_lm(net, train, validation, cfg, sample_weights=None):
         train_trace.append(sse / y_train.size * scale_sq)
         current = val_mse(theta)
         val_trace.append(current)
-        if current < best_val * (1.0 - cfg.improvement_tol):
+        if current < best_val * (1.0 - forecast.IMPROVEMENT_TOL):
             best_theta, best_val, best_epoch, stale = theta.copy(), current, len(val_trace) - 1, 0
         else:
             stale += 1
         if sse == 0.0:
             return theta.copy(), train_trace, val_trace, len(val_trace) - 1, "perfect_fit"
-        if stale >= cfg.stop_patience:
+        if stale >= forecast.STOP_PATIENCE:
             return best_theta, train_trace, val_trace, best_epoch, "early_stop"
     return best_theta, train_trace, val_trace, best_epoch, "max_epochs"
 
@@ -470,9 +470,9 @@ def test_zero_steps_stop_at_the_damping_cap(monkeypatch):
     assert len(result.train_mse) == 1 and result.best_epoch == 0
     npt.assert_array_equal(flatten_params(result.network), flatten_params(net))
     # every retry raised the damping, up to the cap and no further
-    assert dampings[0] == cfg.lm_initial_damping
+    assert dampings[0] == forecast.LM_INITIAL_DAMPING
     assert all(b > a for a, b in zip(dampings, dampings[1:]))
-    assert dampings[-1] <= cfg.lm_damping_cap < dampings[-1] * cfg.lm_damping_up
+    assert dampings[-1] <= forecast.LM_DAMPING_CAP < dampings[-1] * forecast.LM_DAMPING_UP
 
 
 def test_non_finite_steps_fail_with_the_trace(monkeypatch):

@@ -30,7 +30,6 @@ from loadshift.objective import ObjectiveCurve
 from loadshift.scheduler import (
     DiscomfortWeights,
     ScheduleAssignment,
-    SolverConfig,
     default_blend,
     evaluate_cost,
     feasible_starts,
@@ -421,7 +420,7 @@ def test_solve_matches_exhaustive_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
         instances, objective, weights = random_problem(rng)
-        result = solve(instances, objective, weights, config=SolverConfig(blend=0.2))
+        result = solve(instances, objective, weights, blend=0.2)
         assert result.mode == "exhaustive"
         assert validate_assignment(instances, result.assignment) == ()
         best_key, best_starts = brute_force_optimum(instances, objective, weights, blend=0.2)
@@ -449,7 +448,7 @@ def test_solve_matches_exhaustive_oracle_on_online_resolves(monkeypatch, block_r
         baseline[: not_before - 1] = rng.uniform(0.0, 1.5, not_before - 1)
         baseline += rng.uniform(0.0, 0.5, 48)
         result = solve(
-            instances, objective, weights, config=SolverConfig(blend=0.2),
+            instances, objective, weights, blend=0.2,
             baseline=baseline, not_before=not_before,
         )
         assert result.mode == "exhaustive"
@@ -485,7 +484,7 @@ def prefix_loop_reference(space):
             )
             if best_key is None or key < best_key:
                 best_key, best_choice = key, choice
-    return best_choice
+    return best_choice, best_key
 
 
 @pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
@@ -521,8 +520,8 @@ def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, block_rows):
             not_before,
             sets,
         )
-        choice, evaluations = scheduler._enumerate_exact(space)
-        assert choice == prefix_loop_reference(space)
+        choice, key, evaluations = scheduler._enumerate_exact(space)
+        assert (choice, key) == prefix_loop_reference(space)
         assert evaluations == int(np.prod([len(s) for s in sets.values()]))
 
 
@@ -642,11 +641,11 @@ def test_solve_pricing_required_with_pv():
 # ---------------------------------------------------------------- solve: local search
 
 
-def test_solve_switches_to_local_search_beyond_threshold():
+def test_solve_switches_to_local_search_beyond_threshold(monkeypatch):
+    monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
     rng = np.random.default_rng(5)
     instances, objective, weights = random_problem(rng, n_appliances=3)
-    config = SolverConfig(exact_threshold=10, seed=1, restarts=2, blend=0.2)
-    result = solve(instances, objective, weights, config=config)
+    result = solve(instances, objective, weights, blend=0.2)
     assert result.mode == "local_search"
     assert validate_assignment(instances, result.assignment) == ()
     assert np.all(np.diff(result.trace) <= 1e-12)  # non-increasing descent
@@ -662,30 +661,141 @@ def test_solve_switches_to_local_search_beyond_threshold():
     assert result.cost.total <= baseline.total + 1e-12
 
 
-def test_solve_local_search_finds_exact_optimum_here():
+def test_solve_local_search_finds_exact_optimum_here(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(5):
         instances, objective, weights = random_problem(rng, n_appliances=2)
-        exact = solve(instances, objective, weights, config=SolverConfig(blend=0.3))
-        local = solve(
-            instances,
-            objective,
-            weights,
-            config=SolverConfig(exact_threshold=1, seed=9, restarts=4, blend=0.3),
-        )
+        exact = solve(instances, objective, weights, blend=0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler, "_EXACT_LIMIT", 1)
+            local = solve(instances, objective, weights, blend=0.3)
         assert local.cost.total <= exact.cost.total + 1e-9
         assert local.mode == "local_search" and exact.mode == "exhaustive"
 
 
-def test_solve_is_deterministic():
+def test_solve_is_deterministic(monkeypatch):
+    monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
     rng = np.random.default_rng(41)
     instances, objective, weights = random_problem(rng, n_appliances=4)
-    config = SolverConfig(exact_threshold=10, seed=3, restarts=3)
-    first = solve(instances, objective, weights, config=config)
-    second = solve(instances, objective, weights, config=config)
+    first = solve(instances, objective, weights)
+    second = solve(instances, objective, weights)
     assert first.assignment.starts == second.assignment.starts
     assert first.cost.total == second.cost.total
     assert first.trace == second.trace
+
+
+def key_reference(space, choice):
+    """One candidate scored alone: (total cost, total |shift|, start tuple).
+
+    The squared deviation is the scorer's one-row einsum.  ``np.sum``'s
+    pairwise order can differ from it in the last bit, which decides
+    near-ties differently: on one online re-solve two starts of a run came
+    out equal under ``np.sum`` and one ulp apart under einsum."""
+    curve = space.residual.copy()
+    penalty = 0.0
+    for i, row in enumerate(choice):
+        curve += space.contribs[i][row]
+        penalty += space.penalties[i][row]
+    total = float(np.einsum("ij,ij->i", curve[np.newaxis], curve[np.newaxis])[0])
+    total += space.blend * penalty
+    shift = sum(int(space.shift_abs[i][row]) for i, row in enumerate(choice))
+    return (total, shift, tuple(int(space.starts[i][row]) for i, row in enumerate(choice)))
+
+
+def local_search_reference(space, restarts=3, max_passes=60):
+    """Hill descent that scores each single-instance move on its own and
+    keeps a trial only when its key is strictly lower than the best so far:
+    the move rule that block-scored moves must reproduce."""
+    rng = np.random.default_rng(0)
+    k = len(space.starts)
+    evaluations = 0
+
+    def polish(start):
+        nonlocal evaluations
+        current = list(start)
+        trace = [key_reference(space, current)[0]]
+        for _ in range(max_passes):
+            improved = False
+            for i in range(k):
+                best_row, best_key = current[i], key_reference(space, current)
+                for row in range(space.starts[i].size):
+                    if row == current[i]:
+                        continue
+                    trial = current.copy()
+                    trial[i] = row
+                    trial_key = key_reference(space, trial)
+                    evaluations += 1
+                    if trial_key < best_key:
+                        best_key, best_row = trial_key, row
+                if best_row != current[i]:
+                    current[i] = best_row
+                    trace.append(best_key[0])
+                    improved = True
+            if not improved:
+                break
+        return tuple(current), key_reference(space, current), trace
+
+    best = polish(tuple(int(np.argmin(shifts)) for shifts in space.shift_abs))
+    for _ in range(restarts):
+        found = polish(tuple(int(rng.integers(s.size)) for s in space.starts))
+        if found[1] < best[1]:
+            best = found
+    return best[0], tuple(best[2]), evaluations
+
+
+def local_search_problem(rng, trial):
+    """Random windows; whole-day windows with count-2 duplicates; or the
+    duplicates under a flat unreachable target with integer powers and zero
+    weights, where exact ties are everywhere."""
+    if trial % 3 == 0:
+        instances, objective, weights = random_problem(
+            rng, n_appliances=int(rng.integers(3, 6)), with_fixed=False
+        )
+        return instances, objective, weights
+    specs = [
+        make_shiftable(
+            f"app{i}",
+            power=float(rng.integers(1, 3)) if trial % 3 == 2 else float(rng.uniform(0.3, 2.5)),
+            duration=int(rng.integers(1, 5)),
+            preferred=int(rng.integers(1, 40)),
+            count=2,
+        )
+        for i in range(2)
+    ]
+    if trial % 3 == 2:
+        return expand_instances(specs), make_objective(np.full(48, 50.0)), DiscomfortWeights()
+    weights = DiscomfortWeights(
+        shift_weight=float(rng.uniform(0, 0.5)), delay_weight=float(rng.uniform(0, 0.5))
+    )
+    return expand_instances(specs), make_objective(rng.uniform(0.0, 2.0, 48)), weights
+
+
+@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
+def test_local_search_matches_single_move_reference(monkeypatch, block_rows):
+    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(43)
+    for trial in range(12):
+        instances, objective, weights = local_search_problem(rng, trial)
+        instances = sorted(instances, key=lambda i: i.instance_id)
+        not_before = 1 + int(rng.integers(0, 3))
+        try:
+            sets = {i.instance_id: feasible_starts(i, not_before) for i in instances}
+        except InfeasibleApplianceError:
+            continue
+        space = scheduler._CandidateSpace(
+            instances,
+            -objective.values,
+            rng.uniform(size=48) < 0.2,
+            weights,
+            float(rng.uniform(0.1, 0.5)),
+            not_before,
+            sets,
+        )
+        choice, trace, evaluations = scheduler._local_search(space)
+        ref_choice, ref_trace, ref_evaluations = local_search_reference(space)
+        assert choice == ref_choice
+        assert evaluations == ref_evaluations
+        assert trace == ref_trace and len(trace) > 1
 
 
 # ---------------------------------------------------------------- solve: pv

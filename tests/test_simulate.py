@@ -3,9 +3,11 @@
 import datetime
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
-from loadshift.core import DailyRecord, Household, LoadCurve
+from loadshift import simulate
+from loadshift.core import DailyRecord, Household, LoadCurve, split_consumption, total_curve
 from loadshift.errors import DatasetTooSmallError, ParameterError, TemporalConsistencyError
 from loadshift.scheduler import validate_assignment
 from loadshift.simulate import FleetConfig, RunParams, derive_seed, run_day, run_fleet
@@ -142,6 +144,40 @@ def test_online_mode_tracks_realized_consumption():
             result.before.energy_kwh(), rel=1e-9
         )
     assert saw_online  # at least one household-day actually replayed
+
+
+def test_online_pv_replay_reports_the_final_arbitration(monkeypatch):
+    # re-solves see no PV; one arbitration of the executed shiftable demand
+    # decides the day's flags and battery trajectory, and the reported
+    # curves are split by exactly those flags
+    real = simulate.pv_arbitrate
+    calls = []
+
+    def recording(pv, demand, pricing, max_app_duration):
+        arb = real(pv, demand, pricing, max_app_duration)
+        calls.append((demand, arb))
+        return arb
+
+    monkeypatch.setattr(simulate, "pv_arbitrate", recording)
+    fleet = small_fleet(mode="online")
+    flagged = 0
+    for household in fleet.households:
+        assert household.pv is not None
+        instances = household.instances()
+        shiftable = [i for i in instances if i.kind == "shiftable"]
+        for day in fleet.days:
+            calls.clear()
+            result = run_day(household, day, fleet.pricing, "online", FAST, seed=6)
+            starts, flags = result.assignment.starts, result.assignment.pv_flags
+            parts = split_consumption(instances, starts, flags)
+            npt.assert_array_equal(result.after.values, parts.grid.values)
+            npt.assert_array_equal(result.after_total.values, parts.total.values)
+            demand, arb = calls[-1]
+            npt.assert_array_equal(demand.values, total_curve(shiftable, starts).values)
+            npt.assert_array_equal(arb.flags, flags)
+            npt.assert_array_equal(arb.soc, result.assignment.battery_soc)
+            flagged += int(flags.any())
+    assert flagged  # the battery covered demand somewhere
 
 
 def test_online_and_offline_disagree():
