@@ -8,9 +8,8 @@ Layout under a bundle directory::
     households/<id>/history.csv        date,slot,value_kw (48 rows per date)
     households/<id>/pv_history.csv     same layout, PV generation (optional)
 
-Single curves use ``slot,value_kw``.  Floats are written with ``repr`` so a
-save/load round trip is bit-exact.  Every parse failure raises a
-:class:`FormatError` citing the file and line.
+Floats are written with ``repr`` so a save/load round trip is bit-exact.
+Every parse failure raises a :class:`FormatError` citing the file and line.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .simulate import MODES, FleetConfig
 
 BUNDLE_FORMAT_VERSION = 1
 
-CURVE_COLUMNS = ("slot", "value_kw")
 HISTORY_COLUMNS = ("date", "slot", "value_kw")
 PRICING_COLUMNS = ("slot", "price", "is_peak")
 APPLIANCE_COLUMNS = (
@@ -79,16 +77,23 @@ def read_json(path):
 
 
 def _open_rows(path, expected_columns):
+    """Yield the data rows of a CSV file, lazily and once, after checking its header.
+
+    Lines split as ``str.splitlines`` splits them; callers number the rows
+    from line 2.  An empty file, a header other than ``expected_columns`` or a
+    CSV syntax error met partway through the stream raises a
+    :class:`FormatError` naming ``file:line``.
+    """
     reader = csv.reader(_read_text(path).splitlines())
     try:
-        rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            _fail(path, 1, "empty file")
+        if tuple(header) != tuple(expected_columns):
+            _fail(path, 1, f"expected columns {','.join(expected_columns)}, got {','.join(header)}")
+        yield from reader
     except csv.Error as exc:
         _fail(path, reader.line_num, f"bad CSV: {exc}")
-    if not rows:
-        _fail(path, 1, "empty file")
-    if tuple(rows[0]) != tuple(expected_columns):
-        _fail(path, 1, f"expected columns {','.join(expected_columns)}, got {','.join(rows[0])}")
-    return rows[1:]
 
 
 def _parse_float(text, path, line, column) -> float:
@@ -103,37 +108,6 @@ def _parse_int(text, path, line, column) -> int:
         return int(text)
     except (TypeError, ValueError):
         _fail(path, line, f"non-integer {column}: {text!r}")
-
-
-# ---------------------------------------------------------------- curves
-
-
-def write_curve_csv(curve: LoadCurve, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CURVE_COLUMNS)
-        for idx, value in enumerate(curve.values, start=1):
-            writer.writerow([idx, repr(float(value))])
-    return path
-
-
-def read_curve_csv(path) -> LoadCurve:
-    rows = _open_rows(path, CURVE_COLUMNS)
-    if len(rows) != SLOT_COUNT:
-        _fail(path, len(rows) + 1, f"curve has {len(rows)} rows, expected {SLOT_COUNT}")
-    values = np.empty(SLOT_COUNT)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            _fail(path, line, f"expected 2 fields, got {len(row)}")
-        slot = _parse_int(row[0], path, line, "slot")
-        if slot != line - 1:
-            _fail(path, line, f"expected slot {line - 1}, got {slot}")
-        values[slot - 1] = _parse_float(row[1], path, line, "value_kw")
-    try:
-        return LoadCurve(values)
-    except LoadshiftError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- history
@@ -151,45 +125,53 @@ def write_history_csv(records, path) -> Path:
     return path
 
 
+# canonical slot texts, so a well-formed row skips int()
+_SLOT_NUMBERS = {str(slot): slot for slot in range(1, SLOT_COUNT + 1)}
+
+
+def _day_record(path, line, day, values) -> DailyRecord:
+    if len(values) != SLOT_COUNT:
+        _fail(path, line, f"day {day} has {len(values)} slots, expected {SLOT_COUNT}")
+    try:
+        return DailyRecord(day=day, curve=LoadCurve(np.array(values)))
+    except LoadshiftError as exc:
+        raise FormatError(f"{path}: day {day}: {exc}") from exc
+
+
 def read_history_csv(path) -> tuple[DailyRecord, ...]:
-    rows = _open_rows(path, HISTORY_COLUMNS)
+    """Read stacked daily curves, streaming the rows once without holding them all.
+
+    Each row is checked as it arrives; a date is parsed only when its text
+    changes.  The first malformed row, day or CSV syntax error raises a
+    :class:`FormatError` naming ``file:line``.
+    """
     records = []
-    current_day = None
+    day_text = day = None
     values = []
-    day_line = 2
-
-    def flush(line):
-        if current_day is None:
-            return
-        if len(values) != SLOT_COUNT:
-            _fail(path, line, f"day {current_day} has {len(values)} slots, expected {SLOT_COUNT}")
-        try:
-            records.append(DailyRecord(day=current_day, curve=LoadCurve(np.array(values))))
-        except LoadshiftError as exc:
-            raise FormatError(f"{path}: day {current_day}: {exc}") from exc
-
-    for line, row in enumerate(rows, start=2):
+    for line, row in enumerate(_open_rows(path, HISTORY_COLUMNS), start=2):
         if len(row) != 3:
             _fail(path, line, f"expected 3 fields, got {len(row)}")
-        try:
-            day = datetime.date.fromisoformat(row[0])
-        except ValueError:
-            _fail(path, line, f"bad date: {row[0]!r}")
-        slot = _parse_int(row[1], path, line, "slot")
+        if row[0] != day_text:
+            try:
+                row_day = datetime.date.fromisoformat(row[0])
+            except ValueError:
+                _fail(path, line, f"bad date: {row[0]!r}")
+            day_text = row[0]
+        slot = _SLOT_NUMBERS.get(row[1]) or _parse_int(row[1], path, line, "slot")
         value = _parse_float(row[2], path, line, "value_kw")
-        if day != current_day:
-            flush(line)
-            if current_day is not None and day <= current_day:
-                _fail(path, line, f"days out of order: {current_day} then {day}")
-            current_day = day
+        if row_day != day:
+            if day is not None:
+                records.append(_day_record(path, line, day, values))
+                if row_day < day:
+                    _fail(path, line, f"days out of order: {day} then {row_day}")
+            day = row_day
             values = []
-            day_line = line
         if slot != len(values) + 1:
             _fail(path, line, f"expected slot {len(values) + 1} for {day}, got {slot}")
         values.append(value)
-    flush(day_line + len(values))
-    if not records:
+    if day is None:
         _fail(path, 2, "history holds no days")
+    records.append(_day_record(path, line + 1, day, values))
     return tuple(records)
 
 
@@ -208,7 +190,7 @@ def write_pricing_csv(pricing: PricingSignal, path) -> Path:
 
 
 def read_pricing_csv(path) -> PricingSignal:
-    rows = _open_rows(path, PRICING_COLUMNS)
+    rows = list(_open_rows(path, PRICING_COLUMNS))
     if len(rows) != SLOT_COUNT:
         _fail(path, len(rows) + 1, f"pricing has {len(rows)} rows, expected {SLOT_COUNT}")
     prices = np.empty(SLOT_COUNT)
@@ -267,7 +249,7 @@ def write_appliances_csv(appliances, path) -> Path:
 
 
 def read_appliances_csv(path) -> tuple[ApplianceSpec, ...]:
-    rows = _open_rows(path, APPLIANCE_COLUMNS)
+    rows = list(_open_rows(path, APPLIANCE_COLUMNS))
     if not rows:
         _fail(path, 2, "households need at least one appliance")
     specs = []

@@ -46,6 +46,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.out:  # an unusable --out fails before the fit
+        out = Path(args.out)
+        if out.is_dir():
+            raise FormatError(f"{out}: is a directory")
+        if not out.parent.is_dir():
+            raise FormatError(f"{out}: {out.parent} is not a directory")
     fleet = load_bundle(args.bundle)
     household = fleet.household(args.household)
     series = hourly_series_from_history(household.history, lag=args.lag)

@@ -1,10 +1,12 @@
 """Bundle IO: round trips, strict parsing, and the collect-all linter."""
 
+import csv
 import dataclasses
 import datetime
 import json
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,15 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshift.bundle import (
+    _fail,
+    _parse_float,
+    _parse_int,
+    _read_text,
     lint_bundle,
     load_bundle,
     read_appliances_csv,
-    read_curve_csv,
     read_history_csv,
     read_pricing_csv,
     save_bundle,
     write_appliances_csv,
-    write_curve_csv,
     write_history_csv,
     write_pricing_csv,
 )
@@ -55,46 +59,6 @@ def awkward_curve():
 
 
 # -------------------------------------------------------------- single files
-
-
-def test_curve_round_trip_is_bit_exact(tmp_path):
-    curve = awkward_curve()
-    path = write_curve_csv(curve, tmp_path / "curve.csv")
-    back = read_curve_csv(path)
-    assert np.array_equal(back.values, curve.values)
-
-
-def test_curve_with_missing_row_is_rejected(tmp_path):
-    path = write_curve_csv(awkward_curve(), tmp_path / "curve.csv")
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(FormatError, match=r"47 rows"):
-        read_curve_csv(path)
-
-
-def test_curve_bad_value_cites_file_and_line(tmp_path):
-    path = write_curve_csv(awkward_curve(), tmp_path / "curve.csv")
-    lines = path.read_text().splitlines()
-    lines[5] = "5,banana"  # line 6 of the file
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=rf"{path}:6: non-numeric value_kw"):
-        read_curve_csv(path)
-
-
-def test_curve_out_of_order_slots_rejected(tmp_path):
-    path = write_curve_csv(awkward_curve(), tmp_path / "curve.csv")
-    lines = path.read_text().splitlines()
-    lines[1], lines[2] = lines[2], lines[1]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match=r"expected slot 1"):
-        read_curve_csv(path)
-
-
-def test_curve_wrong_header_rejected(tmp_path):
-    path = tmp_path / "curve.csv"
-    path.write_text("slot,kw\n1,0.5\n")
-    with pytest.raises(FormatError, match=r"expected columns slot,value_kw"):
-        read_curve_csv(path)
 
 
 def test_history_round_trip(tmp_path):
@@ -133,6 +97,187 @@ def test_history_short_day_names_the_day(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=r"2025-03-01"):
         read_history_csv(path)
+
+
+# The per-row history reader the streaming one replaced: it lists every row
+# first and parses each row's date and slot.  Kept as the reference for records
+# and for error text.
+
+
+def reference_open_rows(path, expected_columns):
+    reader = csv.reader(_read_text(path).splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        _fail(path, reader.line_num, f"bad CSV: {exc}")
+    if not rows:
+        _fail(path, 1, "empty file")
+    if tuple(rows[0]) != tuple(expected_columns):
+        _fail(path, 1, f"expected columns {','.join(expected_columns)}, got {','.join(rows[0])}")
+    return rows[1:]
+
+
+def reference_read_history_csv(path):
+    rows = reference_open_rows(path, ("date", "slot", "value_kw"))
+    records = []
+    current_day = None
+    values = []
+    day_line = 2
+
+    def flush(line):
+        if current_day is None:
+            return
+        if len(values) != 48:
+            _fail(path, line, f"day {current_day} has {len(values)} slots, expected 48")
+        try:
+            records.append(DailyRecord(day=current_day, curve=LoadCurve(np.array(values))))
+        except LoadshiftError as exc:
+            raise FormatError(f"{path}: day {current_day}: {exc}") from exc
+
+    for line, row in enumerate(rows, start=2):
+        if len(row) != 3:
+            _fail(path, line, f"expected 3 fields, got {len(row)}")
+        try:
+            day = datetime.date.fromisoformat(row[0])
+        except ValueError:
+            _fail(path, line, f"bad date: {row[0]!r}")
+        slot = _parse_int(row[1], path, line, "slot")
+        value = _parse_float(row[2], path, line, "value_kw")
+        if day != current_day:
+            flush(line)
+            if current_day is not None and day <= current_day:
+                _fail(path, line, f"days out of order: {current_day} then {day}")
+            current_day = day
+            values = []
+            day_line = line
+        if slot != len(values) + 1:
+            _fail(path, line, f"expected slot {len(values) + 1} for {day}, got {slot}")
+        values.append(value)
+    flush(day_line + len(values))
+    if not records:
+        _fail(path, 2, "history holds no days")
+    return tuple(records)
+
+
+def assert_same_records(got, want):
+    assert [r.day for r in got] == [r.day for r in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.curve.values, b.curve.values)
+
+
+def seeded_history(seed, days=6):
+    rng = np.random.default_rng(seed)
+    start = datetime.date(2024, 12, 28)  # crosses a year boundary
+    records = []
+    for d in range(days):
+        values = rng.uniform(0.0, 5.0, 48)
+        values[rng.integers(48)] = 0.0
+        values[rng.integers(48)] = rng.uniform(0.0, 1e-300)
+        records.append(DailyRecord(day=start + datetime.timedelta(days=d), curve=LoadCurve(values)))
+    records.append(DailyRecord(day=start + datetime.timedelta(days=days), curve=awkward_curve()))
+    return tuple(records)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_history_matches_per_row_reference_on_seeded_files(tmp_path, seed):
+    records = seeded_history(seed)
+    path = write_history_csv(records, tmp_path / "history.csv")
+    got = read_history_csv(path)
+    assert_same_records(got, reference_read_history_csv(path))
+    assert_same_records(got, records)
+
+
+def test_history_matches_per_row_reference_on_fleet_files(tmp_path):
+    root = save_bundle(tiny_fleet(seed=5), tmp_path / "bundle")
+    paths = sorted(root.glob("households/*/*history.csv"))
+    assert len(paths) == 4
+    for path in paths:
+        assert_same_records(read_history_csv(path), reference_read_history_csv(path))
+
+
+def _history_lines():
+    """Header plus three days of rows; days start at indices 1, 49 and 97."""
+    records = tuple(
+        DailyRecord(day=datetime.date(2025, 3, 1) + datetime.timedelta(days=d),
+                    curve=LoadCurve(np.linspace(0.1, 2.0, 48) + d))
+        for d in range(3)
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        return write_history_csv(records, Path(scratch) / "h.csv").read_text().splitlines()
+
+
+def _set_field(lines, index, field, text):
+    row = lines[index].split(",")
+    row[field] = text
+    lines[index] = ",".join(row)
+
+
+def _swap_days(lines):
+    lines[49:97], lines[97:145] = lines[97:145], lines[49:97]
+
+
+MALFORMED_HISTORIES = {
+    "47-row day": lambda lines: lines.pop(60),
+    "47-row last day": lambda lines: lines.pop(),
+    "49-row day": lambda lines: lines.insert(49, "2025-03-01,49,1.0"),
+    "49-row last day": lambda lines: lines.append("2025-03-03,49,1.0"),
+    "bad date inside a day": lambda lines: _set_field(lines, 70, 0, "2025-03-32"),
+    "bad date starting a day": lambda lines: _set_field(lines, 97, 0, "March 3"),
+    "slot gap": lambda lines: _set_field(lines, 10, 1, "11"),
+    "slot zero": lambda lines: _set_field(lines, 49, 1, "0"),
+    "non-integer slot": lambda lines: _set_field(lines, 5, 1, "5.0"),
+    "non-numeric value": lambda lines: _set_field(lines, 30, 2, "banana"),
+    "negative value": lambda lines: _set_field(lines, 100, 2, "-0.5"),
+    "NaN value": lambda lines: _set_field(lines, 3, 2, "nan"),
+    "infinite value": lambda lines: _set_field(lines, 144, 2, "inf"),
+    "two fields": lambda lines: lines.__setitem__(12, "2025-03-01,12"),
+    "four fields": lambda lines: lines.__setitem__(50, lines[50] + ",9"),
+    "empty row": lambda lines: lines.insert(20, ""),
+    "days out of order": _swap_days,
+    "repeated day": lambda lines: lines.extend(lines[97:145]),
+    "repeated earlier day": lambda lines: lines.extend(lines[1:49]),
+    "wrong header": lambda lines: lines.__setitem__(0, "date,slot,kw"),
+    "header only": lambda lines: lines.__delitem__(slice(1, None)),
+    "empty file": lambda lines: lines.clear(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HISTORIES))
+def test_history_errors_match_per_row_reference(tmp_path, case):
+    lines = _history_lines()
+    MALFORMED_HISTORIES[case](lines)
+    path = tmp_path / "history.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(FormatError) as want:
+        reference_read_history_csv(path)
+    with pytest.raises(FormatError) as got:
+        read_history_csv(path)
+    assert str(got.value) == str(want.value)
+    assert re.match(rf"{re.escape(str(path))}(:\d+)?: ", str(got.value))
+
+
+VALID_VARIANTS = {
+    "spaced slot": lambda text: text.replace("2025-03-02,7,", "2025-03-02, 7,"),
+    "signed slot": lambda text: text.replace("2025-03-02,7,", "2025-03-02,+7,"),
+    "zero-padded slot": lambda text: text.replace("2025-03-03,9,", "2025-03-03,09,"),
+    "quoted fields": lambda text: text.replace("2025-03-01,5,", '"2025-03-01","5",'),
+    "compact date text": lambda text: text.replace("2025-03-02,30,", "20250302,30,"),
+    "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALID_VARIANTS))
+def test_history_valid_variants_load_like_the_reference(tmp_path, case):
+    if case == "compact date text" and sys.version_info < (3, 11):
+        pytest.skip("date.fromisoformat reads only YYYY-MM-DD before Python 3.11")
+    text = "".join(line + "\n" for line in _history_lines())
+    changed = VALID_VARIANTS[case](text)
+    assert changed != text
+    path = tmp_path / "history.csv"
+    path.write_bytes(changed.encode())
+    got = read_history_csv(path)
+    assert len(got) == 3
+    assert_same_records(got, reference_read_history_csv(path))
 
 
 def test_pricing_round_trip_recovers_windows(tmp_path):
@@ -388,10 +533,16 @@ def test_invalid_utf8_is_a_format_error(tmp_path, name):
 
 
 def test_csv_field_over_the_parser_limit_is_a_format_error(tmp_path):
-    path = tmp_path / "curve.csv"
-    path.write_text("slot,value_kw\n1," + "1" * 200_000 + "\n")
-    with pytest.raises(FormatError, match=rf"{re.escape(str(path))}:2: bad CSV: field larger"):
-        read_curve_csv(path)
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    path = root / "households" / "h001" / "history.csv"
+    lines = path.read_text().splitlines()
+    lines[29] = lines[29].rsplit(",", 1)[0] + "," + "1" * 200_000  # line 30, partway through
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"{re.escape(str(path))}:30: bad CSV: field larger"
+    with pytest.raises(FormatError, match=message):
+        read_history_csv(path)
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
 
 
 def test_manifest_integer_over_the_digit_limit_is_a_format_error(tmp_path):

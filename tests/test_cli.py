@@ -311,8 +311,13 @@ def test_generate_out_naming_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep me"
 
 
-def test_train_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+def _no_fit(*args, **kwargs):
+    raise AssertionError("the network was fitted before --out was checked")
+
+
+def test_train_out_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     bundle = generate(tmp_path)
+    monkeypatch.setattr(cli, "fit_series", _no_fit)
     target = tmp_path / "missing" / "net.json"
     rc = cli.main(
         ["train", "--bundle", str(bundle), "--household", "h001", "--epochs", "2",
@@ -321,3 +326,13 @@ def test_train_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     assert rc == 2
     assert str(target) in capsys.readouterr().err
     assert not target.parent.exists()
+
+
+def test_train_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    bundle = generate(tmp_path)
+    monkeypatch.setattr(cli, "fit_series", _no_fit)
+    rc = cli.main(
+        ["train", "--bundle", str(bundle), "--household", "h001", "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    assert f"{tmp_path}: is a directory" in capsys.readouterr().err
