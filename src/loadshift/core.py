@@ -242,17 +242,6 @@ class PricingSignal:
             mask[start - 1 : end] = True
         return mask
 
-    def is_peak(self, slot: int) -> bool:
-        if not 1 <= slot <= SLOT_COUNT:
-            raise ParameterError(f"slot {slot} outside 1..{SLOT_COUNT}")
-        return bool(self.peak_mask()[slot - 1])
-
-    def peak_slots(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.peak_mask()) + 1)
-
-    def off_peak_slots(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(~self.peak_mask()) + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class PvSystem:

@@ -68,16 +68,8 @@ class SeriesDataset:
     def sample_count(self) -> int:
         return int(self.values.size)
 
-    @property
-    def pair_count(self) -> int:
-        return max(self.sample_count - self.lag, 0)
-
     def timestamp(self, index: int) -> datetime.datetime:
         return self.start + datetime.timedelta(minutes=index * self.step_minutes)
-
-    def pair_target_indices(self) -> np.ndarray:
-        """Sample indices that serve as supervised targets."""
-        return np.arange(self.lag, self.sample_count)
 
     def pairs_for_targets(self, target_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Supervised (window, next value) pairs for the given target samples.
@@ -134,7 +126,6 @@ class TrainingConfig:
     """Per-fit training settings: the epoch budget and the seed.
 
     The seed draws the validation/test split and the initial weights.
-    ``fit_series`` weights every training sample's residual equally.
     """
 
     max_epochs: int = 200
@@ -400,10 +391,10 @@ def train_lm(
     train: tuple[np.ndarray, np.ndarray],
     validation: tuple[np.ndarray, np.ndarray],
     cfg: TrainingConfig,
-    sample_weights: np.ndarray | None = None,
 ) -> TrainingResult:
     """Train by Levenberg-Marquardt on raw-unit (window, target) pairs.
 
+    Every training residual counts equally in the squared error.
     Normalization bounds are taken from the training pairs and stored on the
     returned network.  Each epoch builds J^T J and J^T r once
     (``normal_equations``) at the current parameters, then solves
@@ -421,8 +412,6 @@ def train_lm(
         train: (X, y) training pairs in original units.
         validation: (X, y) validation pairs in original units.
         cfg: epoch budget.
-        sample_weights: optional per-training-sample residual weights;
-            ``None`` weights every sample equally without a multiply.
 
     Returns:
         TrainingResult with best-validation parameters and MSE traces.
@@ -440,14 +429,6 @@ def train_lm(
         raise FormatError(f"training windows must be (n, {net.input_size})")
     if x_val.ndim != 2 or x_val.shape[1] != net.input_size:
         raise FormatError(f"validation windows must be (n, {net.input_size})")
-
-    weights = None
-    if sample_weights is not None:
-        weights = np.asarray(sample_weights, dtype=float)
-        if weights.shape != y_train.shape:
-            raise FormatError("sample_weights must match the training targets")
-        if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-            raise ParameterError("sample_weights must be positive and finite")
 
     lo = min(x_train.min(), y_train.min())
     hi = max(x_train.max(), y_train.max())
@@ -468,12 +449,9 @@ def train_lm(
         err = yn_val - _forward_normalized(*_unpack(theta, h, d), xn_val)
         return float(np.mean(err**2) * scale_sq)
 
-    def weighted(r: np.ndarray) -> np.ndarray:
-        return r if weights is None else weights * r
-
     theta = flatten_params(net)
     r = residuals(theta)
-    sse = float(np.sum(weighted(r) ** 2))
+    sse = float(np.sum(r**2))
     n_train = y_train.size
 
     train_trace = [sse / n_train * scale_sq]
@@ -496,9 +474,7 @@ def train_lm(
     stale_epochs = 0
     for _ in range(cfg.max_epochs):
         jac = prediction_jacobian(with_params(net, theta), xn_train)
-        if weights is not None:
-            jac *= weights[:, None]
-        jtj, jtr = normal_equations(jac, weighted(r))
+        jtj, jtr = normal_equations(jac, r)
         del jac  # free it before the retries: they need only the normal equations
         accepted = False
         while True:
@@ -512,7 +488,7 @@ def train_lm(
             if not solve_failed:
                 candidate = theta + delta
                 r_new = residuals(candidate)
-                sse_new = float(np.sum(weighted(r_new) ** 2))
+                sse_new = float(np.sum(r_new**2))
                 if np.isfinite(sse_new) and sse_new < sse:
                     theta, r, sse = candidate, r_new, sse_new
                     damping = max(damping / LM_DAMPING_DOWN, 1e-12)

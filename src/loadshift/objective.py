@@ -10,7 +10,6 @@ rebuilds the rest from the remaining energy budget every half hour.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,44 +91,6 @@ class PeakRegressionModel:
             raise FormatError(f"need {self.segment_count} segment means, got {means.shape}")
         powers = np.arange(1, self.degree + 1)
         return float(np.sum(self.coefficients * means[:, None] ** powers) + self.intercept)
-
-    def to_dict(self) -> dict:
-        return {
-            "segment_count": self.segment_count,
-            "degree": self.degree,
-            "coefficients": [list(row) for row in self.coefficients],
-            "intercept": self.intercept,
-            "diagnostics": {
-                "residual_sse": self.residual_sse,
-                "observations": self.observations,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PeakRegressionModel":
-        try:
-            diag = doc.get("diagnostics") or {}
-            return cls(
-                segment_count=int(doc["segment_count"]),
-                degree=int(doc["degree"]),
-                coefficients=np.asarray(doc["coefficients"], dtype=float),
-                intercept=float(doc["intercept"]),
-                residual_sse=diag.get("residual_sse"),
-                observations=diag.get("observations"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed regression document: {exc}") from exc
-
-
-def save_regression(model: PeakRegressionModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_regression(path) -> PeakRegressionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PeakRegressionModel.from_dict(json.load(fh))
 
 
 def _history_curves(history: Sequence[LoadCurve | DailyRecord]) -> list[LoadCurve]:
@@ -345,8 +306,6 @@ def update_online(
     realized_so_far: Sequence[float],
     pricing: PricingSignal,
     slot_now: int,
-    model: PeakRegressionModel | None = None,
-    l_min: float | None = None,
 ) -> ObjectiveCurve:
     """Half-hourly objective refresh: freeze the past, rebuild the future.
 
@@ -354,18 +313,19 @@ def update_online(
     ``slot_now`` on are rebuilt like :func:`build_objective` but with the
     remaining energy budget (predicted total minus realized energy) and the
     latest prices.  The cap condition is re-evaluated on the conditioning
-    curve with the realized prefix overlaid.
+    curve with the realized prefix overlaid.  The regression model and
+    ``l_min`` are the ones stored on ``current``.
 
     Args:
         current: the curve being updated (offline or a previous online one).
         realized_so_far: consumption of slots ``1 .. slot_now - 1``.
         pricing: latest tariff.
         slot_now: the slot about to begin, in 1..48.
-        model, l_min: optional overrides; default to the values stored on
-            ``current``.
 
     Raises:
         TemporalConsistencyError: realized length != slot_now - 1.
+        ParameterError: ``slot_now`` outside 1..48, or ``current`` carries no
+            model or no positive ``l_min``.
     """
     if not 1 <= slot_now <= SLOT_COUNT:
         raise ParameterError(f"slot_now {slot_now} outside 1..{SLOT_COUNT}")
@@ -378,10 +338,10 @@ def update_online(
     if realized.size and (not np.all(np.isfinite(realized)) or np.any(realized < 0)):
         raise FormatError("realized values must be finite and >= 0")
 
-    model = model if model is not None else current.model
+    model = current.model
     if model is None:
         raise ParameterError("no regression model available for the update")
-    l_min = float(l_min) if l_min is not None else current.l_min
+    l_min = current.l_min
     if l_min is None or not np.isfinite(l_min) or l_min <= 0:
         raise ParameterError("l_min must be > 0")
 

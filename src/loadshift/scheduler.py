@@ -11,7 +11,7 @@ and the two optimizations alternate to a fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,30 +43,19 @@ from .objective import ObjectiveCurve
 
 @dataclass(frozen=True)
 class DiscomfortWeights:
-    """Per-appliance shift/delay penalty weights.
+    """Shift/delay penalty weights, shared by every appliance.
 
     ``shift_weight`` prices each slot of absolute displacement from the
     preferred start; ``delay_weight`` prices each slot of forward delay only.
-    ``per_appliance`` overrides both per appliance type id.
+    The simulation pipeline always schedules with the all-zero default.
     """
 
     shift_weight: float = 0.0
     delay_weight: float = 0.0
-    per_appliance: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.shift_weight < 0 or self.delay_weight < 0:
             raise ParameterError("discomfort weights must be >= 0")
-        cleaned = {}
-        for type_id, pair in dict(self.per_appliance).items():
-            w, k = (float(pair[0]), float(pair[1]))
-            if w < 0 or k < 0:
-                raise ParameterError(f"discomfort weights for {type_id} must be >= 0")
-            cleaned[str(type_id)] = (w, k)
-        object.__setattr__(self, "per_appliance", cleaned)
-
-    def weights_for(self, type_id: str) -> tuple[float, float]:
-        return self.per_appliance.get(type_id, (self.shift_weight, self.delay_weight))
 
 
 # ---------------------------------------------------------------- assignment
@@ -214,9 +203,6 @@ class PvArbitration:
     soc: np.ndarray
     supplied_kwh: np.ndarray
 
-    def supplied_total(self) -> float:
-        return float(self.supplied_kwh.sum())
-
 
 def pv_arbitrate(
     pv: PvSystem,
@@ -324,10 +310,10 @@ def evaluate_cost(
     gap = (grid - objective.values)[active_from - 1 :]
     deviation = float(np.sum(gap * gap))
 
+    w, k = weights.shift_weight, weights.delay_weight
     discomfort = 0.0
     for inst in instances:
         shift = int(assignment.starts[inst.instance_id]) - inst.preferred_start
-        w, k = weights.weights_for(inst.type_id)
         discomfort += w * abs(shift) + k * max(0, shift)
 
     blend_value = default_blend(objective) if blend is None else float(blend)
@@ -385,6 +371,7 @@ class _CandidateSpace:
         self.blend = blend
         cols = slice(active_from - 1, SLOT_COUNT)
         keep = (~flags).astype(float)
+        w, k = weights.shift_weight, weights.delay_weight
         self.residual = residual[cols]
         self.starts: list[np.ndarray] = []
         self.contribs: list[np.ndarray] = []
@@ -396,7 +383,6 @@ class _CandidateSpace:
             for row, start in enumerate(starts):
                 contrib[row, start - 1 : start - 1 + inst.duration_slots] = inst.power_profile
             contrib *= keep  # PV-covered slots leave the grid curve
-            w, k = weights.weights_for(inst.type_id)
             shift = starts - inst.preferred_start
             self.starts.append(starts)
             self.contribs.append(contrib[:, cols])
@@ -553,7 +539,8 @@ def solve(
     Args:
         instances: all appliance instances (fixed and shiftable).
         objective: the curve to track.
-        weights: discomfort weights (default: all zero).
+        weights: discomfort weights applied to every shiftable run
+            (default: all zero, which the simulation pipeline always uses).
         pricing: required when ``pv`` is given (peak windows drive timing).
         pv: optional PV/battery system.
         blend: weight of discomfort in the cost, as in ``evaluate_cost``

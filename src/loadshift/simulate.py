@@ -14,7 +14,7 @@ import dataclasses
 import datetime
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +38,7 @@ from .errors import (
 )
 from .forecast import TrainingConfig, fit_series, hourly_series_from_history, predict_day
 from .objective import ObjectiveCurve, build_objective, fit_peak_regression, update_online
-from .scheduler import (
-    DiscomfortWeights,
-    ScheduleAssignment,
-    pv_arbitrate,
-    solve,
-)
+from .scheduler import ScheduleAssignment, pv_arbitrate, solve
 
 MODES = ("offline", "online")
 
@@ -61,7 +56,9 @@ class RunParams:
 
     ``history_window_days`` caps how much history feeds training and the
     peak regression; ``online_noise_kw`` is the std-dev of the seeded noise
-    that stands in for real telemetry in online mode.
+    that stands in for real telemetry in online mode.  Every solve runs with
+    the default all-zero ``DiscomfortWeights``, so only deviation from the
+    objective curve is priced.
     """
 
     lag: int = 24
@@ -71,7 +68,6 @@ class RunParams:
     segment_count: int = 2
     degree: int = 1
     l_min: float = 2.0
-    weights: DiscomfortWeights = field(default_factory=DiscomfortWeights)
     online_noise_kw: float = 0.05
 
     def __post_init__(self):
@@ -83,8 +79,8 @@ class RunParams:
             raise ParameterError("segment_count and degree must be >= 1")
         if not (np.isfinite(self.l_min) and self.l_min > 0):
             raise ParameterError("l_min must be > 0")
-        if self.online_noise_kw < 0:
-            raise ParameterError("online_noise_kw must be >= 0")
+        if not (np.isfinite(self.online_noise_kw) and self.online_noise_kw >= 0):
+            raise ParameterError("online_noise_kw must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,13 +221,7 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
         )
         pv = dataclasses.replace(pv, generation=generation.values)
 
-    result = solve(
-        instances,
-        objective,
-        params.weights,
-        pricing=pricing,
-        pv=pv,
-    )
+    result = solve(instances, objective, pricing=pricing, pv=pv)
     assignment = result.assignment
 
     if mode == "online" and shiftable:
@@ -275,8 +265,8 @@ def _replay_online(
     starts = dict(assignment.starts)
     current = objective
     for slot_now in range(2, SLOT_COUNT + 1):
-        open_ids = [i.instance_id for i in shiftable if starts[i.instance_id] >= slot_now]
-        if not open_ids:
+        open_instances = [i for i in shiftable if starts[i.instance_id] >= slot_now]
+        if not open_instances:
             break
         current = update_online(current, realized_full[: slot_now - 1], pricing, slot_now)
         committed = [i for i in shiftable if starts[i.instance_id] < slot_now]
@@ -284,16 +274,11 @@ def _replay_online(
         baseline = split_consumption(
             committed, committed_starts, assignment.pv_flags
         ).grid.values
-        open_instances = [i for i in shiftable if i.instance_id in set(open_ids)]
         partial = solve(
-            open_instances + fixed,
-            current,
-            params.weights,
-            baseline=baseline,
-            not_before=slot_now,
+            open_instances + fixed, current, baseline=baseline, not_before=slot_now
         )
-        for name in open_ids:
-            starts[name] = partial.assignment.starts[name]
+        for inst in open_instances:
+            starts[inst.instance_id] = partial.assignment.starts[inst.instance_id]
 
     flags = None
     soc = None

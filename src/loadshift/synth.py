@@ -101,12 +101,12 @@ class SyntheticRecipe:
             if not 0.0 <= probability <= 1.0:
                 raise ParameterError(f"inclusion probability for {name} must be in [0, 1]")
         object.__setattr__(self, "appliance_mix", mix)
-        if self.daily_energy_kwh <= 0:
-            raise ParameterError("daily_energy_kwh must be > 0")
+        if not (np.isfinite(self.daily_energy_kwh) and self.daily_energy_kwh > 0):
+            raise ParameterError("daily_energy_kwh must be finite and > 0")
         if not 0.0 <= self.pv_fraction <= 1.0:
             raise ParameterError("pv_fraction must be in [0, 1]")
-        if self.pv_peak_kw < 0:
-            raise ParameterError("pv_peak_kw must be >= 0")
+        if not (np.isfinite(self.pv_peak_kw) and self.pv_peak_kw >= 0):
+            raise ParameterError("pv_peak_kw must be finite and >= 0")
 
     def pricing(self) -> PricingSignal:
         prices = np.full(SLOT_COUNT, self.off_peak_price)
@@ -125,16 +125,6 @@ def recipe_to_dict(recipe: SyntheticRecipe, seed: int) -> dict:
     doc["peak_windows"] = [list(w) for w in recipe.peak_windows]
     doc["seed"] = int(seed)
     return doc
-
-
-def recipe_from_dict(doc: Mapping) -> tuple[SyntheticRecipe, int]:
-    data = dict(doc)
-    seed = int(data.pop("seed", 0))
-    if "start_day" in data:
-        data["start_day"] = datetime.date.fromisoformat(data["start_day"])
-    if "peak_windows" in data:
-        data["peak_windows"] = tuple(tuple(w) for w in data["peak_windows"])
-    return SyntheticRecipe(**data), seed
 
 
 def _appliance_from(name: str, archetype: Archetype, power_scale: float) -> ApplianceSpec:

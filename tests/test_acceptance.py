@@ -162,7 +162,7 @@ def test_2_trainer_correctness():
     for t in range(1, 140):
         values[t] = 0.8 * values[t - 1]
     ds = SeriesDataset(values=values, start=MIDNIGHT, lag=1)
-    x_all, y_all = ds.pairs_for_targets(ds.pair_target_indices())
+    x_all, y_all = ds.pairs_for_targets(np.arange(ds.lag, ds.sample_count))
     net = initialize_network(input_size=1, hidden_size=6, seed=1)
     result = train_lm(
         net, (x_all[:-20], y_all[:-20]), (x_all[-20:], y_all[-20:]),
@@ -253,9 +253,9 @@ def test_6_energy_invariance_on_harness_runs():
 def test_7_fleet_improves_without_harming_anyone():
     t0 = time.monotonic()
     fleet = fleet_50()
-    # no-harm property is stated for zero discomfort weights
-    params = RunParams(weights=DiscomfortWeights(shift_weight=0.0, delay_weight=0.0))
-    results = run_fleet(fleet, params, seed=0, workers=4)
+    # no-harm property is stated for zero discomfort weights, which every
+    # pipeline solve uses
+    results = run_fleet(fleet, RunParams(), seed=0, workers=4)
     report = compute_metrics(results, fleet.pricing)
 
     reduction = report.fleet.peak_reduction_pct

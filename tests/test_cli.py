@@ -35,6 +35,14 @@ def test_generate_writes_a_loadable_bundle(tmp_path, capsys):
     assert cli.main(["validate", "--bundle", str(bundle)]) == 0
 
 
+def test_generate_rejects_a_nan_target_with_exit_2(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    rc = cli.main(["generate", "--out", str(bundle), "--target-kwh", "nan"])
+    assert rc == 2
+    assert "daily_energy_kwh must be finite" in capsys.readouterr().err
+    assert not bundle.exists()
+
+
 def test_run_writes_results_and_report(tmp_path):
     bundle = generate(tmp_path)
     out = tmp_path / "out"

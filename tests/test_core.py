@@ -300,17 +300,11 @@ def test_pricing_validation():
 
 def test_pricing_peak_mask():
     pricing = make_pricing(peak_windows=((10, 12), (40, 41)))
-    assert pricing.peak_slots() == (10, 11, 12, 40, 41)
-    assert pricing.is_peak(10) and not pricing.is_peak(13)
-    assert len(pricing.off_peak_slots()) == 43
-
-
-def test_is_peak_rejects_slots_outside_the_day():
-    pricing = make_pricing()
-    assert pricing.is_peak(35) and not pricing.is_peak(48)
-    for slot in (0, 49):
-        with pytest.raises(ParameterError, match="outside 1..48"):
-            pricing.is_peak(slot)
+    mask = pricing.peak_mask()
+    assert mask.shape == (48,) and mask.dtype == bool
+    assert tuple(np.flatnonzero(mask) + 1) == (10, 11, 12, 40, 41)
+    assert mask[10 - 1] and not mask[13 - 1]
+    assert int(np.count_nonzero(~mask)) == 43
 
 
 def test_pv_system_validation():

@@ -60,8 +60,8 @@ def ar1_series(n, phi=0.8, y0=1.0, noise=0.0, seed=None):
 
 def test_pair_count_and_windows():
     ds = make_series(np.arange(30, dtype=float), lag=5)
-    assert ds.pair_count == 25
-    X, y = ds.pairs_for_targets(ds.pair_target_indices())
+    assert ds.sample_count - ds.lag == 25
+    X, y = ds.pairs_for_targets(np.arange(ds.lag, ds.sample_count))
     assert X.shape == (25, 5)
     npt.assert_array_equal(X[0], np.arange(5.0))  # window is the 5 values before target
     npt.assert_array_equal(y, np.arange(5.0, 30.0))
@@ -122,7 +122,7 @@ def test_split_disjoint_cover():
     assert split.train_indices.tolist() == list(range(len(train)))
     # every supervised pair lands in exactly one partition
     covered = sum(ds.pairs_for_targets(sorted(part))[1].size for part in (train, val, test))
-    assert covered == ds.pair_count
+    assert covered == ds.sample_count - ds.lag
 
 
 def test_split_deterministic_per_seed():
@@ -239,8 +239,7 @@ def test_flatten_roundtrip():
 
 def toy_pairs(values, lag):
     ds = SeriesDataset(values=values, start=MIDNIGHT, lag=lag)
-    idx = ds.pair_target_indices()
-    return ds.pairs_for_targets(idx)
+    return ds.pairs_for_targets(np.arange(ds.lag, ds.sample_count))
 
 
 def test_train_zero_data_stops_immediately():
@@ -305,28 +304,13 @@ def test_train_empty_partition_rejected():
         train_lm(net, (X, y), (np.empty((0, 2)), np.empty(0)), TrainingConfig())
 
 
-def test_sample_weights_change_the_fit():
-    rng = np.random.default_rng(10)
-    X = rng.uniform(-1, 1, size=(40, 2))
-    y = X @ np.array([0.5, -0.2]) + rng.normal(scale=0.3, size=40)
-    val = (X[:8], y[:8])
-    cfg = TrainingConfig(max_epochs=15)
-    net = initialize_network(input_size=2, hidden_size=3, seed=11)
-    plain = train_lm(net, (X, y), val, cfg)
-    skew = np.ones(40)
-    skew[:5] = 25.0
-    weighted = train_lm(net, (X, y), val, cfg, sample_weights=skew)
-    assert not np.array_equal(flatten_params(plain.network), flatten_params(weighted.network))
-
-
-def reference_train_lm(net, train, validation, cfg, sample_weights=None):
+def reference_train_lm(net, train, validation, cfg):
     """Levenberg-Marquardt as ``train_lm`` computed it before the normal
     equations were shared between damping retries: every retry rebuilds
-    ``J^T J`` and ``J^T r``, every residual goes through a validated
-    ``NarNetwork`` and the weights default to ones, always multiplied in."""
+    ``J^T J`` and ``J^T r`` and every residual goes through a validated
+    ``NarNetwork``."""
     x_train, y_train = (np.asarray(a, dtype=float) for a in train)
     x_val, y_val = (np.asarray(a, dtype=float) for a in validation)
-    weights = np.ones(y_train.size) if sample_weights is None else np.asarray(sample_weights)
     lo = min(x_train.min(), y_train.min())
     hi = max(x_train.max(), y_train.max())
     net = NarNetwork(w_in=net.w_in, b_in=net.b_in, w_out=net.w_out, b_out=net.b_out,
@@ -352,26 +336,25 @@ def reference_train_lm(net, train, validation, cfg, sample_weights=None):
 
     theta = flatten_params(net)
     r = residuals(theta)
-    sse = float(np.sum((weights * r) ** 2))
+    sse = float(np.sum(r**2))
     train_trace, val_trace = [sse / y_train.size * scale_sq], [val_mse(theta)]
     best_theta, best_val, best_epoch = theta.copy(), val_trace[0], 0
     if sse == 0.0:
         return best_theta, train_trace, val_trace, best_epoch, "perfect_fit"
     damping, stale = forecast.LM_INITIAL_DAMPING, 0
     for _ in range(cfg.max_epochs):
-        jac = prediction_jacobian(with_params(net, theta), xn_train) * weights[:, None]
-        r_w = weights * r
+        jac = prediction_jacobian(with_params(net, theta), xn_train)
         accepted = False
         while True:
             failed = False
             try:
-                delta = step(jac, r_w, damping)
+                delta = step(jac, r, damping)
                 failed = not np.all(np.isfinite(delta))
             except np.linalg.LinAlgError:
                 failed = True
             if not failed:
                 r_new = residuals(theta + delta)
-                sse_new = float(np.sum((weights * r_new) ** 2))
+                sse_new = float(np.sum(r_new**2))
                 if np.isfinite(sse_new) and sse_new < sse:
                     theta, r, sse = theta + delta, r_new, sse_new
                     damping = max(damping / forecast.LM_DAMPING_DOWN, 1e-12)
@@ -398,32 +381,31 @@ def reference_train_lm(net, train, validation, cfg, sample_weights=None):
     return best_theta, train_trace, val_trace, best_epoch, "max_epochs"
 
 
-def seeded_problem(seed, pairs, lag, hidden, weighted=False):
+def seeded_problem(seed, pairs, lag, hidden):
     """A noisy daily-cycle series cut into (window, next value) pairs."""
     rng = np.random.default_rng(seed)
     t = np.arange(pairs + pairs // 4 + lag)
     values = 1.5 + np.sin(2 * np.pi * t / 24) + 0.3 * rng.standard_normal(t.size)
     X = np.lib.stride_tricks.sliding_window_view(values[:-1], lag).copy()
     y = values[lag:]
-    weights = rng.uniform(0.2, 3.0, size=pairs) if weighted else None
     net = initialize_network(input_size=lag, hidden_size=hidden, seed=seed)
-    return net, (X[:pairs], y[:pairs]), (X[pairs:], y[pairs:]), weights
+    return net, (X[:pairs], y[:pairs]), (X[pairs:], y[pairs:])
 
 
 @pytest.mark.parametrize(
-    "seed, pairs, lag, hidden, weighted, max_epochs",
+    "seed, pairs, lag, hidden, stops_at_max_epochs, max_epochs",
     [
         (1, 200, 4, 3, False, 40),
         (2, 300, 6, 5, False, 40),
-        (3, 200, 4, 3, True, 40),
-        (4, 300, 6, 5, True, 40),
-        (5, 150, 2, 8, False, 8),  # stops at max_epochs
+        (3, 200, 4, 3, False, 40),
+        (4, 300, 6, 5, True, 10),
+        (5, 150, 2, 8, False, 8),  # early stop on the last allowed epoch
         (6, 2016, 24, 10, False, 12),  # the pipeline's shapes
     ],
 )
 def test_train_lm_matches_per_retry_reference(monkeypatch, seed, pairs, lag, hidden,
-                                              weighted, max_epochs):
-    net, train, val, weights = seeded_problem(seed, pairs, lag, hidden, weighted)
+                                              stops_at_max_epochs, max_epochs):
+    net, train, val = seeded_problem(seed, pairs, lag, hidden)
     cfg = TrainingConfig(max_epochs=max_epochs)
     steps = []
 
@@ -432,31 +414,19 @@ def test_train_lm_matches_per_retry_reference(monkeypatch, seed, pairs, lag, hid
         return damped_step(jtj, jtr, damping)
 
     monkeypatch.setattr(forecast, "damped_step", counted)
-    result = train_lm(net, train, val, cfg, sample_weights=weights)
-    theta, train_trace, val_trace, best_epoch, reason = reference_train_lm(
-        net, train, val, cfg, sample_weights=weights
-    )
+    result = train_lm(net, train, val, cfg)
+    theta, train_trace, val_trace, best_epoch, reason = reference_train_lm(net, train, val, cfg)
     npt.assert_array_equal(flatten_params(result.network), theta)
     assert result.train_mse == tuple(train_trace)
     assert result.validation_mse == tuple(val_trace)
     assert (result.best_epoch, result.stop_reason) == (best_epoch, reason)
+    assert reason == ("max_epochs" if stops_at_max_epochs else "early_stop")
     # damping retries happen, and all of them reuse one set of normal equations
     assert len(steps) > len(result.train_mse) - 1
 
 
-def test_unit_sample_weights_match_no_weights():
-    net, train, val, _ = seeded_problem(7, 250, 5, 4)
-    cfg = TrainingConfig(max_epochs=30)
-    plain = train_lm(net, train, val, cfg)
-    ones = train_lm(net, train, val, cfg, sample_weights=np.ones(train[1].size))
-    npt.assert_array_equal(flatten_params(ones.network), flatten_params(plain.network))
-    assert ones.train_mse == plain.train_mse
-    assert ones.validation_mse == plain.validation_mse
-    assert (ones.best_epoch, ones.stop_reason) == (plain.best_epoch, plain.stop_reason)
-
-
 def test_zero_steps_stop_at_the_damping_cap(monkeypatch):
-    net, train, val, _ = seeded_problem(8, 120, 3, 3)
+    net, train, val = seeded_problem(8, 120, 3, 3)
     dampings = []
 
     def no_progress(jtj, jtr, damping):
@@ -476,7 +446,7 @@ def test_zero_steps_stop_at_the_damping_cap(monkeypatch):
 
 
 def test_non_finite_steps_fail_with_the_trace(monkeypatch):
-    net, train, val, _ = seeded_problem(8, 120, 3, 3)
+    net, train, val = seeded_problem(8, 120, 3, 3)
     cfg = TrainingConfig(max_epochs=20)
     monkeypatch.setattr(forecast, "damped_step", lambda jtj, jtr, damping: np.zeros_like(jtr))
     stalled = train_lm(net, train, val, cfg)

@@ -19,9 +19,7 @@ from loadshift.objective import (
     PeakRegressionModel,
     build_objective,
     fit_peak_regression,
-    load_regression,
     off_peak_segment_means,
-    save_regression,
     update_online,
 )
 
@@ -120,18 +118,6 @@ def test_evaluate_polynomial_hand_oracle():
     assert model.evaluate([m1, m2]) == pytest.approx(oracle, rel=1e-12)
     with pytest.raises(FormatError):
         model.evaluate([1.0])
-
-
-def test_regression_json_roundtrip(tmp_path):
-    pricing = make_pricing(peak_windows=(PEAK,))
-    days = [curve_with(m, 2.0 * m + 1.0, pricing) for m in (0.1, 0.4, 0.9, 1.3)]
-    model = fit_peak_regression(days, pricing, segment_count=1, degree=1)
-    path = tmp_path / "reg.json"
-    save_regression(model, path)
-    loaded = load_regression(path)
-    npt.assert_allclose(loaded.coefficients, model.coefficients)
-    assert loaded.intercept == model.intercept
-    assert loaded.observations == 4
 
 
 # ---------------------------------------------------------------- offline build

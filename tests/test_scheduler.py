@@ -146,7 +146,7 @@ def test_pv_arbitrate_hand_simulation():
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[:20], 2.0 - 0.1 * np.arange(20))
     npt.assert_allclose(result.soc[20:], 0.1)
-    assert result.supplied_total() == pytest.approx(1.9)
+    assert result.supplied_kwh.sum() == pytest.approx(1.9)
 
 
 def test_pv_arbitrate_waits_to_recharge_before_peak():
@@ -169,14 +169,14 @@ def test_pv_arbitrate_waits_to_recharge_before_peak():
     expected[24:34] = False
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[24:34], 2.0 - 0.025 * 24)
-    assert result.supplied_total() <= pv.battery_soc + 1e-9
+    assert result.supplied_kwh.sum() <= pv.battery_soc + 1e-9
 
 
 def test_pv_arbitrate_empty_battery_never_raises():
     pv = PvSystem(generation=np.zeros(48), battery_capacity=1.0, battery_soc=0.0)
     result = pv_arbitrate(pv, np.full(48, 1.0), make_pricing(), max_app_duration=2)
     assert not result.flags.any()
-    assert result.supplied_total() == 0.0
+    assert result.supplied_kwh.sum() == 0.0
     npt.assert_allclose(result.soc, 0.0)
 
 
@@ -190,7 +190,7 @@ def test_pv_arbitrate_charging_trajectory():
     )
     result = pv_arbitrate(pv, np.zeros(48), make_pricing(), max_app_duration=2)
     npt.assert_allclose(result.soc, np.minimum(0.45 * np.arange(48), 10.0))
-    assert result.supplied_total() == 0.0
+    assert result.supplied_kwh.sum() == 0.0
 
 
 def test_pv_arbitrate_energy_conservation():
@@ -208,7 +208,7 @@ def test_pv_arbitrate_energy_conservation():
         demand = rng.uniform(0, 3, 48)
         result = pv_arbitrate(pv, demand, pricing, max_app_duration=int(rng.integers(1, 8)))
         available = pv.battery_soc + pv.charge_efficiency * pv.generation.sum() * 0.5
-        assert result.supplied_total() <= available + 1e-9
+        assert result.supplied_kwh.sum() <= available + 1e-9
         assert (result.soc >= -1e-12).all() and (result.soc <= capacity + 1e-12).all()
         npt.assert_allclose(result.supplied_kwh[result.flags], demand[result.flags] * 0.5)
         assert (result.supplied_kwh[~result.flags] == 0).all()
@@ -898,7 +898,4 @@ def test_discomfort_weights_validation():
     with pytest.raises(ParameterError):
         DiscomfortWeights(shift_weight=-0.1)
     with pytest.raises(ParameterError):
-        DiscomfortWeights(per_appliance={"a": (1.0, -2.0)})
-    weights = DiscomfortWeights(0.5, 0.2, per_appliance={"oven": (2.0, 1.0)})
-    assert weights.weights_for("oven") == (2.0, 1.0)
-    assert weights.weights_for("wash") == (0.5, 0.2)
+        DiscomfortWeights(delay_weight=-0.1)

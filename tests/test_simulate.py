@@ -241,5 +241,6 @@ def test_run_params_validation():
         RunParams(max_epochs=0)
     with pytest.raises(ParameterError):
         RunParams(l_min=-1.0)
-    with pytest.raises(ParameterError):
-        RunParams(online_noise_kw=-0.1)
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="online_noise_kw must be finite and >= 0"):
+            RunParams(online_noise_kw=noise)

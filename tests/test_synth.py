@@ -1,6 +1,8 @@
 """Synthetic fleet generator: determinism, calibration, PV plausibility."""
 
+import dataclasses
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from loadshift.synth import (
     ARCHETYPES,
     SyntheticRecipe,
     generate_fleet,
-    recipe_from_dict,
     recipe_to_dict,
 )
 
@@ -99,12 +100,31 @@ def test_bad_probability_is_rejected():
         small_recipe(appliance_mix={"dishwasher": 1.5})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("daily_energy_kwh", float("nan")),
+        ("daily_energy_kwh", float("inf")),
+        ("pv_peak_kw", float("nan")),
+        ("pv_peak_kw", float("inf")),
+    ],
+)
+def test_non_finite_recipe_values_are_rejected(field, value):
+    with pytest.raises(ParameterError, match=rf"{field} must be finite"):
+        small_recipe(**{field: value})
+
+
 def test_recipe_survives_dict_round_trip():
     recipe = small_recipe(peak_windows=((20, 24), (35, 44)))
     doc = recipe_to_dict(recipe, seed=13)
-    back, seed = recipe_from_dict(doc)
-    assert seed == 13
-    assert back == recipe
+    names = {f.name for f in dataclasses.fields(SyntheticRecipe)}
+    assert set(doc) == names | {"seed"}
+    assert doc["seed"] == 13
+    assert doc["start_day"] == recipe.start_day.isoformat()
+    assert doc["peak_windows"] == [[20, 24], [35, 44]]
+    for name in names - {"start_day", "peak_windows"}:
+        assert doc[name] == getattr(recipe, name), name
+    json.dumps(doc)  # the recipe is written into the bundle manifest
 
 
 def test_pricing_marks_the_peak_slots():
