@@ -252,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated YYYY-MM-DD list overriding the bundle's days")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--history-window", type=int, default=120, dest="history_window")
+    p.add_argument("--epochs", type=int, default=RunParams.max_epochs)
+    p.add_argument("--history-window", type=int, default=RunParams.history_window_days,
+                   dest="history_window")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="recompute metrics from saved results")

@@ -77,6 +77,14 @@ class DailyRecord:
             object.__setattr__(self, "curve", LoadCurve(self.curve))
 
 
+# ApplianceSpec's integer fields and their least values; the window is also
+# checked against the day.
+_WHOLE_FIELD_MINIMUMS = {
+    "duration_slots": 1, "window_start": 1, "window_end": 1,
+    "preferred_start": 1, "max_shift": 0, "count": 1,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ApplianceSpec:
     """A household appliance type and its scheduling constraints.
@@ -108,9 +116,18 @@ class ApplianceSpec:
             raise ParameterError("appliance id must be a non-empty string")
         if self.kind not in APPLIANCE_KINDS:
             raise ParameterError(f"appliance {self.id}: unknown kind {self.kind!r}")
-        if int(self.duration_slots) != self.duration_slots or self.duration_slots < 1:
-            raise ParameterError(f"appliance {self.id}: duration must be a positive integer")
-        object.__setattr__(self, "duration_slots", int(self.duration_slots))
+        for name, least in _WHOLE_FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            try:
+                whole = int(value)
+            except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+                whole = None
+            if whole is None or whole != value or whole < least:
+                raise ParameterError(
+                    f"appliance {self.id}: {name} must be a whole number >= {least}, "
+                    f"got {value!r}"
+                )
+            object.__setattr__(self, name, whole)
 
         profile = np.asarray(self.power_profile, dtype=float)
         if profile.shape != (self.duration_slots,):
@@ -122,10 +139,7 @@ class ApplianceSpec:
             raise ParameterError(f"appliance {self.id}: power profile must be finite and >= 0")
         object.__setattr__(self, "power_profile", _readonly(profile))
 
-        ws, we, pref = int(self.window_start), int(self.window_end), int(self.preferred_start)
-        object.__setattr__(self, "window_start", ws)
-        object.__setattr__(self, "window_end", we)
-        object.__setattr__(self, "preferred_start", pref)
+        ws, we, pref = self.window_start, self.window_end, self.preferred_start
         if not (1 <= ws <= we <= SLOT_COUNT):
             raise ParameterError(f"appliance {self.id}: window [{ws},{we}] outside the day")
         if we - ws + 1 < self.duration_slots:
@@ -134,14 +148,6 @@ class ApplianceSpec:
             raise ParameterError(
                 f"appliance {self.id}: preferred start {pref} does not fit window [{ws},{we}]"
             )
-
-        if int(self.max_shift) != self.max_shift or self.max_shift < 0:
-            raise ParameterError(f"appliance {self.id}: max_shift must be an integer >= 0")
-        object.__setattr__(self, "max_shift", int(self.max_shift))
-
-        if int(self.count) != self.count or self.count < 1:
-            raise ParameterError(f"appliance {self.id}: count must be a positive integer")
-        object.__setattr__(self, "count", int(self.count))
 
         if self.kind == "fixed":
             # a fixed appliance is a degenerate shiftable one: window == run, no shift

@@ -25,28 +25,21 @@ from .errors import (
     UndefinedMetricError,
 )
 
-MINUTES_PER_DAY = 24 * 60
-
-
 # ---------------------------------------------------------------- datasets
 
 
 @dataclass(frozen=True, eq=False)
 class SeriesDataset:
-    """A regularly sampled series with its autoregressive window length.
+    """An hourly series that starts at midnight, with its window length.
 
     Args:
-        values: the series (kW), time-ordered.
-        start: timestamp of ``values[0]``.
-        step_minutes: sampling step; 60 for the hourly series used throughout.
+        values: the series (kW), one value per hour, time-ordered.
         lag: window length t_d; supervised pairs map ``lag`` consecutive
             values to the next one, so there are ``len(values) - lag`` pairs.
     """
 
     values: np.ndarray
-    start: datetime.datetime
-    step_minutes: int = 60
-    lag: int = 24
+    lag: int
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -57,19 +50,12 @@ class SeriesDataset:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if not isinstance(self.start, datetime.datetime):
-            raise FormatError("start must be a datetime")
-        if self.step_minutes < 1:
-            raise ParameterError("step_minutes must be >= 1")
         if self.lag < 1:
             raise ParameterError("lag must be >= 1")
 
     @property
     def sample_count(self) -> int:
         return int(self.values.size)
-
-    def timestamp(self, index: int) -> datetime.datetime:
-        return self.start + datetime.timedelta(minutes=index * self.step_minutes)
 
     def pairs_for_targets(self, target_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Supervised (window, next value) pairs for the given target samples.
@@ -103,8 +89,7 @@ def hourly_series_from_history(
     hourly = np.concatenate(
         [rec.curve.values.reshape(24, 2).mean(axis=1) for rec in records]
     )
-    start = datetime.datetime.combine(days[0], datetime.time.min)
-    return SeriesDataset(values=hourly, start=start, step_minutes=60, lag=lag)
+    return SeriesDataset(values=hourly, lag=lag)
 
 
 # ---------------------------------------------------------------- config
@@ -202,7 +187,7 @@ class NarNetwork:
         ) + self.norm_min
 
 
-def initialize_network(input_size: int = 24, hidden_size: int = 10, seed: int = 0) -> NarNetwork:
+def initialize_network(input_size: int, hidden_size: int, seed: int = 0) -> NarNetwork:
     """Fresh network: weights uniform in [-0.5, 0.5]/sqrt(fan-in), zero biases."""
     if input_size < 1 or hidden_size < 1:
         raise ParameterError("layer sizes must be >= 1")
@@ -545,39 +530,34 @@ def predict_day(net: NarNetwork, history: SeriesDataset) -> LoadCurve:
     """Closed-loop forecast of the next day as a 48-slot curve.
 
     The last ``input_size`` history values seed the lag window; each
-    prediction is fed back until one day is covered.  Step-level outputs sit
-    at their interval midpoints and are linearly interpolated to the 48
-    half-hour slot midpoints (ends clamped), then negative values are cut off
-    at zero.
+    prediction is fed back until 24 hours are covered.  Negative hourly
+    outputs are cut off at zero; the hourly values sit at their interval
+    midpoints and are linearly interpolated to the 48 half-hour slot
+    midpoints (ends clamped).
 
     Raises:
         DatasetTooSmallError: fewer history values than the lag window.
-        TemporalConsistencyError: history does not end on a day boundary.
+        TemporalConsistencyError: the history does not cover whole days, so
+            it does not end at midnight.
     """
     if history.sample_count < net.input_size:
         raise DatasetTooSmallError(
             f"need {net.input_size} history values, got {history.sample_count}"
         )
-    if MINUTES_PER_DAY % history.step_minutes != 0:
-        raise ParameterError("step_minutes must divide one day")
-    end = history.timestamp(history.sample_count)
-    if (end.hour, end.minute, end.second, end.microsecond) != (0, 0, 0, 0):
-        raise TemporalConsistencyError(f"history must end at midnight, ends {end}")
+    if history.sample_count % 24 != 0:
+        raise TemporalConsistencyError(f"{history.sample_count} hours do not end at midnight")
 
-    steps = MINUTES_PER_DAY // history.step_minutes
     window = net.normalize(history.values[-net.input_size :]).copy()
-    preds = np.empty(steps)
+    preds = np.empty(24)
     layers = _layers(net)
-    for k in range(steps):
+    for k in range(24):
         preds[k] = _forward_normalized(*layers, window[None, :])[0]
         window[:-1] = window[1:]
         window[-1] = preds[k]
     hourly = np.maximum(net.denormalize(preds), 0.0)
 
-    step_hours = history.step_minutes / 60.0
-    pred_centers = (np.arange(steps) + 0.5) * step_hours
     slot_centers = (np.arange(SLOT_COUNT) + 0.5) * (SLOT_MINUTES / 60.0)
-    return LoadCurve(np.interp(slot_centers, pred_centers, hourly))
+    return LoadCurve(np.interp(slot_centers, np.arange(24) + 0.5, hourly))
 
 
 # ---------------------------------------------------------------- diagnostics

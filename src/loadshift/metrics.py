@@ -14,7 +14,7 @@ import csv
 import datetime
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -169,41 +169,19 @@ def compute_metrics(
 # ---------------------------------------------------------------- serialization
 
 
-def _aggregate_dict(agg: Aggregate) -> dict:
-    return {
-        "label": agg.label,
-        "day_count": agg.day_count,
-        "peak_kwh_before": agg.peak_kwh_before,
-        "peak_kwh_after": agg.peak_kwh_after,
-        "peak_reduction_pct": agg.peak_reduction_pct,
-        "load_factor_before": agg.load_factor_before,
-        "load_factor_after": agg.load_factor_after,
-        "bill_before": agg.bill_before,
-        "bill_after": agg.bill_after,
-        "bill_reduction_pct": agg.bill_reduction_pct,
-    }
+def _household_row(r: HouseholdDayMetrics) -> dict:
+    """One report row keyed by ``REPORT_CSV_COLUMNS``, for JSON and CSV alike."""
+    row = {"household": r.household_id, "day": r.day.isoformat()}
+    row.update((name, getattr(r, name)) for name in REPORT_CSV_COLUMNS[2:])
+    return row
 
 
 def report_to_dict(report: MetricsReport) -> dict:
     """JSON-ready view of the report; deterministic for fixed inputs."""
     return {
-        "fleet": _aggregate_dict(report.fleet),
-        "periods": [_aggregate_dict(p) for p in report.periods],
-        "households": [
-            {
-                "household": r.household_id,
-                "day": r.day.isoformat(),
-                "period": r.period,
-                "peak_kwh_before": r.peak_kwh_before,
-                "peak_kwh_after": r.peak_kwh_after,
-                "peak_reduction_pct": r.peak_reduction_pct,
-                "load_factor_before": r.load_factor_before,
-                "load_factor_after": r.load_factor_after,
-                "bill_before": r.bill_before,
-                "bill_after": r.bill_after,
-            }
-            for r in report.rows
-        ],
+        "fleet": asdict(report.fleet),
+        "periods": [asdict(p) for p in report.periods],
+        "households": [_household_row(r) for r in report.rows],
         "excluded": [
             {"household": h, "day": d, "reason": reason}
             for h, d, reason in report.excluded
@@ -222,21 +200,7 @@ def write_report(report: MetricsReport, out_dir) -> tuple[Path, Path]:
         encoding="utf-8",
     )
     with csv_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.household_id,
-                    r.day.isoformat(),
-                    r.period,
-                    repr(r.peak_kwh_before),
-                    repr(r.peak_kwh_after),
-                    repr(r.peak_reduction_pct),
-                    repr(r.load_factor_before),
-                    repr(r.load_factor_after),
-                    repr(r.bill_before),
-                    repr(r.bill_after),
-                ]
-            )
+        writer = csv.DictWriter(handle, REPORT_CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_household_row(r) for r in report.rows)
     return json_path, csv_path

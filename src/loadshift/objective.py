@@ -65,8 +65,6 @@ class PeakRegressionModel:
     degree: int
     coefficients: np.ndarray  # (segment_count, degree)
     intercept: float
-    residual_sse: float | None = None
-    observations: int | None = None
 
     def __post_init__(self):
         if self.segment_count < 1 or self.degree < 1:
@@ -140,15 +138,11 @@ def fit_peak_regression(
     feat_mean = features.mean(axis=0)
     target_mean = targets.mean()
     alpha, *_ = np.linalg.lstsq(features - feat_mean, targets - target_mean, rcond=None)
-    intercept = target_mean - float(feat_mean @ alpha)
-    residuals = targets - (features @ alpha + intercept)
     return PeakRegressionModel(
         segment_count=segment_count,
         degree=degree,
         coefficients=alpha.reshape(segment_count, degree),
-        intercept=intercept,
-        residual_sse=float(np.sum(residuals**2)),
-        observations=len(curves),
+        intercept=target_mean - float(feat_mean @ alpha),
     )
 
 

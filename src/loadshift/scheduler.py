@@ -54,8 +54,9 @@ class DiscomfortWeights:
     delay_weight: float = 0.0
 
     def __post_init__(self):
-        if self.shift_weight < 0 or self.delay_weight < 0:
-            raise ParameterError("discomfort weights must be >= 0")
+        for weight in (self.shift_weight, self.delay_weight):
+            if not (np.isfinite(weight) and weight >= 0):
+                raise ParameterError("discomfort weights must be finite and >= 0")
 
 
 # ---------------------------------------------------------------- assignment
@@ -275,6 +276,14 @@ def default_blend(objective: ObjectiveCurve) -> float:
     return 0.1 * float(objective.values.mean()) ** 2
 
 
+def _blend_value(objective: ObjectiveCurve, blend: float | None) -> float:
+    """``blend``, or the objective's default when None; finite and >= 0."""
+    value = default_blend(objective) if blend is None else float(blend)
+    if not (np.isfinite(value) and value >= 0):
+        raise ParameterError(f"blend must be finite and >= 0, got {value!r}")
+    return value
+
+
 def evaluate_cost(
     assignment: ScheduleAssignment,
     objective: ObjectiveCurve,
@@ -316,9 +325,7 @@ def evaluate_cost(
         shift = int(assignment.starts[inst.instance_id]) - inst.preferred_start
         discomfort += w * abs(shift) + k * max(0, shift)
 
-    blend_value = default_blend(objective) if blend is None else float(blend)
-    if blend_value < 0:
-        raise ParameterError("blend must be >= 0")
+    blend_value = _blend_value(objective, blend)
     return CostBreakdown(
         deviation=deviation,
         discomfort=discomfort,
@@ -551,8 +558,10 @@ def solve(
 
     Raises:
         InfeasibleProblemError: any instance has no feasible start.
+        ParameterError: ``blend`` is not finite and >= 0 (checked before any search).
     """
     weights = weights or DiscomfortWeights()
+    blend = _blend_value(objective, blend)
     if pv is not None and pricing is None:
         raise ParameterError("pricing is required for PV arbitration")
 
@@ -578,7 +587,6 @@ def solve(
     fixed_curve = total_curve(fixed, preferred_starts(fixed)).values
     committed = fixed_curve if baseline is None else fixed_curve + np.asarray(baseline, dtype=float)
     residual = committed - objective.values
-    blend = default_blend(objective) if blend is None else float(blend)
     max_duration = max((i.duration_slots for i in shiftable), default=0)
 
     product = 1

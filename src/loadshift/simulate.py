@@ -50,35 +50,33 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
+# ``build_objective``'s l_min for every household: peak windows are capped
+# when the previous day's off-peak segment means sum below this (kW).
+L_MIN_KW = 2.0
+
+
 @dataclass(frozen=True)
 class RunParams:
     """Pipeline knobs shared by every household in a run.
 
-    ``history_window_days`` caps how much history feeds training and the
-    peak regression; ``online_noise_kw`` is the std-dev of the seeded noise
-    that stands in for real telemetry in online mode.  Every solve runs with
-    the default all-zero ``DiscomfortWeights``, so only deviation from the
-    objective curve is priced.
+    ``max_epochs`` caps each forecaster's LM training; ``history_window_days``
+    caps how much history feeds training and the peak regression;
+    ``online_noise_kw`` is the std-dev of the seeded noise that stands in
+    for real telemetry in online mode.  The rest of the pipeline is fixed:
+    every forecaster has lag 24 and 10 hidden units, the peak regression
+    uses 2 off-peak segments at degree 1, ``l_min`` is ``L_MIN_KW``, and
+    every solve runs with the all-zero default ``DiscomfortWeights``.
     """
 
-    lag: int = 24
-    hidden_size: int = 10
     max_epochs: int = 60
     history_window_days: int = 120
-    segment_count: int = 2
-    degree: int = 1
-    l_min: float = 2.0
     online_noise_kw: float = 0.05
 
     def __post_init__(self):
-        if self.lag < 1 or self.hidden_size < 1 or self.max_epochs < 1:
-            raise ParameterError("lag, hidden_size and max_epochs must be >= 1")
+        if self.max_epochs < 1:
+            raise ParameterError("max_epochs must be >= 1")
         if self.history_window_days < 2:
             raise ParameterError("history_window_days must be >= 2")
-        if self.segment_count < 1 or self.degree < 1:
-            raise ParameterError("segment_count and degree must be >= 1")
-        if not (np.isfinite(self.l_min) and self.l_min > 0):
-            raise ParameterError("l_min must be > 0")
         if not (np.isfinite(self.online_noise_kw) and self.online_noise_kw >= 0):
             raise ParameterError("online_noise_kw must be finite and >= 0")
 
@@ -168,9 +166,9 @@ def _usable_history(
 
 
 def _forecast_curve(history, day, params: RunParams, seed: int) -> LoadCurve:
-    series = hourly_series_from_history(history, lag=params.lag)
+    series = hourly_series_from_history(history)
     cfg = TrainingConfig(max_epochs=params.max_epochs, rng_seed=seed)
-    result, _ = fit_series(series, cfg, hidden_size=params.hidden_size)
+    result, _ = fit_series(series, cfg)
     return predict_day(result.network, series)
 
 
@@ -208,10 +206,8 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     predicted = _forecast_curve(
         history, day, params, derive_seed(seed, household.id, day, "load")
     )
-    model = fit_peak_regression(
-        history, pricing, segment_count=params.segment_count, degree=params.degree
-    )
-    objective = build_objective(predicted, pricing, model, params.l_min, history=history)
+    model = fit_peak_regression(history, pricing)
+    objective = build_objective(predicted, pricing, model, L_MIN_KW, history=history)
 
     pv = household.pv
     if pv is not None and pv.history:

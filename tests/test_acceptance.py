@@ -4,7 +4,6 @@ Each test prints a single ``ACCEPTANCE <n> PASS|FAIL`` verdict line (visible
 with ``pytest -s``) and asserts it.  Criteria with a time budget enforce it.
 """
 
-import datetime
 import itertools
 import json
 import time
@@ -38,8 +37,6 @@ from loadshift.simulate import RunParams, run_fleet
 from loadshift.synth import SyntheticRecipe, generate_fleet
 
 from conftest import make_fixed, make_pricing, make_shiftable
-
-MIDNIGHT = datetime.datetime(2025, 1, 1)
 
 
 def conclude(number: int, ok: bool, detail: str) -> None:
@@ -121,7 +118,7 @@ def fleet_50(seed=0):
 def test_1_split_exactness():
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
-    year = SeriesDataset(values=rng.uniform(0.1, 2.0, 8760), start=MIDNIGHT, lag=24)
+    year = SeriesDataset(values=rng.uniform(0.1, 2.0, 8760), lag=24)
     sizes = split_dataset(year, TrainingConfig()).sizes()
     elapsed = time.monotonic() - t0
     ok = sizes == (6132, 1314, 1314) and elapsed < 1.0
@@ -161,7 +158,7 @@ def test_2_trainer_correctness():
     values[0] = 1.0
     for t in range(1, 140):
         values[t] = 0.8 * values[t - 1]
-    ds = SeriesDataset(values=values, start=MIDNIGHT, lag=1)
+    ds = SeriesDataset(values=values, lag=1)
     x_all, y_all = ds.pairs_for_targets(np.arange(ds.lag, ds.sample_count))
     net = initialize_network(input_size=1, hidden_size=6, seed=1)
     result = train_lm(

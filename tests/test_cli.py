@@ -7,6 +7,7 @@ import pytest
 from loadshift import cli
 from loadshift.errors import InfeasibleProblemError
 from loadshift.forecast import load_network
+from loadshift.simulate import RunParams
 
 
 def generate(tmp_path, *extra):
@@ -86,6 +87,13 @@ def test_report_command_matches_the_run(tmp_path):
     assert rc == 0
     assert (redo / "report.json").read_bytes() == (out / "report.json").read_bytes()
     assert (redo / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+def test_run_flag_defaults_are_the_run_params_defaults():
+    args = cli.build_parser().parse_args(["run", "--bundle", "b", "--out", "o"])
+    defaults = RunParams()
+    assert args.epochs == defaults.max_epochs
+    assert args.history_window == defaults.history_window_days
 
 
 def test_run_online_mode_flag(tmp_path):

@@ -124,6 +124,27 @@ def test_expand_instances_names_and_count():
     assert instances[0].max_shift == spec.max_shift
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["duration_slots", "window_start", "window_end", "preferred_start", "max_shift", "count"],
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10.7, "3"])
+def test_slot_fields_must_be_whole_numbers(field, value):
+    fields = dict(
+        id="dev", kind="shiftable", power_profile=np.ones(2), duration_slots=2,
+        window_start=1, window_end=40, preferred_start=10, max_shift=4, count=1,
+    )
+    fields[field] = value
+    with pytest.raises(ParameterError, match=f"dev: {field} must be a whole number"):
+        ApplianceSpec(**fields)
+
+
+def test_whole_float_slot_fields_become_ints():
+    spec = make_shiftable(window=(1.0, 40.0), preferred=10.0)
+    assert (spec.window_start, spec.window_end, spec.preferred_start) == (1, 40, 10)
+    assert all(type(v) is int for v in (spec.window_start, spec.window_end, spec.preferred_start))
+
+
 def test_max_shift_validation():
     with pytest.raises(ParameterError, match="max_shift"):
         make_shiftable(max_shift=-1)

@@ -21,8 +21,14 @@ def test_demo_exits_0(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
+    warnings_as_errors = [
+        arg
+        for category in ("DeprecationWarning", "FutureWarning", "RuntimeWarning",
+                         "ResourceWarning")
+        for arg in ("-W", f"error::{category}")
+    ]
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, *warnings_as_errors, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -39,11 +39,8 @@ from loadshift.forecast import (
     with_params,
 )
 
-MIDNIGHT = datetime.datetime(2025, 1, 1)
-
-
-def make_series(values, lag=24, step=60):
-    return SeriesDataset(values=values, start=MIDNIGHT, step_minutes=step, lag=lag)
+def make_series(values, lag=24):
+    return SeriesDataset(values=values, lag=lag)
 
 
 def ar1_series(n, phi=0.8, y0=1.0, noise=0.0, seed=None):
@@ -83,7 +80,6 @@ def test_hourly_series_from_history():
     # hour h averages slots 2h+1 and 2h+2
     npt.assert_allclose(ds.values[:24], np.arange(48).reshape(24, 2).mean(axis=1))
     npt.assert_allclose(ds.values[24:], 1.0)
-    assert ds.start == datetime.datetime(2025, 3, 1)
 
 
 def test_hourly_series_rejects_gaps():
@@ -238,7 +234,7 @@ def test_flatten_roundtrip():
 
 
 def toy_pairs(values, lag):
-    ds = SeriesDataset(values=values, start=MIDNIGHT, lag=lag)
+    ds = SeriesDataset(values=values, lag=lag)
     return ds.pairs_for_targets(np.arange(ds.lag, ds.sample_count))
 
 
@@ -461,7 +457,7 @@ def test_non_finite_steps_fail_with_the_trace(monkeypatch):
 def test_fit_series_beats_persistence_baseline():
     # forecast skill: one-step test MSE no worse than predicting the last value
     values = ar1_series(600, phi=0.5, y0=1.0, noise=0.1, seed=13) + 2.0
-    ds = SeriesDataset(values=values, start=MIDNIGHT, lag=4)
+    ds = make_series(values, lag=4)
     result, split = fit_series(ds, TrainingConfig(max_epochs=50, rng_seed=13), hidden_size=4)
     X_test, y_test = ds.pairs_for_targets(split.test_indices)
     net = result.network
@@ -521,8 +517,7 @@ def test_predict_day_clamps_negative():
 def test_predict_day_requires_enough_history():
     net = initialize_network(input_size=24, hidden_size=3, seed=0)
     with pytest.raises(DatasetTooSmallError):
-        predict_day(net, make_series(np.ones(24), lag=24).__class__(
-            values=np.ones(12), start=MIDNIGHT, step_minutes=60, lag=24))
+        predict_day(net, make_series(np.ones(12), lag=24))
 
 
 def test_predict_day_requires_day_alignment():
@@ -574,7 +569,7 @@ def test_autocorrelation_rejects_constant_and_short():
 
 def test_network_save_load_roundtrip(tmp_path):
     values = ar1_series(120, phi=0.7, y0=1.0, noise=0.05, seed=21) + 1.0
-    ds = SeriesDataset(values=values, start=MIDNIGHT, lag=3)
+    ds = make_series(values, lag=3)
     result, _ = fit_series(ds, TrainingConfig(max_epochs=10, rng_seed=21), hidden_size=3)
     path = tmp_path / "net.json"
     save_network(result.network, path, seed=21, config=TrainingConfig(max_epochs=10, rng_seed=21))

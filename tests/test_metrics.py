@@ -10,6 +10,7 @@ import pytest
 from loadshift.core import LoadCurve
 from loadshift.metrics import (
     PERIOD_LABELS,
+    REPORT_CSV_COLUMNS,
     compute_metrics,
     period_label,
     report_to_dict,
@@ -201,9 +202,12 @@ def test_written_report_round_trips(tmp_path):
     assert [h["household"] for h in doc["households"]] == ["h1", "h2"]
     assert doc["fleet"]["day_count"] == 2
     assert len(doc["periods"]) == 6
+    assert all(set(h) == set(REPORT_CSV_COLUMNS) for h in doc["households"])
 
     with csv_path.open() as handle:
-        rows = list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    assert tuple(reader.fieldnames) == REPORT_CSV_COLUMNS
     assert len(rows) == 2
     assert float(rows[0]["peak_kwh_before"]) == report.rows[0].peak_kwh_before
     assert float(rows[1]["bill_after"]) == report.rows[1].bill_after

@@ -90,7 +90,8 @@ def test_fit_no_worse_than_mean_model():
     model = fit_peak_regression(days, pricing, segment_count=2, degree=2)
     peaks = np.array([d.values[pricing.peak_mask()].max() for d in days])
     mean_sse = float(np.sum((peaks - peaks.mean()) ** 2))
-    assert model.residual_sse <= mean_sse + 1e-12
+    fitted = [model.evaluate(off_peak_segment_means(d, pricing, 2)) for d in days]
+    assert float(np.sum((peaks - fitted) ** 2)) <= mean_sse + 1e-12
 
 
 def test_fit_needs_enough_days():

@@ -895,7 +895,29 @@ def test_assignment_export_schema():
 
 
 def test_discomfort_weights_validation():
-    with pytest.raises(ParameterError):
-        DiscomfortWeights(shift_weight=-0.1)
-    with pytest.raises(ParameterError):
-        DiscomfortWeights(delay_weight=-0.1)
+    for field in ("shift_weight", "delay_weight"):
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="finite and >= 0"):
+                DiscomfortWeights(**{field: value})
+
+
+@pytest.mark.parametrize("blend", [float("nan"), float("inf"), -1.0])
+def test_evaluate_cost_rejects_a_bad_blend(blend):
+    inst = make_instance("wash", duration=2, preferred=10)
+    with pytest.raises(ParameterError, match="blend must be finite and >= 0"):
+        evaluate_cost(
+            ScheduleAssignment({"wash": 10}), make_objective(np.ones(48)),
+            DiscomfortWeights(), [inst], blend=blend,
+        )
+
+
+@pytest.mark.parametrize("blend", [float("nan"), float("inf"), -1.0])
+def test_solve_rejects_a_bad_blend_before_searching(blend, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before blend was checked")
+
+    monkeypatch.setattr(scheduler, "_enumerate_exact", no_search)
+    monkeypatch.setattr(scheduler, "_local_search", no_search)
+    inst = make_instance("wash", duration=2, preferred=10)
+    with pytest.raises(ParameterError, match="blend must be finite and >= 0"):
+        solve([inst], make_objective(np.ones(48)), blend=blend)

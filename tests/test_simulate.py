@@ -239,8 +239,8 @@ def test_fleet_config_rejects_bad_days():
 def test_run_params_validation():
     with pytest.raises(ParameterError):
         RunParams(max_epochs=0)
-    with pytest.raises(ParameterError):
-        RunParams(l_min=-1.0)
+    with pytest.raises(ParameterError, match="history_window_days"):
+        RunParams(history_window_days=1)
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="online_noise_kw must be finite and >= 0"):
             RunParams(online_noise_kw=noise)
