@@ -18,7 +18,7 @@ fleet = generate_fleet(recipe, seed=7)
 print(f"{len(fleet.households)} households, tariff peak windows {fleet.pricing.peak_windows}")
 
 params = RunParams(max_epochs=25, history_window_days=30)
-results = run_fleet(fleet, params, seed=0, workers=2)
+results = run_fleet(fleet, params, seed=0)
 
 report = compute_metrics(results, fleet.pricing)
 agg = report.fleet

@@ -124,7 +124,7 @@ def _cmd_run(args) -> int:
     params = RunParams(max_epochs=args.epochs, history_window_days=args.history_window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the fleet runs
-    results = run_fleet(config, params, seed=args.seed, workers=args.workers)
+    results = run_fleet(config, params, seed=args.seed)
 
     doc = _results_doc(config, results, args.seed)
     (out / "results.json").write_text(
@@ -160,7 +160,7 @@ def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
             prices=np.array(doc["pricing"]["prices"], dtype=float),
             peak_windows=tuple(tuple(w) for w in doc["pricing"]["peak_windows"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad pricing: {exc}") from exc
     mode = doc["mode"]
     results = []
@@ -191,7 +191,7 @@ def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
                     predicted=predicted,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad result row: {exc}") from exc
     return tuple(results), pricing, mode
 
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", default=None,
                    help="comma-separated YYYY-MM-DD list overriding the bundle's days")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--epochs", type=int, default=RunParams.max_epochs)
     p.add_argument("--history-window", type=int, default=RunParams.history_window_days,
                    dest="history_window")

@@ -49,10 +49,6 @@ class LoadCurve:
             raise ParameterError("load curve contains negative power")
         object.__setattr__(self, "values", _readonly(arr))
 
-    @classmethod
-    def zeros(cls) -> "LoadCurve":
-        return cls(np.zeros(SLOT_COUNT))
-
     def energy_kwh(self) -> float:
         """Total energy under the curve for the day."""
         return float(self.values.sum() * SLOT_HOURS)
@@ -75,6 +71,17 @@ class DailyRecord:
             raise FormatError(f"day must be a date, got {type(self.day).__name__}")
         if not isinstance(self.curve, LoadCurve):
             object.__setattr__(self, "curve", LoadCurve(self.curve))
+
+
+def _whole_number(value, least: int, name: str) -> int:
+    """``value`` as an int; ParameterError naming ``name`` unless a whole number >= ``least``."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise ParameterError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return whole
 
 
 # ApplianceSpec's integer fields and their least values; the window is also
@@ -117,16 +124,7 @@ class ApplianceSpec:
         if self.kind not in APPLIANCE_KINDS:
             raise ParameterError(f"appliance {self.id}: unknown kind {self.kind!r}")
         for name, least in _WHOLE_FIELD_MINIMUMS.items():
-            value = getattr(self, name)
-            try:
-                whole = int(value)
-            except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
-                whole = None
-            if whole is None or whole != value or whole < least:
-                raise ParameterError(
-                    f"appliance {self.id}: {name} must be a whole number >= {least}, "
-                    f"got {value!r}"
-                )
+            whole = _whole_number(getattr(self, name), least, f"appliance {self.id}: {name}")
             object.__setattr__(self, name, whole)
 
         profile = np.asarray(self.power_profile, dtype=float)
@@ -169,7 +167,6 @@ class ApplianceInstance:
     """One schedulable run of an appliance (specs with count > 1 expand to many)."""
 
     instance_id: str
-    type_id: str
     kind: str
     power_profile: np.ndarray
     duration_slots: int
@@ -194,7 +191,6 @@ def expand_instances(specs: Sequence[ApplianceSpec]) -> tuple[ApplianceInstance,
             instances.append(
                 ApplianceInstance(
                     instance_id=name,
-                    type_id=spec.id,
                     kind=spec.kind,
                     power_profile=spec.power_profile,
                     duration_slots=spec.duration_slots,
@@ -232,7 +228,11 @@ class PricingSignal:
             raise ParameterError("prices must be finite and > 0")
         object.__setattr__(self, "prices", _readonly(prices))
 
-        windows = tuple(sorted((int(a), int(b)) for a, b in self.peak_windows))
+        windows = []
+        for a, b in self.peak_windows:
+            name = f"peak window [{a!r},{b!r}] bound"
+            windows.append((_whole_number(a, 1, name), _whole_number(b, 1, name)))
+        windows = tuple(sorted(windows))
         for start, end in windows:
             if not (1 <= start <= end <= SLOT_COUNT):
                 raise ParameterError(f"peak window [{start},{end}] outside the day")

@@ -654,7 +654,7 @@ def network_from_dict(doc: dict) -> NarNetwork:
         b_out = float(params["b_out"])
         norm = doc["normalization"]
         lo, hi = float(norm["min"]), float(norm["max"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed network document: {exc}") from exc
     if w_in.shape != (h * d,):
         raise FormatError(f"w_in needs {h * d} entries, got {w_in.size}")

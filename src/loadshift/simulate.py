@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +29,9 @@ from .core import (
 )
 from .errors import (
     DatasetTooSmallError,
-    InfeasibleProblemError,
     LoadshiftError,
     ParameterError,
     TemporalConsistencyError,
-    TrainingFailedError,
 )
 from .forecast import TrainingConfig, fit_series, hourly_series_from_history, predict_day
 from .objective import ObjectiveCurve, build_objective, fit_peak_regression, update_online
@@ -140,15 +137,6 @@ class DayResult:
     predicted: LoadCurve
 
 
-def _with_context(exc: LoadshiftError, context: str) -> LoadshiftError:
-    message = f"{context}: {exc}"
-    if isinstance(exc, InfeasibleProblemError):
-        return InfeasibleProblemError(message, offenders=exc.offenders)
-    if isinstance(exc, TrainingFailedError):
-        return TrainingFailedError(message, trace=exc.trace)
-    return type(exc)(message)
-
-
 def _usable_history(
     records, day: datetime.date, window_days: int
 ) -> tuple[DailyRecord, ...]:
@@ -183,8 +171,8 @@ def run_day(
     """Run the forecast -> objective -> schedule pipeline for one day.
 
     Raises:
-        LoadshiftError subclasses from the underlying modules, re-raised with
-        the household id and day prefixed to the message.
+        LoadshiftError subclasses from the underlying modules, with the
+        household id and day prefixed to the message in place.
     """
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
@@ -193,7 +181,8 @@ def run_day(
     try:
         return _run_day(household, day, pricing, mode, params, seed)
     except LoadshiftError as exc:
-        raise _with_context(exc, context) from exc
+        exc.args = (f"{context}: {exc}",)
+        raise
 
 
 def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
@@ -289,25 +278,16 @@ def run_fleet(
     config: FleetConfig,
     params: RunParams | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> tuple[DayResult, ...]:
     """Simulate every household over every configured day.
 
-    Households are independent, so with ``workers > 1`` they run in a thread
-    pool; results are merged in (household, day) order either way.
+    Results are sorted by (household id, day), whatever the order of
+    ``config.households``.
     """
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
     params = params or RunParams()
-    jobs = [(h, day) for h in config.households for day in config.days]
-
-    def one(job):
-        household, day = job
-        return run_day(household, day, config.pricing, config.mode, params, seed)
-
-    if workers == 1 or len(jobs) == 1:
-        results = [one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
+    results = [
+        run_day(household, day, config.pricing, config.mode, params, seed)
+        for household in config.households
+        for day in config.days
+    ]
     return tuple(sorted(results, key=lambda r: (r.household_id, r.day)))

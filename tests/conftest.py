@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from loadshift.core import ApplianceSpec, PricingSignal
 
@@ -48,6 +49,29 @@ def make_fixed(id="base", power=0.5, duration=4, start=1):
         preferred_start=start,
         max_shift=0,
     )
+
+
+# any JSON value, for replacing one value of a document
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def value_slots(node, field=()):
+    """(field, container, key) for every value nested anywhere in a JSON document.
+
+    ``field`` is the path of object keys down to the value; list indices are
+    left out, so every element of one list shares its list's field.
+    """
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        here = field + (key,) if isinstance(node, dict) else field
+        yield here, node, key
+        if isinstance(value, (dict, list)):
+            yield from value_slots(value, here)
 
 
 @pytest.fixture

@@ -252,7 +252,7 @@ def test_7_fleet_improves_without_harming_anyone():
     fleet = fleet_50()
     # no-harm property is stated for zero discomfort weights, which every
     # pipeline solve uses
-    results = run_fleet(fleet, RunParams(), seed=0, workers=4)
+    results = run_fleet(fleet, RunParams(), seed=0)
     report = compute_metrics(results, fleet.pricing)
 
     reduction = report.fleet.peak_reduction_pct

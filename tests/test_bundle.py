@@ -34,7 +34,7 @@ from loadshift.core import DailyRecord, LoadCurve
 from loadshift.errors import FormatError, LoadshiftError
 from loadshift.synth import SyntheticRecipe, generate_fleet
 
-from conftest import make_fixed, make_pricing, make_shiftable
+from conftest import json_values, make_fixed, make_pricing, make_shiftable, value_slots
 
 
 def tiny_fleet(seed=11, households=2):
@@ -626,23 +626,6 @@ def clean_bundle(tmp_path_factory):
     return save_bundle(tiny_fleet(), tmp_path_factory.mktemp("clean") / "bundle")
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def _value_slots(node):
-    """(container, key) for every value nested anywhere in a JSON document."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, value in items:
-        yield node, key
-        if isinstance(value, (dict, list)):
-            yield from _value_slots(value)
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_bundle_loads_or_raises_a_loadshift_error(clean_bundle, data):
@@ -651,7 +634,7 @@ def test_mutated_bundle_loads_or_raises_a_loadshift_error(clean_bundle, data):
         kind = data.draw(st.sampled_from(["manifest value", "truncate", "append"]))
         if kind == "manifest value":
             doc = json.loads((root / "manifest.json").read_text())
-            node, key = data.draw(st.sampled_from(list(_value_slots(doc))))
+            _, node, key = data.draw(st.sampled_from(list(value_slots(doc))))
             old = node[key]
             node[key] = data.draw(json_values.filter(lambda v: type(v) is not type(old)))
             (root / "manifest.json").write_text(json.dumps(doc))

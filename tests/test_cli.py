@@ -1,13 +1,19 @@
 """Command line behaviour: wiring, files written, and the exit-code contract."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshift import cli
 from loadshift.errors import InfeasibleProblemError
 from loadshift.forecast import load_network
 from loadshift.simulate import RunParams
+
+from conftest import json_values, value_slots
 
 
 def generate(tmp_path, *extra):
@@ -101,7 +107,7 @@ def test_run_online_mode_flag(tmp_path):
     out = tmp_path / "out"
     rc = cli.main(
         ["run", "--bundle", str(bundle), "--out", str(out), "--seed", "1",
-         "--epochs", "10", "--mode", "online", "--workers", "2"]
+         "--epochs", "10", "--mode", "online"]
     )
     assert rc == 0
     doc = json.loads((out / "results.json").read_text())
@@ -250,6 +256,12 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def _results_bytes(peak_windows=(), prices=(1.0,) * 48, results=()):
+    return json.dumps({"format_version": 1, "mode": "offline", "results": list(results),
+                       "pricing": {"prices": list(prices),
+                                   "peak_windows": list(peak_windows)}}).encode()
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -274,9 +286,17 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
                         "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
             "household id None is not a string",
         ),
+        (_results_bytes(peak_windows=[[float("inf"), 44]]), "bad pricing: peak window"),
+        (_results_bytes(peak_windows=[[35.5, 44]]), "bad pricing: peak window"),
+        (_results_bytes(prices=[10**400] + [1.0] * 47), "bad pricing"),
+        (
+            _results_bytes(results=[{"household": "h1", "predicted": [10**400] + [0.0] * 47}]),
+            "bad result row",
+        ),
     ],
     ids=["invalid-utf8", "top-level-number", "pricing-without-prices", "results-not-a-list",
-         "integer-household", "null-household"],
+         "integer-household", "null-household", "infinite-window", "fractional-window",
+         "huge-int-price", "huge-int-curve"],
 )
 def test_report_rejects_malformed_results_with_exit_2(tmp_path, capsys, content, message):
     bad = tmp_path / "results.json"
@@ -286,6 +306,39 @@ def test_report_rejects_malformed_results_with_exit_2(tmp_path, capsys, content,
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
     assert not (tmp_path / "o").exists()
+
+
+# JSON numbers that are not whole, or that int() or float() cannot convert
+EDGE_NUMBERS = (float("inf"), float("-inf"), float("nan"), 35.5, 10**400)
+
+
+@pytest.fixture(scope="module")
+def results_text(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("results")
+    bundle = generate(tmp, "--households", "1")
+    assert cli.main(
+        ["run", "--bundle", str(bundle), "--out", str(tmp / "out"), "--epochs", "3"]
+    ) == 0
+    return (tmp / "out" / "results.json").read_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_results_report_or_exit_2(results_text, data):
+    doc = json.loads(results_text)
+    # drawing the field first keeps the few peak-window bounds from being
+    # lost among the hundreds of curve values
+    slots = {}
+    for field, node, key in value_slots(doc):
+        slots.setdefault(field, []).append((node, key))
+    field = data.draw(st.sampled_from(sorted(slots)))
+    node, key = data.draw(st.sampled_from(slots[field]))
+    node[key] = data.draw(json_values | st.sampled_from(EDGE_NUMBERS))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "results.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["report", "--results", str(path), "--out", str(Path(scratch) / "o")])
+    assert rc in (0, 2)
 
 
 def test_report_out_naming_a_file_exits_2(tmp_path, capsys):

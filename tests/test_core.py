@@ -120,7 +120,6 @@ def test_expand_instances_names_and_count():
     single = make_shiftable(id="iron", count=1)
     instances = expand_instances([spec, single])
     assert [i.instance_id for i in instances] == ["washer#1", "washer#2", "washer#3", "iron"]
-    assert all(i.type_id == "washer" for i in instances[:3])
     assert instances[0].max_shift == spec.max_shift
 
 
@@ -268,14 +267,14 @@ def test_load_factor_scale_invariant():
 
 def test_load_factor_zero_curve_undefined():
     with pytest.raises(UndefinedMetricError):
-        load_factor(LoadCurve.zeros())
+        load_factor(LoadCurve(np.zeros(48)))
 
 
 # ---------------------------------------------------------------- billing
 
 
 def test_bill_zero_curve():
-    assert bill(LoadCurve.zeros(), make_pricing()) == 0.0
+    assert bill(LoadCurve(np.zeros(48)), make_pricing()) == 0.0
 
 
 def test_bill_flat_curve_flat_price():
@@ -317,6 +316,12 @@ def test_pricing_validation():
         PricingSignal(prices=np.full(48, 0.1), peak_windows=((0, 5),))
     with pytest.raises(FormatError):
         PricingSignal(prices=np.full(24, 0.1), peak_windows=())
+
+
+@pytest.mark.parametrize("bound", [35.7, float("nan"), float("inf"), "35", None])
+def test_peak_window_bounds_must_be_whole_numbers(bound):
+    with pytest.raises(ParameterError, match=r"peak window \[.*\] bound must be a whole number"):
+        PricingSignal(prices=np.full(48, 0.1), peak_windows=((bound, 44),))
 
 
 def test_pricing_peak_mask():

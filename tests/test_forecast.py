@@ -591,3 +591,7 @@ def test_network_load_verifies_counts(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         load_network(path)
+    doc["input_size"] = float("inf")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="malformed network document"):
+        load_network(path)

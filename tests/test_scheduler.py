@@ -62,7 +62,6 @@ def make_instance(
 ):
     return ApplianceInstance(
         instance_id=instance_id,
-        type_id=instance_id.split("#")[0],
         kind=kind,
         power_profile=np.full(duration, float(power)),
         duration_slots=duration,

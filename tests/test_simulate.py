@@ -1,14 +1,21 @@
 """Pipeline harness: run_day/run_fleet semantics, determinism, online replay."""
 
+import dataclasses
 import datetime
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadshift import simulate
+from loadshift import forecast, simulate
 from loadshift.core import DailyRecord, Household, LoadCurve, split_consumption, total_curve
-from loadshift.errors import DatasetTooSmallError, ParameterError, TemporalConsistencyError
+from loadshift.errors import (
+    DatasetTooSmallError,
+    InfeasibleProblemError,
+    ParameterError,
+    TemporalConsistencyError,
+    TrainingFailedError,
+)
 from loadshift.scheduler import validate_assignment
 from loadshift.simulate import FleetConfig, RunParams, derive_seed, run_day, run_fleet
 from loadshift.synth import SyntheticRecipe, generate_fleet
@@ -112,19 +119,11 @@ def test_run_fleet_is_deterministic():
         assert np.array_equal(ra.assignment.pv_flags, rb.assignment.pv_flags)
 
 
-def test_worker_count_does_not_change_results():
-    fleet = small_fleet()
-    serial = run_fleet(fleet, FAST, seed=5, workers=1)
-    threaded = run_fleet(fleet, FAST, seed=5, workers=4)
-    for ra, rb in zip(serial, threaded):
-        assert (ra.household_id, ra.day) == (rb.household_id, rb.day)
-        assert ra.assignment.starts == rb.assignment.starts
-        assert np.array_equal(ra.after.values, rb.after.values)
-
-
 def test_results_come_back_sorted():
     fleet = small_fleet()
-    results = run_fleet(fleet, FAST, seed=5, workers=4)
+    fleet = dataclasses.replace(fleet, households=fleet.households[::-1])
+    assert [h.id for h in fleet.households] == ["h002", "h001"]
+    results = run_fleet(fleet, FAST, seed=5)
     keys = [(r.household_id, r.day) for r in results]
     assert keys == sorted(keys)
 
@@ -222,8 +221,33 @@ def test_mode_and_worker_validation():
             fleet.households[0], fleet.days[0], fleet.pricing, mode="sideways",
             params=FAST,
         )
-    with pytest.raises(ParameterError, match="workers"):
-        run_fleet(fleet, FAST, workers=0)
+
+
+def _no_feasible_start(*args, **kwargs):
+    raise InfeasibleProblemError("no feasible start", offenders=("wash",))
+
+
+def test_run_day_labels_errors_in_place(monkeypatch):
+    household = Household(
+        id="h1",
+        appliances=(make_shiftable(id="wash", power=1.0, duration=3, preferred=38),),
+        pv=None,
+        history=flat_history(10),
+    )
+    day = datetime.date(2025, 5, 11)
+    monkeypatch.setattr(simulate, "solve", _no_feasible_start)
+    with pytest.raises(InfeasibleProblemError) as info:
+        run_day(household, day, make_pricing(), params=FAST)
+    assert str(info.value) == "h1 2025-05-11: no feasible start"
+    assert info.value.offenders == ("wash",)
+
+    monkeypatch.setattr(
+        forecast, "damped_step", lambda jtj, jtr, damping: np.full_like(jtr, np.nan)
+    )
+    with pytest.raises(TrainingFailedError) as info:
+        run_day(household, day, make_pricing(), params=FAST)
+    assert str(info.value).startswith("h1 2025-05-11: damped normal equations")
+    assert len(info.value.trace) == 1 and np.isfinite(info.value.trace[0])
 
 
 def test_fleet_config_rejects_bad_days():
