@@ -48,7 +48,6 @@ objective = ObjectiveCurve(
     values=np.full(48, 0.45),
     mode="offline",
     provenance=("predicted",) * 48,
-    predicted=None,
 )
 weights = DiscomfortWeights(shift_weight=0.01, delay_weight=0.005)
 

@@ -2,7 +2,10 @@
 
 The objective keeps the forecast's total energy but moves it toward cheap
 slots; during peak windows it is capped from a regression on historical
-peak/off-peak behaviour whenever yesterday's off-peak usage was low.
+peak/off-peak behaviour whenever yesterday's off-peak usage was low.  The
+mid-day refresh rebuilds the curve from the same day-ahead inputs plus the
+consumption realized so far: elapsed slots take their realized values, and
+the cap is conditioned on yesterday's curve with that prefix overlaid.
 """
 
 import numpy as np
@@ -34,7 +37,8 @@ model = fit_peak_regression(history, pricing, segment_count=2, degree=1)
 print(f"peak regression: intercept {model.intercept:.3f}, coeffs {np.round(model.coefficients, 3)}")
 
 predicted = LoadCurve(values=history[-1].values)  # stand-in for a forecast
-objective = build_objective(predicted, pricing, model, l_min=2.0, history=history)
+l_min = 2.0
+objective = build_objective(predicted, pricing, model, l_min, history=history)
 
 print(f"predicted energy {predicted.energy_kwh():.2f} kWh, objective {objective.energy_kwh():.2f} kWh")
 print(f"provenance flags in use: {sorted(set(objective.provenance))}")
@@ -44,9 +48,9 @@ off = np.ones(48, bool)
 off[peak] = False
 print(f"off-peak mean:   predicted {predicted.values[off].mean():.2f} kW -> objective {objective.values[off].mean():.2f} kW")
 
-# mid-day refresh: the morning ran 20% hotter than forecast
+# mid-day refresh: the morning ran 20% hotter than forecast; slot 25 is next
 realized = predicted.values[:24] * 1.2
-updated = update_online(objective, realized, pricing, slot_now=25)
+updated = update_online(predicted, pricing, model, l_min, history, realized)
 print(f"\nafter online update at slot 25 (morning +20%):")
 print(f"  frozen prefix matches telemetry: {np.array_equal(updated.values[:24], realized)}")
 print(f"  remaining budget shrank: {objective.values[24:].sum():.2f} -> {updated.values[24:].sum():.2f} kW summed")

@@ -54,9 +54,9 @@ def _cmd_train(args) -> int:
             raise FormatError(f"{out}: {out.parent} is not a directory")
     fleet = load_bundle(args.bundle)
     household = fleet.household(args.household)
-    series = hourly_series_from_history(household.history, lag=args.lag)
+    series = hourly_series_from_history(household.history)
     cfg = TrainingConfig(max_epochs=args.epochs, rng_seed=args.seed)
-    result, _ = fit_series(series, cfg, hidden_size=args.hidden)
+    result, _ = fit_series(series, cfg)
     if args.out:
         save_network(result.network, args.out, seed=args.seed, config=cfg)
     print(
@@ -168,7 +168,6 @@ def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
         try:
             if not isinstance(row["household"], str):
                 raise TypeError(f"household id {row['household']!r} is not a string")
-            predicted = LoadCurve(np.array(row["predicted"], dtype=float))
             assignment = row["assignment"]
             starts = {a["id"]: a["scheduled_start"] for a in assignment["appliances"]}
             results.append(
@@ -186,9 +185,8 @@ def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
                         values=np.array(row["objective"], dtype=float),
                         mode=row["objective_mode"],
                         provenance=tuple(row["objective_provenance"]),
-                        predicted=predicted,
                     ),
-                    predicted=predicted,
+                    predicted=LoadCurve(np.array(row["predicted"], dtype=float)),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -239,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="where to save the network JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--hidden", type=int, default=10)
-    p.add_argument("--lag", type=int, default=24)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("run", help="simulate a bundle and write results + report")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SLOT_COUNT, SLOT_MINUTES, DailyRecord, LoadCurve
+from .core import SLOT_COUNT, SLOT_MINUTES, DailyRecord, LoadCurve, _whole_number
 from .errors import (
     DatasetTooSmallError,
     FormatError,
@@ -117,8 +117,7 @@ class TrainingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ParameterError("max_epochs must be >= 1")
+        object.__setattr__(self, "max_epochs", _whole_number(self.max_epochs, 1, "max_epochs"))
 
 
 # ---------------------------------------------------------------- network

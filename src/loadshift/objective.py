@@ -4,8 +4,11 @@ The curve follows the predicted load, reshaped off-peak inversely to prices
 (cheap slots attract energy) and, when recent off-peak usage falls below the
 required minimum ``l_min``, capped during peak windows at the maximum
 permitted level given by a peak/off-peak regression.  Offline mode builds the
-day-ahead curve; online mode freezes elapsed slots to realized values and
-rebuilds the rest from the remaining energy budget every half hour.
+day-ahead curve.  Online mode rebuilds it every half hour from the same
+day-ahead inputs plus the realized prefix: elapsed slots take their realized
+values, the rest share the remaining energy budget, and the cap is
+conditioned on the last history day with that prefix overlaid.  One builder
+serves both modes; the day-ahead curve is the case of an empty prefix.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal
-from .errors import (
-    DegenerateRegressionError,
-    FormatError,
-    ParameterError,
-    TemporalConsistencyError,
-)
+from .errors import DegenerateRegressionError, FormatError, ParameterError
 
 PROVENANCE_FLAGS = ("predicted", "capped", "realized")
 
@@ -151,22 +149,17 @@ def fit_peak_regression(
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveCurve:
-    """The target consumption curve plus everything needed to update it.
+    """The target consumption curve the scheduler tracks.
 
     ``provenance`` records, per slot, whether the value came from the
     (reshaped) prediction, the peak cap, or (in online mode) the realized
-    consumption of an elapsed slot.  The prediction, regression model,
-    ``l_min`` and conditioning curve ride along so online updates need only
-    the realized data and the latest prices.
+    consumption of an elapsed slot.  The curve holds no inputs of its own
+    refresh: :func:`update_online` takes the day-ahead inputs again.
     """
 
     values: np.ndarray
     mode: str
     provenance: tuple[str, ...]
-    predicted: LoadCurve
-    model: PeakRegressionModel | None = None
-    l_min: float | None = None
-    condition_base: LoadCurve | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -189,45 +182,65 @@ class ObjectiveCurve:
         return float(self.values.sum() * SLOT_HOURS)
 
 
-def _compose(
-    predicted: np.ndarray,
+def _build(
+    predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
     l_min: float,
-    condition_means: np.ndarray | None,
-    first_index: int,
-    budget_kwh: float,
-    frozen: np.ndarray | None,
-) -> tuple[np.ndarray, list[str]]:
-    """Build objective values for slots >= first_index with a fixed prefix.
+    history: Sequence[LoadCurve | DailyRecord],
+    realized: Sequence[float],
+    mode: str,
+) -> ObjectiveCurve:
+    """The one objective builder: a realized prefix, then the rebuilt slots.
 
-    ``budget_kwh`` is the energy to place on the rebuilt slots.  Peak slots
-    take the cap (when the condition binds) or the prediction; off-peak slots
-    share the remaining budget proportionally to prediction/price.
+    The first ``len(realized)`` slots take the realized values.  The rest
+    share the remaining energy budget (predicted total minus realized
+    energy): peak slots take the cap (when the condition binds) or the
+    prediction; off-peak slots split what is left proportionally to
+    prediction/price.  The cap condition reads only the last history day,
+    with the realized prefix overlaid; with no history it never binds.  The
+    day-ahead curve is the case of an empty prefix.
     """
+    if not np.isfinite(l_min) or l_min <= 0:
+        raise ParameterError("l_min must be > 0")
+    realized = np.asarray(realized, dtype=float)
+    if realized.ndim != 1 or realized.size >= SLOT_COUNT:
+        raise FormatError(
+            f"realized data must be one value per elapsed slot, fewer than "
+            f"{SLOT_COUNT}, got shape {realized.shape}"
+        )
+    if not np.all(np.isfinite(realized)) or np.any(realized < 0):
+        raise FormatError("realized values must be finite and >= 0")
+
+    first_index = realized.size
+    budget_kwh = max(predicted.energy_kwh() - realized.sum() * SLOT_HOURS, 0.0)
     values = np.zeros(SLOT_COUNT)
     provenance = ["predicted"] * SLOT_COUNT
-    if frozen is not None and first_index > 0:
-        values[:first_index] = frozen
-        provenance[:first_index] = ["realized"] * first_index
+    values[:first_index] = realized
+    provenance[:first_index] = ["realized"] * first_index
 
     future = np.arange(SLOT_COUNT) >= first_index
     peak_mask = pricing.peak_mask()
-    cap_binds = condition_means is not None and float(condition_means.sum()) < l_min
-
     peak_future = peak_mask & future
-    if cap_binds:
-        cap_value = max(model.evaluate(condition_means), 0.0)
-        values[peak_future] = cap_value
+    cap = None
+    if history:
+        last = history[-1]
+        condition = (last.curve if isinstance(last, DailyRecord) else last).values.copy()
+        condition[:first_index] = realized
+        condition_means = off_peak_segment_means(condition, pricing, model.segment_count)
+        if float(condition_means.sum()) < l_min:
+            cap = max(model.evaluate(condition_means), 0.0)
+    if cap is not None:
+        values[peak_future] = cap
         for idx in np.flatnonzero(peak_future):
             provenance[idx] = "capped"
     else:
-        values[peak_future] = predicted[peak_future]
+        values[peak_future] = predicted.values[peak_future]
 
     off_future = ~peak_mask & future
     energy_off = max(budget_kwh - values[peak_future].sum() * SLOT_HOURS, 0.0)
     if np.any(off_future):
-        base = predicted[off_future] / pricing.prices[off_future]
+        base = predicted.values[off_future] / pricing.prices[off_future]
         base_energy = base.sum() * SLOT_HOURS
         if base_energy > 0:
             values[off_future] = base * (energy_off / base_energy)
@@ -235,7 +248,7 @@ def _compose(
             # prediction is zero off-peak: fall back to pure inverse-price weights
             inverse = 1.0 / pricing.prices[off_future]
             values[off_future] = energy_off * (inverse / inverse.sum()) / SLOT_HOURS
-    return values, provenance
+    return ObjectiveCurve(values=values, mode=mode, provenance=tuple(provenance))
 
 
 def build_objective(
@@ -264,110 +277,35 @@ def build_objective(
     Raises:
         ParameterError: ``l_min <= 0``.
     """
-    if not np.isfinite(l_min) or l_min <= 0:
-        raise ParameterError("l_min must be > 0")
-    condition_base = None
-    condition_means = None
-    curves = _history_curves(history)
-    if curves:
-        condition_base = curves[-1]
-        condition_means = off_peak_segment_means(
-            condition_base, pricing, model.segment_count
-        )
-    values, provenance = _compose(
-        predicted.values,
-        pricing,
-        model,
-        l_min,
-        condition_means,
-        first_index=0,
-        budget_kwh=predicted.energy_kwh(),
-        frozen=None,
-    )
-    return ObjectiveCurve(
-        values=values,
-        mode="offline",
-        provenance=tuple(provenance),
-        predicted=predicted,
-        model=model,
-        l_min=float(l_min),
-        condition_base=condition_base,
-    )
+    return _build(predicted, pricing, model, l_min, history, (), "offline")
 
 
 def update_online(
-    current: ObjectiveCurve,
-    realized_so_far: Sequence[float],
+    predicted: LoadCurve,
     pricing: PricingSignal,
-    slot_now: int,
+    model: PeakRegressionModel,
+    l_min: float,
+    history: Sequence[LoadCurve | DailyRecord],
+    realized_so_far: Sequence[float],
 ) -> ObjectiveCurve:
     """Half-hourly objective refresh: freeze the past, rebuild the future.
 
-    Slots before ``slot_now`` take their realized values; slots from
-    ``slot_now`` on are rebuilt like :func:`build_objective` but with the
-    remaining energy budget (predicted total minus realized energy) and the
-    latest prices.  The cap condition is re-evaluated on the conditioning
-    curve with the realized prefix overlaid.  The regression model and
-    ``l_min`` are the ones stored on ``current``.
+    The curve is rebuilt from the day-ahead inputs of :func:`build_objective`
+    plus the realized prefix.  Slots ``1 .. len(realized_so_far)`` take their
+    realized values; the later slots are rebuilt with the remaining energy
+    budget (predicted total minus realized energy) and ``pricing``.  The cap
+    is conditioned on the last history day with the realized prefix
+    overlaid; with no history it stays off.
 
     Args:
-        current: the curve being updated (offline or a previous online one).
-        realized_so_far: consumption of slots ``1 .. slot_now - 1``.
-        pricing: latest tariff.
-        slot_now: the slot about to begin, in 1..48.
+        predicted, pricing, model, l_min, history: as for
+            :func:`build_objective`.
+        realized_so_far: consumption of the elapsed slots, 0 to 47 values;
+            the slot about to begin is ``len(realized_so_far) + 1``.
 
     Raises:
-        TemporalConsistencyError: realized length != slot_now - 1.
-        ParameterError: ``slot_now`` outside 1..48, or ``current`` carries no
-            model or no positive ``l_min``.
+        FormatError: realized data not a 1-D array of fewer than 48 finite
+            values >= 0.
+        ParameterError: ``l_min <= 0``.
     """
-    if not 1 <= slot_now <= SLOT_COUNT:
-        raise ParameterError(f"slot_now {slot_now} outside 1..{SLOT_COUNT}")
-    realized = np.asarray(realized_so_far, dtype=float)
-    if realized.shape != (slot_now - 1,):
-        raise TemporalConsistencyError(
-            f"realized data must cover slots 1..{slot_now - 1} exactly, "
-            f"got {realized.size} values"
-        )
-    if realized.size and (not np.all(np.isfinite(realized)) or np.any(realized < 0)):
-        raise FormatError("realized values must be finite and >= 0")
-
-    model = current.model
-    if model is None:
-        raise ParameterError("no regression model available for the update")
-    l_min = current.l_min
-    if l_min is None or not np.isfinite(l_min) or l_min <= 0:
-        raise ParameterError("l_min must be > 0")
-
-    first_index = slot_now - 1
-    predicted = current.predicted
-    budget = max(predicted.energy_kwh() - realized.sum() * SLOT_HOURS, 0.0)
-
-    condition_base = current.condition_base
-    if condition_base is None and first_index > 0:
-        condition_base = predicted
-    condition_means = None
-    if condition_base is not None:
-        cond_values = condition_base.values.copy()
-        cond_values[:first_index] = realized
-        condition_means = off_peak_segment_means(cond_values, pricing, model.segment_count)
-
-    values, provenance = _compose(
-        predicted.values,
-        pricing,
-        model,
-        l_min,
-        condition_means,
-        first_index=first_index,
-        budget_kwh=budget,
-        frozen=realized,
-    )
-    return ObjectiveCurve(
-        values=values,
-        mode="online",
-        provenance=tuple(provenance),
-        predicted=predicted,
-        model=model,
-        l_min=l_min,
-        condition_base=condition_base,
-    )
+    return _build(predicted, pricing, model, l_min, history, realized_so_far, "online")

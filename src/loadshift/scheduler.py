@@ -134,10 +134,13 @@ def validate_assignment(
         if inst.instance_id not in assignment.starts:
             continue
         raw = assignment.starts[inst.instance_id]
-        if int(raw) != raw:
+        try:
+            start = int(raw)
+        except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+            start = None
+        if start is None or start != raw:
             violations.append(f"{inst.instance_id}: start {raw!r} is not a whole slot")
             continue
-        start = int(raw)
         if start < inst.window_start or start > inst.window_end - inst.duration_slots + 1:
             violations.append(
                 f"{inst.instance_id}: start {start} outside window "

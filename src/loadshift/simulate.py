@@ -23,6 +23,7 @@ from .core import (
     Household,
     LoadCurve,
     PricingSignal,
+    _whole_number,
     preferred_starts,
     split_consumption,
     total_curve,
@@ -70,10 +71,12 @@ class RunParams:
     online_noise_kw: float = 0.05
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ParameterError("max_epochs must be >= 1")
-        if self.history_window_days < 2:
-            raise ParameterError("history_window_days must be >= 2")
+        object.__setattr__(self, "max_epochs", _whole_number(self.max_epochs, 1, "max_epochs"))
+        object.__setattr__(
+            self,
+            "history_window_days",
+            _whole_number(self.history_window_days, 2, "history_window_days"),
+        )
         if not (np.isfinite(self.online_noise_kw) and self.online_noise_kw >= 0):
             raise ParameterError("online_noise_kw must be finite and >= 0")
 
@@ -212,7 +215,7 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     if mode == "online" and shiftable:
         assignment, objective = _replay_online(
             instances, shiftable, fixed, assignment, objective,
-            predicted, pricing, pv, params, seed, household.id, day,
+            predicted, model, history, pricing, pv, params, seed, household.id, day,
         )
 
     parts = split_consumption(instances, assignment.starts, assignment.pv_flags)
@@ -231,9 +234,15 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
 
 def _replay_online(
     instances, shiftable, fixed, assignment, objective,
-    predicted, pricing, pv, params, seed, household_id, day,
+    predicted, model, history, pricing, pv, params, seed, household_id, day,
 ):
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
+
+    Before each re-solve the objective is rebuilt from the day-ahead inputs
+    (forecast, regression ``model``, ``history`` and ``L_MIN_KW``) plus the
+    realized prefix; the cap is conditioned on the last history day with
+    that prefix overlaid.  The returned objective is the last refresh, or
+    the day-ahead ``objective`` when nothing was left to re-solve.
 
     Runs already started keep their slots; only appliances whose starts lie
     ahead are reconsidered.  The re-solves see no PV: committed runs add
@@ -253,7 +262,9 @@ def _replay_online(
         open_instances = [i for i in shiftable if starts[i.instance_id] >= slot_now]
         if not open_instances:
             break
-        current = update_online(current, realized_full[: slot_now - 1], pricing, slot_now)
+        current = update_online(
+            predicted, pricing, model, L_MIN_KW, history, realized_full[: slot_now - 1]
+        )
         committed = [i for i in shiftable if starts[i.instance_id] < slot_now]
         committed_starts = {i.instance_id: starts[i.instance_id] for i in committed}
         baseline = split_consumption(

@@ -53,7 +53,6 @@ def make_objective(values) -> ObjectiveCurve:
         values=values,
         mode="offline",
         provenance=("predicted",) * 48,
-        predicted=None,
     )
 
 

@@ -127,6 +127,13 @@ def test_train_saves_a_network(tmp_path, capsys):
     assert net.hidden_size == 10
 
 
+def test_train_lag_is_an_unrecognized_argument(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["train", "--bundle", "b", "--household", "h001", "--lag", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --lag 4" in capsys.readouterr().err
+
+
 def test_validation_failure_exits_2(tmp_path, capsys):
     bundle = generate(tmp_path)
     pricing = bundle / "pricing.csv"

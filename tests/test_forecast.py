@@ -14,6 +14,7 @@ from loadshift import forecast
 from loadshift.errors import (
     DatasetTooSmallError,
     FormatError,
+    ParameterError,
     TemporalConsistencyError,
     TrainingFailedError,
     UndefinedMetricError,
@@ -236,6 +237,13 @@ def test_flatten_roundtrip():
 def toy_pairs(values, lag):
     ds = SeriesDataset(values=values, lag=lag)
     return ds.pairs_for_targets(np.arange(ds.lag, ds.sample_count))
+
+
+def test_training_config_takes_whole_epoch_counts():
+    for count in (0, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="max_epochs must be a whole number >= 1"):
+            TrainingConfig(max_epochs=count)
+    assert type(TrainingConfig(max_epochs=4.0).max_epochs) is int
 
 
 def test_train_zero_data_stops_immediately():

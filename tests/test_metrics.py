@@ -42,7 +42,6 @@ def make_result(household_id, day, before, after, after_total=None):
             values=before.copy(),
             mode="offline",
             provenance=("predicted",) * 48,
-            predicted=predicted,
         ),
         predicted=predicted,
     )

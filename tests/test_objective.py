@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import datetime
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import make_pricing
-from loadshift.core import LoadCurve, PricingSignal
+from loadshift.core import SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal
 from loadshift.errors import (
     DegenerateRegressionError,
     FormatError,
@@ -180,6 +183,10 @@ def test_no_history_disables_cap():
     curve = build_objective(predicted, pricing, model, l_min=50.0, history=[])
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], predicted.values[mask])
+    # online too: a realized prefix gives the cap nothing to condition on
+    online = update_online(predicted, pricing, model, 50.0, [], np.zeros(30))
+    assert "capped" not in online.provenance
+    npt.assert_array_equal(online.values[mask], predicted.values[mask])
 
 
 def test_off_peak_reshaping_tracks_inverse_price():
@@ -221,64 +228,51 @@ def test_l_min_must_be_positive():
 
 def test_objective_curve_validation():
     with pytest.raises(ParameterError):
-        ObjectiveCurve(
-            values=np.full(48, -1.0),
-            mode="offline",
-            provenance=("predicted",) * 48,
-            predicted=LoadCurve(np.ones(48)),
-        )
+        ObjectiveCurve(values=np.full(48, -1.0), mode="offline", provenance=("predicted",) * 48)
     with pytest.raises(FormatError):
-        ObjectiveCurve(
-            values=np.ones(48),
-            mode="offline",
-            provenance=("mystery",) * 48,
-            predicted=LoadCurve(np.ones(48)),
-        )
+        ObjectiveCurve(values=np.ones(48), mode="offline", provenance=("mystery",) * 48)
     with pytest.raises(ParameterError):
-        ObjectiveCurve(
-            values=np.ones(48),
-            mode="sometime",
-            provenance=("predicted",) * 48,
-            predicted=LoadCurve(np.ones(48)),
-        )
+        ObjectiveCurve(values=np.ones(48), mode="sometime", provenance=("predicted",) * 48)
 
 
 # ---------------------------------------------------------------- online updates
 
 
-def offline_fixture(flat=True, with_history=True, seed=7):
+def offline_fixture(flat=True, seed=7):
+    """Day-ahead inputs (predicted, pricing, model, history) and their curve."""
     if flat:
         pricing = make_pricing(peak_price=0.2, off_price=0.2, peak_windows=(PEAK,))
     else:
         pricing = make_pricing(peak_price=0.3, off_price=0.1, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=seed)
-    history = [curve_with(1.5, 1.0, pricing)] if with_history else []
+    history = [curve_with(1.5, 1.0, pricing)]
     curve = build_objective(predicted, pricing, model, l_min=0.001, history=history)
-    return curve, pricing, predicted
+    return curve, (predicted, pricing, model, 0.001, history)
 
 
 def test_update_at_slot_one_reproduces_offline():
-    offline, pricing, _ = offline_fixture(flat=False, with_history=False)
-    online = update_online(offline, [], pricing, slot_now=1)
+    offline, inputs = offline_fixture(flat=False)
+    online = update_online(*inputs, [])
     npt.assert_array_equal(online.values, offline.values)
     assert online.provenance == offline.provenance
     assert online.mode == "online"
 
 
 def test_update_zero_correction_under_flat_prices():
-    offline, pricing, predicted = offline_fixture(flat=True)
-    realized = predicted.values[:12]  # exactly as predicted
-    online = update_online(offline, realized, pricing, slot_now=13)
+    offline, inputs = offline_fixture(flat=True)
+    realized = inputs[0].values[:12]  # exactly as predicted
+    online = update_online(*inputs, realized)
     npt.assert_allclose(online.values[12:], offline.values[12:], rtol=1e-9)
     npt.assert_array_equal(online.values[:12], realized)
     assert online.provenance[:12] == ("realized",) * 12
 
 
 def test_update_overshoot_energy_balance():
-    offline, pricing, predicted = offline_fixture(flat=True)
+    offline, inputs = offline_fixture(flat=True)
+    predicted = inputs[0]
     realized = 1.1 * predicted.values[:12]  # 10% above prediction
-    online = update_online(offline, realized, pricing, slot_now=13)
+    online = update_online(*inputs, realized)
     overshoot_kwh = 0.1 * predicted.values[:12].sum() * 0.5
     before_future = offline.values[12:].sum() * 0.5
     after_future = online.values[12:].sum() * 0.5
@@ -286,15 +280,13 @@ def test_update_overshoot_energy_balance():
 
 
 def test_update_rejects_misaligned_realized():
-    offline, pricing, _ = offline_fixture()
-    with pytest.raises(TemporalConsistencyError):
-        update_online(offline, np.ones(12), pricing, slot_now=12)  # 11 expected
-    with pytest.raises(TemporalConsistencyError):
-        update_online(offline, np.ones(10), pricing, slot_now=12)
-    with pytest.raises(ParameterError):
-        update_online(offline, np.ones(48), pricing, slot_now=49)
-    with pytest.raises(FormatError):
-        update_online(offline, -np.ones(4), pricing, slot_now=5)
+    _, inputs = offline_fixture()
+    for bad in (-np.ones(4), np.array([1.0, np.nan]), np.array([np.inf])):
+        with pytest.raises(FormatError, match="finite and >= 0"):
+            update_online(*inputs, bad)
+    for bad in (np.ones(48), np.ones(49), np.ones((2, 3))):  # no slot left, or not 1-D
+        with pytest.raises(FormatError, match="one value per elapsed slot"):
+            update_online(*inputs, bad)
 
 
 def test_update_reevaluates_cap_from_realized_prefix():
@@ -305,7 +297,7 @@ def test_update_reevaluates_cap_from_realized_prefix():
     offline = build_objective(predicted, pricing, model, l_min=1.0, history=[prev])
     assert "capped" not in offline.provenance
     # day realizes almost nothing: conditioning means collapse, cap kicks in
-    online = update_online(offline, np.zeros(30), pricing, slot_now=31)
+    online = update_online(predicted, pricing, model, 1.0, [prev], np.zeros(30))
     peak_idx = np.flatnonzero(pricing.peak_mask())
     assert all(online.provenance[i] == "capped" for i in peak_idx)
     # cap value recomputed from the overlaid conditioning curve
@@ -313,3 +305,136 @@ def test_update_reevaluates_cap_from_realized_prefix():
     cond[:30] = 0.0
     mean = cond[~pricing.peak_mask()].mean()
     npt.assert_allclose(online.values[peak_idx], 2.0 * mean + 1.0, rtol=1e-9)
+
+
+# The online refresh this module had before the curve stopped carrying its own
+# inputs: it read the prediction, model, l_min and conditioning curve off the
+# curve being updated (``current``), and ``_compose`` built the values.  Kept
+# as the reference for the values and provenance the one builder must give.
+
+
+def reference_compose(predicted, pricing, model, l_min, condition_means,
+                      first_index, budget_kwh, frozen):
+    values = np.zeros(48)
+    provenance = ["predicted"] * 48
+    if frozen is not None and first_index > 0:
+        values[:first_index] = frozen
+        provenance[:first_index] = ["realized"] * first_index
+
+    future = np.arange(48) >= first_index
+    peak_mask = pricing.peak_mask()
+    cap_binds = condition_means is not None and float(condition_means.sum()) < l_min
+
+    peak_future = peak_mask & future
+    if cap_binds:
+        cap_value = max(model.evaluate(condition_means), 0.0)
+        values[peak_future] = cap_value
+        for idx in np.flatnonzero(peak_future):
+            provenance[idx] = "capped"
+    else:
+        values[peak_future] = predicted[peak_future]
+
+    off_future = ~peak_mask & future
+    energy_off = max(budget_kwh - values[peak_future].sum() * SLOT_HOURS, 0.0)
+    if np.any(off_future):
+        base = predicted[off_future] / pricing.prices[off_future]
+        base_energy = base.sum() * SLOT_HOURS
+        if base_energy > 0:
+            values[off_future] = base * (energy_off / base_energy)
+        elif energy_off > 0:
+            inverse = 1.0 / pricing.prices[off_future]
+            values[off_future] = energy_off * (inverse / inverse.sum()) / SLOT_HOURS
+    return values, provenance
+
+
+def reference_update_online(current, realized_so_far, pricing, slot_now):
+    if not 1 <= slot_now <= 48:
+        raise ParameterError(f"slot_now {slot_now} outside 1..48")
+    realized = np.asarray(realized_so_far, dtype=float)
+    if realized.shape != (slot_now - 1,):
+        raise TemporalConsistencyError("realized data must cover slots 1..slot_now-1")
+    if realized.size and (not np.all(np.isfinite(realized)) or np.any(realized < 0)):
+        raise FormatError("realized values must be finite and >= 0")
+    model, l_min = current.model, current.l_min
+
+    first_index = slot_now - 1
+    predicted = current.predicted
+    budget = max(predicted.energy_kwh() - realized.sum() * SLOT_HOURS, 0.0)
+
+    condition_base = current.condition_base
+    if condition_base is None and first_index > 0:
+        condition_base = predicted
+    condition_means = None
+    if condition_base is not None:
+        cond_values = condition_base.values.copy()
+        cond_values[:first_index] = realized
+        condition_means = off_peak_segment_means(cond_values, pricing, model.segment_count)
+
+    values, provenance = reference_compose(
+        predicted.values, pricing, model, l_min, condition_means,
+        first_index=first_index, budget_kwh=budget, frozen=realized,
+    )
+    return ObjectiveCurve(values=values, mode="online", provenance=tuple(provenance))
+
+
+# case: (flat prices, cap binds, prediction zero off-peak)
+REFERENCE_CASES = {
+    "flat-uncapped": (True, False, False),
+    "flat-capped": (True, True, False),
+    "peaked-uncapped": (False, False, False),
+    "peaked-capped": (False, True, False),
+    "zero-off-peak": (False, True, True),
+}
+
+
+def reference_inputs(flat, capped, zero_off_peak, seed):
+    """Seeded day-ahead inputs: predicted, pricing, model, l_min, history."""
+    rng = np.random.default_rng(seed)
+    if flat:
+        pricing = make_pricing(peak_price=0.2, off_price=0.2, peak_windows=(PEAK,))
+    else:
+        pricing = make_pricing(peak_price=0.31, off_price=0.08, peak_windows=(PEAK,))
+    start = datetime.date(2025, 3, 1)
+    history = [
+        DailyRecord(start + datetime.timedelta(days=d), LoadCurve(rng.uniform(0.1, 2.0, 48)))
+        for d in range(8)
+    ]
+    model = fit_peak_regression(history, pricing)
+    predicted = bumpy_prediction(seed=seed)
+    if zero_off_peak:
+        values = np.zeros(48)
+        values[pricing.peak_mask()] = 6.0  # far above any cap the model gives
+        predicted = LoadCurve(values)
+    l_min = 50.0 if capped else 0.001
+    return predicted, pricing, model, l_min, history
+
+
+@pytest.mark.parametrize("prefix", [0, 1, 12, 30, 47])
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_update_matches_the_reference_refresh(case, prefix):
+    flat, capped, zero_off_peak = REFERENCE_CASES[case]
+    inputs = reference_inputs(flat, capped, zero_off_peak, seed=prefix)
+    predicted, pricing, model, l_min, history = inputs
+    noise = np.random.default_rng(100 + prefix).normal(0.0, 0.3, prefix)
+    realized = np.maximum(predicted.values[:prefix] + noise, 0.0)
+    current = SimpleNamespace(
+        predicted=predicted, model=model, l_min=l_min, condition_base=history[-1].curve
+    )
+    want = reference_update_online(current, realized, pricing, slot_now=prefix + 1)
+    got = update_online(*inputs, realized)
+    npt.assert_array_equal(got.values, want.values)
+    assert got.provenance == want.provenance
+    assert got.mode == "online"
+    if prefix == 0:  # the day-ahead curve is the refresh with no prefix
+        offline = build_objective(*inputs)
+        npt.assert_array_equal(offline.values, want.values)
+        assert offline.provenance == want.provenance
+
+    future = np.arange(48) >= prefix
+    capped_slots = [i for i in range(48) if got.provenance[i] == "capped"]
+    want_capped = np.flatnonzero(pricing.peak_mask() & future) if capped else []
+    assert capped_slots == list(want_capped)
+    if zero_off_peak and prefix < 44:
+        # the capped peak leaves energy off-peak, where the prediction is
+        # zero: it is spread by inverse price
+        assert np.all(got.values[~pricing.peak_mask() & future] > 0)

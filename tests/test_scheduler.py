@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from loadshift.core import (
     ApplianceInstance,
-    LoadCurve,
     PvSystem,
     expand_instances,
     preferred_starts,
@@ -47,7 +46,6 @@ def make_objective(values) -> ObjectiveCurve:
         values=values,
         mode="offline",
         provenance=("predicted",) * 48,
-        predicted=LoadCurve(values),
     )
 
 
@@ -300,6 +298,10 @@ def test_cost_refuses_infeasible_assignment():
         )
     with pytest.raises(FeasibilityError, match="no start"):
         evaluate_cost(ScheduleAssignment({}), objective, DiscomfortWeights(), [inst])
+    with pytest.raises(FeasibilityError, match="start nan is not a whole slot"):
+        evaluate_cost(
+            ScheduleAssignment({"wash": float("nan")}), objective, DiscomfortWeights(), [inst]
+        )
 
 
 def test_default_blend_is_tenth_of_mean_power_squared():
@@ -341,6 +343,10 @@ def test_validate_assignment_reports_each_violation():
         instances, ScheduleAssignment({"a": 11.5, "b": 30})
     )
     assert any("whole slot" in m for m in fractional)
+
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        messages = validate_assignment(instances, ScheduleAssignment({"a": bad, "b": 30}))
+        assert messages == (f"a: start {bad!r} is not a whole slot",)
 
 
 def test_validate_assignment_flags_moved_fixed_instance():

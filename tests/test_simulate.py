@@ -265,6 +265,13 @@ def test_run_params_validation():
         RunParams(max_epochs=0)
     with pytest.raises(ParameterError, match="history_window_days"):
         RunParams(history_window_days=1)
+    for count in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="max_epochs must be a whole number"):
+            RunParams(max_epochs=count)
+        with pytest.raises(ParameterError, match="history_window_days must be a whole number"):
+            RunParams(history_window_days=count)
+    whole = RunParams(max_epochs=3.0, history_window_days=30.0)
+    assert type(whole.max_epochs) is int and type(whole.history_window_days) is int
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="online_noise_kw must be finite and >= 0"):
             RunParams(online_noise_kw=noise)
