@@ -1,50 +1,67 @@
-"""Train a day-ahead load forecaster on one synthetic household.
+"""Reproduce one ``run`` forecast on a synthetic household and score it.
 
-Generates a year of habitual consumption, fits the autoregressive network on
-the hourly series, predicts the next day, and checks the residual
+Generates a year of habitual consumption, fits the autoregressive network
+exactly as ``run_day`` does for the first simulated day (history window,
+epoch budget and split seed from ``RunParams`` and ``derive_seed``), prints
+the train, validation and held-out test error, checks that the prediction is
+the one ``run_day`` schedules against, and checks the residual
 autocorrelation diagnostics.
 """
 
 import numpy as np
 
 from loadshift import (
+    RunParams,
     SyntheticRecipe,
     TrainingConfig,
+    derive_seed,
     error_autocorrelation,
+    fit_series,
     generate_fleet,
     hourly_series_from_history,
     predict_day,
+    run_day,
 )
-from loadshift.forecast import fit_series, forward
+from loadshift.forecast import forward
 
 
 def main():
     recipe = SyntheticRecipe(household_count=1, history_days=364, simulated_days=1)
     fleet = generate_fleet(recipe, seed=42)
     household = fleet.households[0]
-    print(f"household {household.id}: {len(household.history)} days of history")
+    day = fleet.days[0]
+    params = RunParams()
+    history = [r for r in household.history if r.day < day][-params.history_window_days:]
+    print(f"household {household.id}: forecasting {day} from {len(history)} days of history")
 
-    series = hourly_series_from_history(household.history, lag=24)
+    series = hourly_series_from_history(history)
     print(f"hourly series: {series.sample_count} samples, lag {series.lag}")
 
-    cfg = TrainingConfig(max_epochs=60, rng_seed=0)
-    result, split = fit_series(series, cfg, hidden_size=10)
+    cfg = TrainingConfig(
+        max_epochs=params.max_epochs, rng_seed=derive_seed(0, household.id, day, "load")
+    )
+    result, split = fit_series(series, cfg)
     print(f"split sizes (train/val/test): {split.sizes()}")
+
+    # residuals on the held-out test pairs
+    x_test, y_test = series.pairs_for_targets(split.test_indices)
+    residuals = y_test - np.array([forward(result.network, row) for row in x_test])
     print(
         f"stopped after {len(result.train_mse) - 1} epochs ({result.stop_reason}); "
         f"train MSE {result.train_mse[-1]:.5f}, "
-        f"best validation MSE {result.validation_mse[result.best_epoch]:.5f}"
+        f"best validation MSE {result.validation_mse[result.best_epoch]:.5f}, "
+        f"held-out test MSE {np.mean(residuals ** 2):.5f}"
     )
 
     prediction = predict_day(result.network, series)
     print(f"predicted next-day energy: {prediction.energy_kwh():.2f} kWh")
     peak_slot = int(np.argmax(prediction.values)) + 1
     print(f"predicted peak: {prediction.values.max():.2f} kW at slot {peak_slot}")
+    scheduled = run_day(household, day, fleet.pricing)
+    assert np.array_equal(prediction.values, scheduled.predicted.values)
+    print("run_day schedules against this same prediction")
 
-    # residuals on the held-out test pairs
-    x_test, y_test = series.pairs_for_targets(split.test_indices)
-    predicted = np.array([forward(result.network, row) for row in x_test])
-    diag = error_autocorrelation(y_test - predicted, max_lag=20)
+    diag = error_autocorrelation(residuals, max_lag=20)
     outside = diag.lags_outside_bound()
     print(
         f"residual autocorrelation: {len(outside)}/20 lags outside "

@@ -1,7 +1,7 @@
 """Command line entry point.
 
-Subcommands: ``generate`` a synthetic bundle, ``train`` one household's
-forecaster, ``run`` a simulation, ``report`` metrics from saved results,
+Subcommands: ``generate`` a synthetic bundle, ``run`` a simulation (which
+fits every forecaster it uses), ``report`` metrics from saved results,
 ``validate`` a bundle.  Exit codes: 0 success, 2 validation/input failure
 (including an output path that cannot be written), 3 infeasible scheduling
 problem.
@@ -20,7 +20,6 @@ import numpy as np
 from .bundle import lint_bundle, load_bundle, read_json, save_bundle
 from .core import LoadCurve, PricingSignal
 from .errors import FeasibilityError, FormatError, LoadshiftError
-from .forecast import TrainingConfig, fit_series, hourly_series_from_history, save_network
 from .metrics import compute_metrics, write_report
 from .objective import ObjectiveCurve
 from .scheduler import ScheduleAssignment
@@ -42,29 +41,6 @@ def _cmd_generate(args) -> int:
     fleet = generate_fleet(recipe, seed=args.seed)
     root = save_bundle(fleet, args.out)
     print(f"wrote {len(fleet.households)} households, {len(fleet.days)} days to {root}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    if args.out:  # an unusable --out fails before the fit
-        out = Path(args.out)
-        if out.is_dir():
-            raise FormatError(f"{out}: is a directory")
-        if not out.parent.is_dir():
-            raise FormatError(f"{out}: {out.parent} is not a directory")
-    fleet = load_bundle(args.bundle)
-    household = fleet.household(args.household)
-    series = hourly_series_from_history(household.history)
-    cfg = TrainingConfig(max_epochs=args.epochs, rng_seed=args.seed)
-    result, _ = fit_series(series, cfg)
-    if args.out:
-        save_network(result.network, args.out, seed=args.seed, config=cfg)
-    print(
-        f"household={household.id} "
-        f"train_mse={result.train_mse[-1]:.6g} "
-        f"validation_mse={result.validation_mse[result.best_epoch]:.6g} "
-        f"epochs={len(result.train_mse) - 1} stop={result.stop_reason}"
-    )
     return 0
 
 
@@ -230,14 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pv-fraction", type=float, default=1.0, dest="pv_fraction")
     p.add_argument("--mode", choices=("offline", "online"), default="offline")
     p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("train", help="train one household's load forecaster")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--household", required=True)
-    p.add_argument("--out", help="where to save the network JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("run", help="simulate a bundle and write results + report")
     p.add_argument("--bundle", required=True)

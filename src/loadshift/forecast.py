@@ -9,7 +9,6 @@ prediction, linearly interpolated onto the 48-slot grid.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -118,6 +117,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_epochs", _whole_number(self.max_epochs, 1, "max_epochs"))
+        object.__setattr__(self, "rng_seed", _whole_number(self.rng_seed, 0, "rng_seed"))
 
 
 # ---------------------------------------------------------------- network
@@ -605,79 +605,3 @@ def error_autocorrelation(residuals: Sequence[float], max_lag: int = 20) -> Auto
         confidence_bound=1.96 / np.sqrt(e.size),
         sample_count=int(e.size),
     )
-
-
-# ---------------------------------------------------------------- persistence
-
-
-def network_to_dict(net: NarNetwork, seed: int | None = None, config: TrainingConfig | None = None) -> dict:
-    doc = {
-        "input_size": net.input_size,
-        "hidden_size": net.hidden_size,
-        "output_size": 1,
-        "hidden_activation": "tanh",
-        "output_activation": "identity",
-        "parameters": {
-            "w_in": net.w_in.ravel().tolist(),
-            "b_in": net.b_in.tolist(),
-            "w_out": net.w_out.tolist(),
-            "b_out": net.b_out,
-        },
-        "normalization": {"min": net.norm_min, "max": net.norm_max},
-        "seed": seed,
-        "config": None,
-    }
-    if config is not None:
-        doc["config"] = {
-            "max_epochs": config.max_epochs,
-            "lm_initial_damping": LM_INITIAL_DAMPING,
-            "lm_damping_up": LM_DAMPING_UP,
-            "lm_damping_down": LM_DAMPING_DOWN,
-            "lm_damping_cap": LM_DAMPING_CAP,
-            "stop_patience": STOP_PATIENCE,
-            "improvement_tol": IMPROVEMENT_TOL,
-            "validation_fraction": VALIDATION_FRACTION,
-            "test_fraction": TEST_FRACTION,
-            "rng_seed": config.rng_seed,
-        }
-    return doc
-
-
-def network_from_dict(doc: dict) -> NarNetwork:
-    try:
-        d, h = int(doc["input_size"]), int(doc["hidden_size"])
-        params = doc["parameters"]
-        w_in = np.asarray(params["w_in"], dtype=float)
-        b_in = np.asarray(params["b_in"], dtype=float)
-        w_out = np.asarray(params["w_out"], dtype=float)
-        b_out = float(params["b_out"])
-        norm = doc["normalization"]
-        lo, hi = float(norm["min"]), float(norm["max"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed network document: {exc}") from exc
-    if w_in.shape != (h * d,):
-        raise FormatError(f"w_in needs {h * d} entries, got {w_in.size}")
-    if b_in.shape != (h,) or w_out.shape != (h,):
-        raise FormatError(f"bias/output vectors need {h} entries")
-    return NarNetwork(
-        w_in=w_in.reshape(h, d), b_in=b_in, w_out=w_out, b_out=b_out,
-        norm_min=lo, norm_max=hi,
-    )
-
-
-def save_network(
-    net: NarNetwork,
-    path,
-    seed: int | None = None,
-    config: TrainingConfig | None = None,
-) -> None:
-    """Write the network as a JSON document (layer sizes, flat parameters)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net, seed=seed, config=config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_network(path) -> NarNetwork:
-    """Read a network document back, re-verifying parameter counts."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))

@@ -113,12 +113,6 @@ class FleetConfig:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-    def household(self, household_id: str) -> Household:
-        for h in self.households:
-            if h.id == household_id:
-                return h
-        raise ParameterError(f"no household {household_id!r} in this fleet")
-
 
 @dataclass(frozen=True, eq=False)
 class DayResult:

@@ -1,5 +1,6 @@
 """Command line behaviour: wiring, files written, and the exit-code contract."""
 
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from loadshift import cli
 from loadshift.errors import InfeasibleProblemError
-from loadshift.forecast import load_network
 from loadshift.simulate import RunParams
 
 from conftest import json_values, value_slots
@@ -114,24 +114,15 @@ def test_run_online_mode_flag(tmp_path):
     assert doc["mode"] == "online"
 
 
-def test_train_saves_a_network(tmp_path, capsys):
-    bundle = generate(tmp_path)
-    net_path = tmp_path / "net.json"
-    rc = cli.main(
-        ["train", "--bundle", str(bundle), "--household", "h001",
-         "--epochs", "10", "--out", str(net_path)]
-    )
-    assert rc == 0
-    assert "validation_mse=" in capsys.readouterr().out
-    net = load_network(net_path)
-    assert net.hidden_size == 10
-
-
-def test_train_lag_is_an_unrecognized_argument(capsys):
+def test_train_is_an_invalid_choice(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["train", "--bundle", "b", "--household", "h001", "--lag", "4"])
+        cli.main(["train", "--bundle", "b", "--household", "h001"])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --lag 4" in capsys.readouterr().err
+    assert "invalid choice: 'train'" in capsys.readouterr().err
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(subparsers.choices) == ["generate", "run", "report", "validate"]
 
 
 def test_validation_failure_exits_2(tmp_path, capsys):
@@ -385,30 +376,3 @@ def test_generate_out_naming_a_file_exits_2(tmp_path, capsys):
     assert rc == 2
     assert str(taken) in capsys.readouterr().err
     assert taken.read_text() == "keep me"
-
-
-def _no_fit(*args, **kwargs):
-    raise AssertionError("the network was fitted before --out was checked")
-
-
-def test_train_out_in_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
-    bundle = generate(tmp_path)
-    monkeypatch.setattr(cli, "fit_series", _no_fit)
-    target = tmp_path / "missing" / "net.json"
-    rc = cli.main(
-        ["train", "--bundle", str(bundle), "--household", "h001", "--epochs", "2",
-         "--out", str(target)]
-    )
-    assert rc == 2
-    assert str(target) in capsys.readouterr().err
-    assert not target.parent.exists()
-
-
-def test_train_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch):
-    bundle = generate(tmp_path)
-    monkeypatch.setattr(cli, "fit_series", _no_fit)
-    rc = cli.main(
-        ["train", "--bundle", str(bundle), "--household", "h001", "--out", str(tmp_path)]
-    )
-    assert rc == 2
-    assert f"{tmp_path}: is a directory" in capsys.readouterr().err

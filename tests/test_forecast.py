@@ -30,11 +30,9 @@ from loadshift.forecast import (
     forward,
     hourly_series_from_history,
     initialize_network,
-    load_network,
     normal_equations,
     predict_day,
     prediction_jacobian,
-    save_network,
     split_dataset,
     train_lm,
     with_params,
@@ -244,6 +242,10 @@ def test_training_config_takes_whole_epoch_counts():
         with pytest.raises(ParameterError, match="max_epochs must be a whole number >= 1"):
             TrainingConfig(max_epochs=count)
     assert type(TrainingConfig(max_epochs=4.0).max_epochs) is int
+    for seed in (-1, 2.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(ParameterError, match="rng_seed must be a whole number >= 0"):
+            TrainingConfig(rng_seed=seed)
+    assert type(TrainingConfig(rng_seed=3.0).rng_seed) is int
 
 
 def test_train_zero_data_stops_immediately():
@@ -570,36 +572,3 @@ def test_autocorrelation_rejects_constant_and_short():
         error_autocorrelation(np.full(50, 3.3))
     with pytest.raises(DatasetTooSmallError):
         error_autocorrelation(np.arange(10.0))
-
-
-# ---------------------------------------------------------------- persistence
-
-
-def test_network_save_load_roundtrip(tmp_path):
-    values = ar1_series(120, phi=0.7, y0=1.0, noise=0.05, seed=21) + 1.0
-    ds = make_series(values, lag=3)
-    result, _ = fit_series(ds, TrainingConfig(max_epochs=10, rng_seed=21), hidden_size=3)
-    path = tmp_path / "net.json"
-    save_network(result.network, path, seed=21, config=TrainingConfig(max_epochs=10, rng_seed=21))
-    loaded = load_network(path)
-    npt.assert_array_equal(flatten_params(loaded), flatten_params(result.network))
-    assert loaded.norm_min == result.network.norm_min
-    window = values[-3:]
-    assert forward(loaded, window) == forward(result.network, window)
-
-
-def test_network_load_verifies_counts(tmp_path):
-    net = initialize_network(input_size=3, hidden_size=2, seed=0)
-    path = tmp_path / "net.json"
-    save_network(net, path)
-    import json
-
-    doc = json.loads(path.read_text())
-    doc["parameters"]["w_in"] = doc["parameters"]["w_in"][:-1]  # drop one weight
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError):
-        load_network(path)
-    doc["input_size"] = float("inf")
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match="malformed network document"):
-        load_network(path)
