@@ -247,7 +247,8 @@ def test_6_energy_invariance_on_harness_runs():
 
 
 def test_7_fleet_improves_without_harming_anyone():
-    t0 = time.monotonic()
+    # CPU time of this process: other work on a busy machine cannot fail the bound
+    t0 = time.process_time()
     fleet = fleet_50()
     # no-harm property is stated for zero discomfort weights, which every
     # pipeline solve uses
@@ -260,7 +261,7 @@ def test_7_fleet_improves_without_harming_anyone():
     )
     lf_fraction = lf_up / len(report.rows)
     worst_bill = max(r.bill_after - r.bill_before for r in report.rows)
-    elapsed = time.monotonic() - t0
+    elapsed = time.process_time() - t0
     ok = (
         len(report.rows) == 50
         and report.excluded == ()

@@ -30,7 +30,6 @@ from loadshift.forecast import (
     forward,
     hourly_series_from_history,
     initialize_network,
-    normal_equations,
     predict_day,
     prediction_jacobian,
     split_dataset,
@@ -65,6 +64,39 @@ def test_pair_count_and_windows():
     X2, y2 = ds.pairs_for_targets([2, 5, 7])
     assert y2.tolist() == [5.0, 7.0]
     npt.assert_array_equal(X2[0], np.arange(5.0))
+
+
+def looped_pairs(ds, target_indices):
+    """(window, next value) pairs gathered one row at a time."""
+    targets = np.asarray(sorted(int(i) for i in target_indices), dtype=int)
+    if targets.size and (targets[0] < 0 or targets[-1] >= ds.sample_count):
+        raise ParameterError("target index outside the series")
+    targets = targets[targets >= ds.lag]
+    X = np.empty((targets.size, ds.lag))
+    for row, t in enumerate(targets):
+        X[row] = ds.values[t - ds.lag : t]
+    return X, ds.values[targets]
+
+
+def test_pairs_match_a_row_by_row_gather():
+    rng = np.random.default_rng(3)
+    ds = make_series(rng.normal(size=200), lag=7)
+    cases = [
+        rng.permutation(200)[:60],  # unsorted
+        rng.integers(0, 200, size=80),  # duplicated
+        np.arange(200),
+        [3, 199, 7, 0, 7],  # below the lag, both ends of the series
+        [],
+        np.array([5], dtype=np.int32),
+    ]
+    for targets in cases:
+        X, y = ds.pairs_for_targets(targets)
+        X_ref, y_ref = looped_pairs(ds, targets)
+        assert X.shape == X_ref.shape and X.dtype == X_ref.dtype
+        assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+    for bad in ([0, 200], [-1, 5], [250]):
+        with pytest.raises(ParameterError, match="target index outside the series"):
+            ds.pairs_for_targets(bad)
 
 
 def test_hourly_series_from_history():
@@ -179,7 +211,7 @@ def test_damped_step_matches_closed_form_toy():
     jac = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     res = np.array([0.5, -1.0, 2.0])
     lam = 0.7
-    jtj, jtr = normal_equations(jac, res)
+    jtj, jtr = jac.T @ jac, jac.T @ res
     npt.assert_array_equal(jtj, [[35.0, 44.0], [44.0, 56.0]])
     npt.assert_array_equal(jtr, [7.5, 9.0])
     delta = damped_step(jtj, jtr, lam)
@@ -188,6 +220,62 @@ def test_damped_step_matches_closed_form_toy():
     # every damping retry of an epoch reuses the same normal equations
     npt.assert_array_equal(jtj, [[35.0, 44.0], [44.0, 56.0]])
     npt.assert_array_equal(damped_step(jtj, jtr, lam), delta)
+
+
+def test_damped_step_restores_the_equations_when_the_solve_fails():
+    jtj, jtr = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        damped_step(jtj, jtr, 0.0)
+    npt.assert_array_equal(jtj, [[1.0, 2.0], [2.0, 4.0]])
+
+
+def random_network(rng, inputs, hidden, scale=0.8):
+    return NarNetwork(
+        w_in=rng.normal(scale=scale, size=(hidden, inputs)),
+        b_in=rng.normal(scale=0.5, size=hidden),
+        w_out=rng.normal(scale=0.8, size=hidden),
+        b_out=rng.normal(),
+    )
+
+
+@pytest.mark.parametrize(
+    "pairs, lag, hidden, scale, constant_column",
+    [
+        (1992, 24, 10, 0.3, None),  # the pipeline's shapes
+        (40, 1, 1, 0.8, None),
+        (30, 6, 5, 0.8, None),  # fewer pairs than parameters (41)
+        (300, 5, 4, 0.8, 2),
+        (200, 6, 3, 10.0, None),  # saturated tanh
+        (1024, 3, 2, 0.8, None),  # whole row blocks only
+    ],
+)
+def test_structured_normal_equations_match_the_dense_jacobian(
+    pairs, lag, hidden, scale, constant_column
+):
+    rng = np.random.default_rng(pairs + lag + hidden)
+    net = random_network(rng, lag, hidden, scale)
+    x = rng.uniform(-1, 1, size=(pairs, lag))
+    if constant_column is not None:
+        x[:, constant_column] = 0.4
+    r = rng.normal(size=pairs)
+    hidden_out = np.tanh(x @ net.w_in.T + net.b_in)
+    jtj, jtr = forecast._NormalEquations(x, hidden)(hidden_out, net.w_out, r)
+    jac = prediction_jacobian(net, x)
+    dense = jac.T @ jac
+    assert jtj.shape == dense.shape and jtr.shape == (net.parameter_count,)
+    assert np.max(np.abs(jtj - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(jtr - jac.T @ r)) <= 1e-13 * np.max(np.abs(jac.T @ r))
+    npt.assert_array_equal(jtj, jtj.T)
+
+
+def test_training_never_forms_the_jacobian(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("train_lm built the dense Jacobian")
+
+    monkeypatch.setattr(forecast, "prediction_jacobian", forbidden)
+    net, train, val = seeded_problem(6, 300, 24, 10)
+    result = train_lm(net, train, val, TrainingConfig(max_epochs=5))
+    assert len(result.train_mse) > 1
 
 
 def central_difference_jacobian(net, x_norm, h=1e-6):
@@ -313,7 +401,8 @@ def test_train_empty_partition_rejected():
 def reference_train_lm(net, train, validation, cfg):
     """Levenberg-Marquardt as ``train_lm`` computed it before the normal
     equations were shared between damping retries: every retry rebuilds
-    ``J^T J`` and ``J^T r`` and every residual goes through a validated
+    ``J^T J`` and ``J^T r`` (with the same structured kernel) from a fresh
+    forward pass, and every residual goes through a validated
     ``NarNetwork``."""
     x_train, y_train = (np.asarray(a, dtype=float) for a in train)
     x_val, y_val = (np.asarray(a, dtype=float) for a in validation)
@@ -335,10 +424,13 @@ def reference_train_lm(net, train, validation, cfg):
     def val_mse(theta):
         return float(np.mean((yn_val - predict(theta, xn_val)) ** 2) * scale_sq)
 
-    def step(jac, r, damping):
-        jtj = jac.T @ jac
+    equations = forecast._NormalEquations(xn_train, net.hidden_size)
+
+    def step(theta, r, damping):
+        p = with_params(net, theta)
+        jtj, jtr = equations(np.tanh(xn_train @ p.w_in.T + p.b_in), p.w_out, r)
         jtj[np.diag_indices_from(jtj)] += damping
-        return np.linalg.solve(jtj, jac.T @ r)
+        return np.linalg.solve(jtj, jtr)
 
     theta = flatten_params(net)
     r = residuals(theta)
@@ -349,12 +441,11 @@ def reference_train_lm(net, train, validation, cfg):
         return best_theta, train_trace, val_trace, best_epoch, "perfect_fit"
     damping, stale = forecast.LM_INITIAL_DAMPING, 0
     for _ in range(cfg.max_epochs):
-        jac = prediction_jacobian(with_params(net, theta), xn_train)
         accepted = False
         while True:
             failed = False
             try:
-                delta = step(jac, r, damping)
+                delta = step(theta, r, damping)
                 failed = not np.all(np.isfinite(delta))
             except np.linalg.LinAlgError:
                 failed = True
