@@ -33,7 +33,7 @@ for _ in range(7):
     day = base + 1.1 * np.exp(-0.5 * ((slots - 38) / 2.5) ** 2)
     history.append(LoadCurve(values=np.clip(day + rng.normal(0, 0.05, 48), 0, None)))
 
-model = fit_peak_regression(history, pricing, segment_count=2, degree=1)
+model = fit_peak_regression(history, pricing, segment_count=2)
 print(f"peak regression: intercept {model.intercept:.3f}, coeffs {np.round(model.coefficients, 3)}")
 
 predicted = LoadCurve(values=history[-1].values)  # stand-in for a forecast

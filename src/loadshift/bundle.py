@@ -64,7 +64,7 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
-def read_json(path):
+def _read_json(path):
     """Parse a UTF-8 JSON file; any unreadable or malformed input is a ``FormatError``."""
     text = _read_text(path)
     try:
@@ -389,7 +389,7 @@ def _parse_days(doc: dict, manifest_path) -> tuple[datetime.date, ...]:
 
 def _load_manifest(root: Path) -> dict:
     path = root / "manifest.json"
-    doc = read_json(path)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         _fail(path, None, "manifest must be a JSON object")
     for key in ("format_version", "mode", "days", "pricing", "households"):

@@ -1,10 +1,10 @@
 """Command line entry point.
 
 Subcommands: ``generate`` a synthetic bundle, ``run`` a simulation (which
-fits every forecaster it uses), ``report`` metrics from saved results,
-``validate`` a bundle.  Exit codes: 0 success, 2 validation/input failure
-(including an output path that cannot be written), 3 infeasible scheduling
-problem.
+fits every forecaster it uses and writes ``results.json`` with the
+``report.json``/``report.csv`` scored from it), ``validate`` a bundle.
+Exit codes: 0 success, 2 validation/input failure (including an output path
+that cannot be written), 3 infeasible scheduling problem.
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bundle import lint_bundle, load_bundle, read_json, save_bundle
-from .core import LoadCurve, PricingSignal
+from .bundle import lint_bundle, load_bundle, save_bundle
 from .errors import FeasibilityError, FormatError, LoadshiftError
 from .metrics import compute_metrics, write_report
-from .objective import ObjectiveCurve
-from .scheduler import ScheduleAssignment
-from .simulate import DayResult, FleetConfig, RunParams, run_fleet
+from .simulate import FleetConfig, RunParams, run_fleet
 from .synth import SyntheticRecipe, generate_fleet
 
 RESULTS_FORMAT_VERSION = 1
@@ -119,65 +114,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_results(path) -> tuple[tuple[DayResult, ...], PricingSignal, str]:
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: results file must be a JSON object")
-    for key in ("format_version", "mode", "pricing", "results"):
-        if key not in doc:
-            raise FormatError(f"{path}: results file is missing {key!r}")
-    if doc["format_version"] != RESULTS_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format_version {doc['format_version']!r}")
-    if not isinstance(doc["results"], list):
-        raise FormatError(f"{path}: 'results' must be a list")
-
-    try:
-        pricing = PricingSignal(
-            prices=np.array(doc["pricing"]["prices"], dtype=float),
-            peak_windows=tuple(tuple(w) for w in doc["pricing"]["peak_windows"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: bad pricing: {exc}") from exc
-    mode = doc["mode"]
-    results = []
-    for row in doc["results"]:
-        try:
-            if not isinstance(row["household"], str):
-                raise TypeError(f"household id {row['household']!r} is not a string")
-            assignment = row["assignment"]
-            starts = {a["id"]: a["scheduled_start"] for a in assignment["appliances"]}
-            results.append(
-                DayResult(
-                    household_id=row["household"],
-                    day=datetime.date.fromisoformat(row["day"]),
-                    mode=mode,
-                    before=LoadCurve(np.array(row["before"], dtype=float)),
-                    after=LoadCurve(np.array(row["after"], dtype=float)),
-                    after_total=LoadCurve(np.array(row["after_total"], dtype=float)),
-                    assignment=ScheduleAssignment(
-                        starts=starts, pv_flags=np.array(assignment["pv_flags"], dtype=bool)
-                    ),
-                    objective=ObjectiveCurve(
-                        values=np.array(row["objective"], dtype=float),
-                        mode=row["objective_mode"],
-                        provenance=tuple(row["objective_provenance"]),
-                    ),
-                    predicted=LoadCurve(np.array(row["predicted"], dtype=float)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: bad result row: {exc}") from exc
-    return tuple(results), pricing, mode
-
-
-def _cmd_report(args) -> int:
-    results, pricing, _ = _load_results(args.results)
-    report = compute_metrics(results, pricing)
-    json_path, csv_path = write_report(report, args.out)
-    print(f"wrote {json_path}, {csv_path}")
-    return 0
-
-
 def _cmd_validate(args) -> int:
     problems = lint_bundle(args.bundle)
     for problem in problems:
@@ -219,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history-window", type=int, default=RunParams.history_window_days,
                    dest="history_window")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("report", help="recompute metrics from saved results")
-    p.add_argument("--results", required=True, help="path to results.json")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("validate", help="lint a bundle and list every problem")
     p.add_argument("--bundle", required=True)

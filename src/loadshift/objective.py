@@ -52,26 +52,23 @@ def off_peak_segment_means(
 
 @dataclass(frozen=True, eq=False)
 class PeakRegressionModel:
-    """Polynomial regression of daily peak maxima on off-peak segment means.
+    """Linear regression of daily peak maxima on off-peak segment means.
 
-    The fitted rule is ``peak_max = sum_{i,j} coefficients[i, j] * mean_i^j
-    + intercept`` with powers j = 1..degree for each of the
-    ``segment_count`` off-peak segments.
+    The fitted rule is ``peak_max = sum_i coefficients[i] * mean_i
+    + intercept`` over the ``segment_count`` off-peak segments.
     """
 
     segment_count: int
-    degree: int
-    coefficients: np.ndarray  # (segment_count, degree)
+    coefficients: np.ndarray  # (segment_count,)
     intercept: float
 
     def __post_init__(self):
-        if self.segment_count < 1 or self.degree < 1:
-            raise ParameterError("segment_count and degree must be >= 1")
+        if self.segment_count < 1:
+            raise ParameterError("segment_count must be >= 1")
         coef = np.asarray(self.coefficients, dtype=float)
-        if coef.shape != (self.segment_count, self.degree):
+        if coef.shape != (self.segment_count,):
             raise FormatError(
-                f"coefficients need shape ({self.segment_count}, {self.degree}), "
-                f"got {coef.shape}"
+                f"coefficients need shape ({self.segment_count},), got {coef.shape}"
             )
         if not np.all(np.isfinite(coef)) or not np.isfinite(self.intercept):
             raise FormatError("regression parameters must be finite")
@@ -85,8 +82,7 @@ class PeakRegressionModel:
         means = np.asarray(segment_means, dtype=float)
         if means.shape != (self.segment_count,):
             raise FormatError(f"need {self.segment_count} segment means, got {means.shape}")
-        powers = np.arange(1, self.degree + 1)
-        return float(np.sum(self.coefficients * means[:, None] ** powers) + self.intercept)
+        return float(np.sum(self.coefficients * means) + self.intercept)
 
 
 def _history_curves(history: Sequence[LoadCurve | DailyRecord]) -> list[LoadCurve]:
@@ -100,37 +96,34 @@ def fit_peak_regression(
     history: Sequence[LoadCurve | DailyRecord],
     pricing: PricingSignal,
     segment_count: int = 2,
-    degree: int = 1,
 ) -> PeakRegressionModel:
     """Fit the peak/off-peak relationship on historical days.
 
     Each day contributes one observation: target = maximum consumption over
-    the peak-window slots, features = powers 1..degree of each off-peak
-    segment mean.  The fit is centered minimum-norm least squares, so
-    feature directions with no variance (e.g. a constant history) get zero
-    coefficients and the intercept absorbs the mean peak.
+    the peak-window slots, features = the off-peak segment means.  The fit
+    is centered minimum-norm least squares, so feature directions with no
+    variance (e.g. a constant history) get zero coefficients and the
+    intercept absorbs the mean peak.
 
     Raises:
-        DegenerateRegressionError: fewer than segment_count*degree + 1 days.
+        DegenerateRegressionError: fewer than segment_count + 1 days.
         ParameterError: no declared peak windows.
     """
     curves = _history_curves(history)
-    needed = segment_count * degree + 1
+    needed = segment_count + 1
     if len(curves) < needed:
         raise DegenerateRegressionError(
-            f"need at least {needed} historical days for {segment_count} segment(s) "
-            f"at degree {degree}, got {len(curves)}; reduce segments or degree"
+            f"need at least {needed} historical days for {segment_count} segment(s), "
+            f"got {len(curves)}; reduce segments"
         )
     peak_idx = np.flatnonzero(pricing.peak_mask())
     if peak_idx.size == 0:
         raise ParameterError("pricing declares no peak windows to regress on")
 
-    powers = np.arange(1, degree + 1)
-    features = np.empty((len(curves), segment_count * degree))
+    features = np.empty((len(curves), segment_count))
     targets = np.empty(len(curves))
     for row, curve in enumerate(curves):
-        means = off_peak_segment_means(curve, pricing, segment_count)
-        features[row] = (means[:, None] ** powers).ravel()
+        features[row] = off_peak_segment_means(curve, pricing, segment_count)
         targets[row] = curve.values[peak_idx].max()
 
     feat_mean = features.mean(axis=0)
@@ -138,8 +131,7 @@ def fit_peak_regression(
     alpha, *_ = np.linalg.lstsq(features - feat_mean, targets - target_mean, rcond=None)
     return PeakRegressionModel(
         segment_count=segment_count,
-        degree=degree,
-        coefficients=alpha.reshape(segment_count, degree),
+        coefficients=alpha,
         intercept=target_mean - float(feat_mean @ alpha),
     )
 

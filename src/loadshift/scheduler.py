@@ -24,6 +24,7 @@ from .core import (
     LoadCurve,
     PricingSignal,
     PvSystem,
+    _whole_number,
     preferred_starts,
     split_consumption,
     total_curve,
@@ -287,6 +288,19 @@ def _blend_value(objective: ObjectiveCurve, blend: float | None) -> float:
     return value
 
 
+def _baseline_values(baseline) -> np.ndarray | None:
+    """``baseline`` as an array of ``SLOT_COUNT`` finite floats, or None."""
+    if baseline is None:
+        return None
+    try:
+        base = np.asarray(baseline, dtype=float)
+    except (TypeError, ValueError):
+        base = np.empty(0)
+    if base.shape != (SLOT_COUNT,) or not np.all(np.isfinite(base)):
+        raise FormatError(f"baseline needs {SLOT_COUNT} finite values")
+    return base
+
+
 def evaluate_cost(
     assignment: ScheduleAssignment,
     objective: ObjectiveCurve,
@@ -306,16 +320,15 @@ def evaluate_cost(
 
     Raises:
         FeasibilityError: the assignment violates a hard constraint.
+        FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
     """
     violations = validate_assignment(instances, assignment)
     if violations:
         raise FeasibilityError("; ".join(violations))
     parts = split_consumption(instances, assignment.starts, assignment.pv_flags)
     grid = parts.grid.values
-    if baseline is not None:
-        base = np.asarray(baseline, dtype=float)
-        if base.shape != (SLOT_COUNT,):
-            raise FormatError(f"baseline needs {SLOT_COUNT} values")
+    base = _baseline_values(baseline)
+    if base is not None:
         grid = grid + base
     if not 1 <= active_from <= SLOT_COUNT:
         raise ParameterError(f"active_from {active_from} outside 1..{SLOT_COUNT}")
@@ -561,10 +574,18 @@ def solve(
 
     Raises:
         InfeasibleProblemError: any instance has no feasible start.
-        ParameterError: ``blend`` is not finite and >= 0 (checked before any search).
+        ParameterError: ``blend`` is not finite and >= 0, or ``not_before`` is
+            not a whole slot number in 1..SLOT_COUNT.
+        FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
+
+    Every argument is checked before any search.
     """
     weights = weights or DiscomfortWeights()
     blend = _blend_value(objective, blend)
+    baseline = _baseline_values(baseline)
+    not_before = _whole_number(not_before, 1, "not_before")
+    if not_before > SLOT_COUNT:
+        raise ParameterError(f"not_before must be <= {SLOT_COUNT}, got {not_before}")
     if pv is not None and pricing is None:
         raise ParameterError("pricing is required for PV arbitration")
 
@@ -588,7 +609,7 @@ def solve(
         )
 
     fixed_curve = total_curve(fixed, preferred_starts(fixed)).values
-    committed = fixed_curve if baseline is None else fixed_curve + np.asarray(baseline, dtype=float)
+    committed = fixed_curve if baseline is None else fixed_curve + baseline
     residual = committed - objective.values
     max_duration = max((i.duration_slots for i in shiftable), default=0)
 

@@ -52,23 +52,26 @@ def derive_seed(base: int, *parts) -> int:
 # when the previous day's off-peak segment means sum below this (kW).
 L_MIN_KW = 2.0
 
+# Std-dev (kW) of the seeded noise added to the load forecast to stand in
+# for the realized consumption an online replay observes.
+ONLINE_NOISE_KW = 0.05
+
 
 @dataclass(frozen=True)
 class RunParams:
     """Pipeline knobs shared by every household in a run.
 
     ``max_epochs`` caps each forecaster's LM training; ``history_window_days``
-    caps how much history feeds training and the peak regression;
-    ``online_noise_kw`` is the std-dev of the seeded noise that stands in
-    for real telemetry in online mode.  The rest of the pipeline is fixed:
-    every forecaster has lag 24 and 10 hidden units, the peak regression
-    uses 2 off-peak segments at degree 1, ``l_min`` is ``L_MIN_KW``, and
-    every solve runs with the all-zero default ``DiscomfortWeights``.
+    caps how much history feeds training and the peak regression.  The rest
+    of the pipeline is fixed: every forecaster has lag 24 and 10 hidden
+    units, the peak regression is linear in 2 off-peak segment means,
+    ``l_min`` is ``L_MIN_KW``, online replays observe noise of std-dev
+    ``ONLINE_NOISE_KW``, and every solve runs with the all-zero default
+    ``DiscomfortWeights``.
     """
 
     max_epochs: int = 60
     history_window_days: int = 120
-    online_noise_kw: float = 0.05
 
     def __post_init__(self):
         object.__setattr__(self, "max_epochs", _whole_number(self.max_epochs, 1, "max_epochs"))
@@ -77,8 +80,6 @@ class RunParams:
             "history_window_days",
             _whole_number(self.history_window_days, 2, "history_window_days"),
         )
-        if not (np.isfinite(self.online_noise_kw) and self.online_noise_kw >= 0):
-            raise ParameterError("online_noise_kw must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +126,6 @@ class DayResult:
 
     household_id: str
     day: datetime.date
-    mode: str
     before: LoadCurve
     after: LoadCurve
     after_total: LoadCurve
@@ -209,14 +209,13 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     if mode == "online" and shiftable:
         assignment, objective = _replay_online(
             instances, shiftable, fixed, assignment, objective,
-            predicted, model, history, pricing, pv, params, seed, household.id, day,
+            predicted, model, history, pricing, pv, seed, household.id, day,
         )
 
     parts = split_consumption(instances, assignment.starts, assignment.pv_flags)
     return DayResult(
         household_id=household.id,
         day=day,
-        mode=mode,
         before=before,
         after=parts.grid,
         after_total=parts.total,
@@ -228,7 +227,7 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
 
 def _replay_online(
     instances, shiftable, fixed, assignment, objective,
-    predicted, model, history, pricing, pv, params, seed, household_id, day,
+    predicted, model, history, pricing, pv, seed, household_id, day,
 ):
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
 
@@ -247,7 +246,7 @@ def _replay_online(
     battery trajectory and curves all follow the executed demand.
     """
     rng = np.random.default_rng(derive_seed(seed, household_id, day, "online"))
-    noise = rng.normal(0.0, params.online_noise_kw, SLOT_COUNT)
+    noise = rng.normal(0.0, ONLINE_NOISE_KW, SLOT_COUNT)
     realized_full = np.maximum(predicted.values + noise, 0.0)
 
     starts = dict(assignment.starts)

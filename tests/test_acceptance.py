@@ -285,7 +285,7 @@ def test_8_objective_conserves_predicted_energy():
     for household in fleet.households:
         history = household.history
         predicted = history[-1].curve  # any plausible day works as a prediction
-        model = fit_peak_regression(history, pricing, segment_count=2, degree=1)
+        model = fit_peak_regression(history, pricing, segment_count=2)
         # a tiny consumption threshold keeps the peak cap from ever engaging
         objective = build_objective(predicted, pricing, model, l_min=1e-12,
                                     history=history)

@@ -2,18 +2,12 @@
 
 import argparse
 import json
-import tempfile
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from loadshift import cli
 from loadshift.errors import InfeasibleProblemError
 from loadshift.simulate import RunParams
-
-from conftest import json_values, value_slots
 
 
 def generate(tmp_path, *extra):
@@ -81,20 +75,6 @@ def test_run_is_reproducible_byte_for_byte(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_report_command_matches_the_run(tmp_path):
-    bundle = generate(tmp_path)
-    out = tmp_path / "out"
-    cli.main(
-        ["run", "--bundle", str(bundle), "--out", str(out), "--seed", "2",
-         "--epochs", "10"]
-    )
-    redo = tmp_path / "redo"
-    rc = cli.main(["report", "--results", str(out / "results.json"), "--out", str(redo)])
-    assert rc == 0
-    assert (redo / "report.json").read_bytes() == (out / "report.json").read_bytes()
-    assert (redo / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
-
-
 def test_run_flag_defaults_are_the_run_params_defaults():
     args = cli.build_parser().parse_args(["run", "--bundle", "b", "--out", "o"])
     defaults = RunParams()
@@ -122,7 +102,7 @@ def test_train_is_an_invalid_choice(capsys):
     subparsers = next(
         a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    assert list(subparsers.choices) == ["generate", "run", "report", "validate"]
+    assert list(subparsers.choices) == ["generate", "run", "validate"]
 
 
 def test_validation_failure_exits_2(tmp_path, capsys):
@@ -244,114 +224,6 @@ def test_infeasible_problem_exits_3(tmp_path, capsys, monkeypatch):
     )
     assert rc == 3
     assert "no feasible start" in capsys.readouterr().err
-
-
-def test_report_rejects_foreign_json(tmp_path, capsys):
-    bad = tmp_path / "results.json"
-    bad.write_text('{"something": "else"}')
-    rc = cli.main(["report", "--results", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "missing" in capsys.readouterr().err
-
-
-def _results_bytes(peak_windows=(), prices=(1.0,) * 48, results=()):
-    return json.dumps({"format_version": 1, "mode": "offline", "results": list(results),
-                       "pricing": {"prices": list(prices),
-                                   "peak_windows": list(peak_windows)}}).encode()
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        (b'{"format_version": 1}\xff', "not UTF-8"),
-        (b"5", "must be a JSON object"),
-        (
-            b'{"format_version": 1, "mode": "offline", "pricing": {}, "results": []}',
-            "bad pricing",
-        ),
-        (
-            json.dumps({"format_version": 1, "mode": "offline", "results": 5,
-                        "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
-            "'results' must be a list",
-        ),
-        (
-            json.dumps({"format_version": 1, "mode": "offline", "results": [{"household": 1}],
-                        "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
-            "household id 1 is not a string",
-        ),
-        (
-            json.dumps({"format_version": 1, "mode": "offline", "results": [{"household": None}],
-                        "pricing": {"prices": [1.0] * 48, "peak_windows": []}}).encode(),
-            "household id None is not a string",
-        ),
-        (_results_bytes(peak_windows=[[float("inf"), 44]]), "bad pricing: peak window"),
-        (_results_bytes(peak_windows=[[35.5, 44]]), "bad pricing: peak window"),
-        (_results_bytes(prices=[10**400] + [1.0] * 47), "bad pricing"),
-        (
-            _results_bytes(results=[{"household": "h1", "predicted": [10**400] + [0.0] * 47}]),
-            "bad result row",
-        ),
-    ],
-    ids=["invalid-utf8", "top-level-number", "pricing-without-prices", "results-not-a-list",
-         "integer-household", "null-household", "infinite-window", "fractional-window",
-         "huge-int-price", "huge-int-curve"],
-)
-def test_report_rejects_malformed_results_with_exit_2(tmp_path, capsys, content, message):
-    bad = tmp_path / "results.json"
-    bad.write_bytes(content)
-    rc = cli.main(["report", "--results", str(bad), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(bad) in err and message in err
-    assert not (tmp_path / "o").exists()
-
-
-# JSON numbers that are not whole, or that int() or float() cannot convert
-EDGE_NUMBERS = (float("inf"), float("-inf"), float("nan"), 35.5, 10**400)
-
-
-@pytest.fixture(scope="module")
-def results_text(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("results")
-    bundle = generate(tmp, "--households", "1")
-    assert cli.main(
-        ["run", "--bundle", str(bundle), "--out", str(tmp / "out"), "--epochs", "3"]
-    ) == 0
-    return (tmp / "out" / "results.json").read_text()
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_mutated_results_report_or_exit_2(results_text, data):
-    doc = json.loads(results_text)
-    # drawing the field first keeps the few peak-window bounds from being
-    # lost among the hundreds of curve values
-    slots = {}
-    for field, node, key in value_slots(doc):
-        slots.setdefault(field, []).append((node, key))
-    field = data.draw(st.sampled_from(sorted(slots)))
-    node, key = data.draw(st.sampled_from(slots[field]))
-    node[key] = data.draw(json_values | st.sampled_from(EDGE_NUMBERS))
-    with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "results.json"
-        path.write_text(json.dumps(doc))
-        rc = cli.main(["report", "--results", str(path), "--out", str(Path(scratch) / "o")])
-    assert rc in (0, 2)
-
-
-def test_report_out_naming_a_file_exits_2(tmp_path, capsys):
-    bundle = generate(tmp_path)
-    out = tmp_path / "out"
-    assert cli.main(
-        ["run", "--bundle", str(bundle), "--out", str(out), "--seed", "1", "--epochs", "5"]
-    ) == 0
-    taken = tmp_path / "taken"
-    taken.write_text("keep me")
-    capsys.readouterr()
-    rc = cli.main(["report", "--results", str(out / "results.json"), "--out", str(taken)])
-    assert rc == 2
-    assert str(taken) in capsys.readouterr().err
-    assert taken.read_text() == "keep me"
 
 
 def test_run_out_naming_a_file_exits_2_before_simulating(tmp_path, capsys, monkeypatch):

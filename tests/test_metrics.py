@@ -33,7 +33,6 @@ def make_result(household_id, day, before, after, after_total=None):
     return DayResult(
         household_id=household_id,
         day=day,
-        mode="offline",
         before=LoadCurve(before),
         after=LoadCurve(after),
         after_total=LoadCurve(total),

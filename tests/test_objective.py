@@ -69,8 +69,8 @@ def test_segment_means_bounds():
 def test_fit_recovers_exact_linear_rule():
     pricing = make_pricing(peak_windows=(PEAK,))
     days = [curve_with(m, 2.0 * m + 1.0, pricing) for m in (0.2, 0.5, 0.8, 1.1, 1.7)]
-    model = fit_peak_regression(days, pricing, segment_count=1, degree=1)
-    assert model.coefficients[0, 0] == pytest.approx(2.0, abs=1e-6)
+    model = fit_peak_regression(days, pricing, segment_count=1)
+    assert model.coefficients[0] == pytest.approx(2.0, abs=1e-6)
     assert model.intercept == pytest.approx(1.0, abs=1e-6)
     assert model.evaluate([0.9]) == pytest.approx(2.0 * 0.9 + 1.0, abs=1e-6)
 
@@ -78,7 +78,7 @@ def test_fit_recovers_exact_linear_rule():
 def test_fit_constant_history_zero_slope():
     pricing = make_pricing(peak_windows=(PEAK,))
     days = [curve_with(0.6, 3.1, pricing)] * 5
-    model = fit_peak_regression(days, pricing, segment_count=2, degree=1)
+    model = fit_peak_regression(days, pricing, segment_count=2)
     npt.assert_allclose(model.coefficients, 0.0, atol=1e-12)
     assert model.intercept == pytest.approx(3.1)
 
@@ -90,7 +90,7 @@ def test_fit_no_worse_than_mean_model():
     for _ in range(30):
         values = rng.uniform(0.1, 2.0, 48)
         days.append(LoadCurve(values))
-    model = fit_peak_regression(days, pricing, segment_count=2, degree=2)
+    model = fit_peak_regression(days, pricing, segment_count=2)
     peaks = np.array([d.values[pricing.peak_mask()].max() for d in days])
     mean_sse = float(np.sum((peaks - peaks.mean()) ** 2))
     fitted = [model.evaluate(off_peak_segment_means(d, pricing, 2)) for d in days]
@@ -101,7 +101,7 @@ def test_fit_needs_enough_days():
     pricing = make_pricing(peak_windows=(PEAK,))
     days = [curve_with(0.5, 2.0, pricing)] * 2
     with pytest.raises(DegenerateRegressionError, match="reduce"):
-        fit_peak_regression(days, pricing, segment_count=2, degree=1)
+        fit_peak_regression(days, pricing, segment_count=2)
 
 
 def test_fit_requires_peak_windows():
@@ -112,16 +112,15 @@ def test_fit_requires_peak_windows():
 
 def test_evaluate_polynomial_hand_oracle():
     model = PeakRegressionModel(
-        segment_count=2,
-        degree=2,
-        coefficients=np.array([[0.5, -0.1], [1.5, 0.25]]),
-        intercept=0.3,
+        segment_count=2, coefficients=np.array([0.5, -1.5]), intercept=0.3
     )
     m1, m2 = 0.8, 1.4
-    oracle = 0.5 * m1 - 0.1 * m1**2 + 1.5 * m2 + 0.25 * m2**2 + 0.3
+    oracle = 0.5 * m1 - 1.5 * m2 + 0.3
     assert model.evaluate([m1, m2]) == pytest.approx(oracle, rel=1e-12)
     with pytest.raises(FormatError):
         model.evaluate([1.0])
+    with pytest.raises(FormatError, match=r"coefficients need shape \(2,\)"):
+        PeakRegressionModel(segment_count=2, coefficients=np.ones((2, 1)), intercept=0.0)
 
 
 # ---------------------------------------------------------------- offline build
@@ -129,7 +128,7 @@ def test_evaluate_polynomial_hand_oracle():
 
 def make_model(pricing, slope=2.0, intercept=1.0):
     days = [curve_with(m, slope * m + intercept, pricing) for m in (0.2, 0.6, 1.0, 1.5)]
-    return fit_peak_regression(days, pricing, segment_count=1, degree=1)
+    return fit_peak_regression(days, pricing, segment_count=1)
 
 
 def test_uncapped_peak_slots_follow_prediction():

@@ -20,6 +20,7 @@ from loadshift.core import (
 )
 from loadshift.errors import (
     FeasibilityError,
+    FormatError,
     InfeasibleApplianceError,
     InfeasibleProblemError,
     ParameterError,
@@ -916,13 +917,43 @@ def test_evaluate_cost_rejects_a_bad_blend(blend):
         )
 
 
-@pytest.mark.parametrize("blend", [float("nan"), float("inf"), -1.0])
-def test_solve_rejects_a_bad_blend_before_searching(blend, monkeypatch):
+BAD_BLEND = (ParameterError, "blend must be finite and >= 0")
+BAD_BASELINE = (FormatError, "baseline needs 48 finite values")
+BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        ({"blend": float("nan")}, BAD_BLEND),
+        ({"blend": float("inf")}, BAD_BLEND),
+        ({"blend": -1.0}, BAD_BLEND),
+        ({"baseline": np.zeros(47)}, BAD_BASELINE),
+        ({"baseline": np.array([0.0])}, BAD_BASELINE),
+        ({"baseline": np.full(48, np.nan)}, BAD_BASELINE),
+        ({"baseline": np.full(48, np.inf)}, BAD_BASELINE),
+        ({"not_before": 0}, BAD_NOT_BEFORE),
+        ({"not_before": 2.5}, BAD_NOT_BEFORE),
+        ({"not_before": float("nan")}, BAD_NOT_BEFORE),
+        ({"not_before": 49}, (ParameterError, "not_before must be <= 48, got 49")),
+    ],
+    ids=["blend nan", "blend inf", "blend -1.0", "baseline of 47", "baseline of 1",
+         "baseline nan", "baseline inf", "not_before 0", "not_before 2.5",
+         "not_before nan", "not_before 49"],
+)
+def test_solve_rejects_bad_input_before_searching(bad, expected, monkeypatch):
     def no_search(*args, **kwargs):
-        raise AssertionError("the search ran before blend was checked")
+        raise AssertionError("the search ran before the arguments were checked")
 
     monkeypatch.setattr(scheduler, "_enumerate_exact", no_search)
     monkeypatch.setattr(scheduler, "_local_search", no_search)
+    error, message = expected
     inst = make_instance("wash", duration=2, preferred=10)
-    with pytest.raises(ParameterError, match="blend must be finite and >= 0"):
-        solve([inst], make_objective(np.ones(48)), blend=blend)
+    objective = make_objective(np.ones(48))
+    with pytest.raises(error, match=message):
+        solve([inst], objective, **bad)
+    if "baseline" in bad:  # evaluate_cost shares the check
+        with pytest.raises(error, match=message):
+            evaluate_cost(
+                ScheduleAssignment({"wash": 10}), objective, DiscomfortWeights(), [inst], **bad
+            )
