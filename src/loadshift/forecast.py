@@ -8,9 +8,10 @@ prediction, linearly interpolated onto the 48-slot grid.
 Training never forms the (pairs, parameters) Jacobian.  Each epoch builds
 J^T J and J^T r from the network's Kronecker structure (``_NormalEquations``),
 mostly in one matrix product against the products of every pair of inputs.
-That (pairs, lag(lag+1)/2) array is computed once per fit and held until the
-fit ends: 4.8 MB for the pipeline's 1992 training pairs at lag 24, where the
-Jacobian it replaces took 4.2 MB, but only while one epoch built J^T J.
+Those products depend only on the data, yet each build makes them again,
+``_ROW_BLOCK`` pairs at a time in one reused buffer: held for the whole fit,
+the (pairs, lag(lag+1)/2) array would take 4.8 MB for the pipeline's 1992
+training pairs at lag 24, and rebuilding it costs about a quarter of a build.
 """
 
 from __future__ import annotations
@@ -325,21 +326,17 @@ class _NormalEquations:
     ``J^T r`` come from the products g_j z_c, z = [h, 1, r], by x and 1, and
     the last rows from ``z z^T``.
 
-    ``K`` (n, d(d+1)/2) depends only on the inputs: it is built once per fit
-    and lives as long as the fit.  The per-call products are made
-    ``_ROW_BLOCK`` training rows at a time, in one small buffer.
+    Every call makes both factors ``_ROW_BLOCK`` training rows at a time,
+    in small buffers that each block reuses, so no (n, d(d+1)/2) ``K`` is
+    held between calls.  ``x_rows`` holds the inputs transposed, so each
+    input product is a multiply of contiguous rows.
     """
 
     def __init__(self, x_norm: np.ndarray, hidden_size: int):
-        n, d = x_norm.shape
+        d = x_norm.shape[1]
         h = hidden_size
         self.x = x_norm
-        self.input_products = np.empty((n, d * (d + 1) // 2))
-        block = np.empty((d * (d + 1) // 2, min(n, _ROW_BLOCK)))
-        for start in range(0, n, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, n)
-            rows = _pair_products(x_norm[start:stop].T, block[:, : stop - start])
-            self.input_products[start:stop] = rows.T
+        self.x_rows = np.ascontiguousarray(x_norm.T)
         # Unit j's d + 1 rows of the (w_in, b_in) block, in u order (b_in row
         # first), read the sums over the pairs (j, k), k = 0..h-1, at the
         # same offsets for every j: row_map[a, column] is k * (pairs of u) +
@@ -362,7 +359,8 @@ class _NormalEquations:
         z[h] = 1.0
         gain = np.empty((h, rows))
         products = np.empty((pairs + h * (h + 2), rows))
-        by_pairs = np.zeros((pairs, self.input_products.shape[1]))
+        input_products = np.empty((d * (d + 1) // 2, rows))
+        by_pairs = np.zeros((pairs, input_products.shape[0]))
         by_x = np.zeros((products.shape[0], d))
         by_one = np.zeros(products.shape[0])
         tail = np.zeros((h + 1, h + 2))  # [h, 1] by [h, 1, r]
@@ -370,6 +368,7 @@ class _NormalEquations:
             stop = min(start + _ROW_BLOCK, n)
             width = stop - start
             z_block, g, part = z[:, :width], gain[:, :width], products[:, :width]
+            inputs = _pair_products(self.x_rows[:, start:stop], input_products[:, :width]).T
             z_block[:h] = hidden[start:stop].T
             z_block[h + 1] = residuals[start:stop]
             np.square(z_block[:h], out=g)
@@ -377,11 +376,11 @@ class _NormalEquations:
             np.multiply(g, w_out[:, None], out=g)
             _pair_products(g, part[:pairs])
             np.multiply(g[:, None], z_block[None], out=part[pairs:].reshape(h, h + 2, width))
-            by_pairs += part[:pairs] @ self.input_products[start:stop]
+            by_pairs += part[:pairs] @ inputs
             by_x += part @ x[start:stop]
             by_one += part @ z_block[h]
             tail += z_block[: h + 1] @ z_block.T
-        del products, part  # free the block buffers before jtj is allocated
+        del products, part, input_products, inputs  # free the block buffers before jtj
         # columns of both: the pairs of u, then u
         packed = np.concatenate([by_one[:pairs, None], by_x[:pairs], by_pairs], axis=1)
         cross = np.concatenate([by_one[pairs:, None], by_x[pairs:]], axis=1)

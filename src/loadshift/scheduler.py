@@ -172,11 +172,12 @@ def feasible_starts(
     whole slots, so the half-hour granularity floor holds by construction.
 
     Raises:
+        ParameterError: ``not_before`` is not a whole number >= 1.
         InfeasibleApplianceError: no start satisfies every constraint; the
             message names the binding constraint.
     """
     name = getattr(app, "instance_id", None) or app.id
-    window_lo = max(app.window_start, int(not_before))
+    window_lo = max(app.window_start, _whole_number(not_before, 1, "not_before"))
     window_hi = app.window_end - app.duration_slots + 1
     if window_lo > window_hi:
         raise InfeasibleApplianceError(
@@ -321,6 +322,8 @@ def evaluate_cost(
     Raises:
         FeasibilityError: the assignment violates a hard constraint.
         FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
+        ParameterError: ``active_from`` is not a whole number in
+            1..``SLOT_COUNT``.
     """
     violations = validate_assignment(instances, assignment)
     if violations:
@@ -330,8 +333,9 @@ def evaluate_cost(
     base = _baseline_values(baseline)
     if base is not None:
         grid = grid + base
-    if not 1 <= active_from <= SLOT_COUNT:
-        raise ParameterError(f"active_from {active_from} outside 1..{SLOT_COUNT}")
+    active_from = _whole_number(active_from, 1, "active_from")
+    if active_from > SLOT_COUNT:
+        raise ParameterError(f"active_from must be <= {SLOT_COUNT}, got {active_from}")
     gap = (grid - objective.values)[active_from - 1 :]
     deviation = float(np.sum(gap * gap))
 

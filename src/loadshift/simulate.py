@@ -6,12 +6,21 @@ grid, the "after" curve is the optimized schedule's grid consumption.  In
 online mode the day is replayed slot by slot: each slot's realized
 consumption (forecast plus seeded noise) updates the objective curve, and
 appliances that have not started yet are re-solved against it.
+
+Each household's load and PV forecasters are fitted once per calendar week,
+on the history window before the week's anchor day (its Monday, or later
+when the history starts later), and every day of the week is predicted by
+that network from its own previous 24 hours.  A two-entry cache keyed by the
+anchor's series, epoch budget, seed and fit function keeps the week's fits
+while one household's days run in order; a result never depends on what the
+cache holds, so ``run_day`` stays a pure function of (household, day).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -34,7 +43,14 @@ from .errors import (
     ParameterError,
     TemporalConsistencyError,
 )
-from .forecast import TrainingConfig, fit_series, hourly_series_from_history, predict_day
+from .forecast import (
+    NarNetwork,
+    SeriesDataset,
+    TrainingConfig,
+    fit_series,
+    hourly_series_from_history,
+    predict_day,
+)
 from .objective import ObjectiveCurve, build_objective, fit_peak_regression, update_online
 from .scheduler import ScheduleAssignment, pv_arbitrate, solve
 
@@ -150,11 +166,50 @@ def _usable_history(
     return tuple(past)
 
 
-def _forecast_curve(history, day, params: RunParams, seed: int) -> LoadCurve:
-    series = hourly_series_from_history(history)
-    cfg = TrainingConfig(max_epochs=params.max_epochs, rng_seed=seed)
-    result, _ = fit_series(series, cfg)
-    return predict_day(result.network, series)
+def _week_anchor(records, day: datetime.date) -> datetime.date:
+    """The day whose forecaster serves ``day``: the Monday of its week, or
+    the first day with 3 history days before it when the history starts later.
+
+    ``day`` itself must have 3 history days before it, as ``_usable_history``
+    checks.
+    """
+    monday = day - datetime.timedelta(days=day.weekday())
+    third = sorted(r.day for r in records if r.day < day)[2]
+    return max(monday, third + datetime.timedelta(days=1))
+
+
+# two entries: a household's load and PV forecasters; a NarNetwork is
+# immutable, so every day of the week can share the cached one.  ``fit`` is
+# part of the key, so a substituted or wrapped ``fit_series`` (a test stub, a
+# tracer) never gets a network fitted without it.
+@functools.lru_cache(maxsize=2)
+def _fit_network(values: bytes, max_epochs: int, seed: int, fit) -> NarNetwork:
+    series = SeriesDataset(np.frombuffer(values), lag=24)
+    result, _ = fit(series, TrainingConfig(max_epochs=max_epochs, rng_seed=seed))
+    return result.network
+
+
+def _forecast_curve(records, day, params: RunParams, seed, household_id, kind):
+    """Day-ahead curve for ``day`` from the forecaster of its week.
+
+    The network is fitted on the ``history_window_days`` before the week's
+    anchor (``_week_anchor``) with seed ``derive_seed(seed, household_id,
+    anchor, kind)``, then predicts ``day`` from the 24 hours before it.  The
+    fit depends only on the anchor's window and seed, so the cache that lets
+    the week's later days reuse it never changes a result.
+    """
+    series = hourly_series_from_history(
+        _usable_history(records, day, params.history_window_days)
+    )
+    anchor = _week_anchor(records, day)
+    window = _usable_history(records, anchor, params.history_window_days)
+    network = _fit_network(
+        hourly_series_from_history(window).values.tobytes(),
+        params.max_epochs,
+        derive_seed(seed, household_id, anchor, kind),
+        fit_series,
+    )
+    return predict_day(network, series)
 
 
 def run_day(
@@ -166,6 +221,12 @@ def run_day(
     seed: int = 0,
 ) -> DayResult:
     """Run the forecast -> objective -> schedule pipeline for one day.
+
+    The forecasts come from the networks of ``day``'s week, fitted on the
+    history before the week's anchor day (see ``_forecast_curve``); the
+    peak regression and the objective use the history before ``day``.
+    Running the same household's days of one week in a row fits each
+    network once; any order gives the same results.
 
     Raises:
         LoadshiftError subclasses from the underlying modules, with the
@@ -189,18 +250,13 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     before = total_curve(instances, preferred_starts(instances))
 
     history = _usable_history(household.history, day, params.history_window_days)
-    predicted = _forecast_curve(
-        history, day, params, derive_seed(seed, household.id, day, "load")
-    )
+    predicted = _forecast_curve(household.history, day, params, seed, household.id, "load")
     model = fit_peak_regression(history, pricing)
     objective = build_objective(predicted, pricing, model, L_MIN_KW, history=history)
 
     pv = household.pv
     if pv is not None and pv.history:
-        pv_history = _usable_history(pv.history, day, params.history_window_days)
-        generation = _forecast_curve(
-            pv_history, day, params, derive_seed(seed, household.id, day, "pv")
-        )
+        generation = _forecast_curve(pv.history, day, params, seed, household.id, "pv")
         pv = dataclasses.replace(pv, generation=generation.values)
 
     result = solve(instances, objective, pricing=pricing, pv=pv)

@@ -113,6 +113,14 @@ def test_feasible_starts_matches_brute_force(ws, width, duration, preferred, cap
             feasible_starts(inst, not_before=not_before)
 
 
+@pytest.mark.parametrize("not_before", [6.7, 0, float("nan"), float("inf")])
+def test_feasible_starts_rejects_a_start_bound_that_is_not_a_whole_slot(not_before):
+    inst = make_shiftable(duration=2, window=(1, 48), preferred=10)
+    with pytest.raises(ParameterError, match="not_before must be a whole number >= 1"):
+        feasible_starts(inst, not_before=not_before)
+    assert feasible_starts(inst, not_before=7.0)[0] == 7
+
+
 def test_feasible_starts_names_binding_constraint():
     late = make_shiftable(duration=4, window=(10, 20), preferred=10)
     with pytest.raises(InfeasibleApplianceError, match="window"):
@@ -956,4 +964,10 @@ def test_solve_rejects_bad_input_before_searching(bad, expected, monkeypatch):
         with pytest.raises(error, match=message):
             evaluate_cost(
                 ScheduleAssignment({"wash": 10}), objective, DiscomfortWeights(), [inst], **bad
+            )
+    if "not_before" in bad:  # evaluate_cost's active_from is checked the same way
+        with pytest.raises(error, match=message.replace("not_before", "active_from")):
+            evaluate_cost(
+                ScheduleAssignment({"wash": 10}), objective, DiscomfortWeights(), [inst],
+                active_from=bad["not_before"],
             )

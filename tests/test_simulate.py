@@ -2,12 +2,13 @@
 
 import dataclasses
 import datetime
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from loadshift import forecast, simulate
+from loadshift import cli, forecast, simulate
 from loadshift.core import DailyRecord, Household, LoadCurve, split_consumption, total_curve
 from loadshift.errors import (
     DatasetTooSmallError,
@@ -240,6 +241,7 @@ def test_run_day_labels_errors_in_place(monkeypatch):
     assert str(info.value) == "h1 2025-05-11: no feasible start"
     assert info.value.offenders == ("wash",)
 
+    simulate._fit_network.cache_clear()  # else the first call's fit is reused
     monkeypatch.setattr(
         forecast, "damped_step", lambda jtj, jtr, damping: np.full_like(jtr, np.nan)
     )
@@ -271,3 +273,109 @@ def test_run_params_validation():
             RunParams(history_window_days=count)
     whole = RunParams(max_epochs=3.0, history_window_days=30.0)
     assert type(whole.max_epochs) is int and type(whole.history_window_days) is int
+
+
+# ---------------------------------------------------------------- weekly fits
+
+
+def results_json(fleet, results, seed):
+    return json.dumps(cli._results_doc(fleet, results, seed), indent=2, sort_keys=True)
+
+
+def test_results_do_not_depend_on_the_forecaster_cache():
+    # Saturday 2025-01-18 to Monday 2025-01-20 span two weeks
+    fleet = small_fleet(household_count=1, history_days=17, simulated_days=3)
+    assert [d.weekday() for d in fleet.days] == [5, 6, 0]
+    pairs = [(h, d) for h in fleet.households for d in fleet.days]
+
+    def run(order, cold):
+        simulate._fit_network.cache_clear()
+        results = []
+        for household, day in order:
+            if cold:
+                simulate._fit_network.cache_clear()
+            results.append(run_day(household, day, fleet.pricing, params=FAST, seed=4))
+        return sorted(results, key=lambda r: (r.household_id, r.day))
+
+    cold = run(pairs, cold=True)
+    warm = run(pairs, cold=False)
+    # 2 weeks x (load, PV) fits; the other forecasts hit
+    assert simulate._fit_network.cache_info().hits == 2 * len(pairs) - 2 * 2
+    backwards = run(pairs[::-1], cold=False)
+    for a, b, c in zip(cold, warm, backwards):
+        assert (a.household_id, a.day) == (b.household_id, b.day) == (c.household_id, c.day)
+        for other in (b, c):
+            npt.assert_array_equal(other.predicted.values, a.predicted.values)
+            npt.assert_array_equal(other.after.values, a.after.values)
+            assert other.assignment.starts == a.assignment.starts
+    expected = results_json(fleet, cold, 4)
+    assert results_json(fleet, warm, 4) == expected
+    assert results_json(fleet, backwards, 4) == expected
+
+
+def test_each_series_is_fitted_once_per_week(monkeypatch):
+    simulate._fit_network.cache_clear()
+    fitted = []
+    real = simulate.fit_series
+
+    def counted(series, cfg):
+        fitted.append((series.values.tobytes(), cfg.rng_seed))
+        return real(series, cfg)
+
+    monkeypatch.setattr(simulate, "fit_series", counted)
+    fleet = small_fleet(simulated_days=6)  # Wednesday 2025-01-15 .. Monday 2025-01-20
+    household = fleet.households[0]
+    assert household.pv is not None
+    wednesday, thursday, friday, monday = (fleet.days[i] for i in (0, 1, 2, 5))
+    assert wednesday.weekday() == 2 and monday.weekday() == 0
+    for day in (wednesday, thursday, friday):
+        run_day(household, day, fleet.pricing, params=FAST, seed=2)
+    assert len(fitted) == 2  # load and PV, fitted for the week of 2025-01-13
+    anchor = datetime.date(2025, 1, 13)
+    assert {seed for _, seed in fitted} == {
+        derive_seed(2, household.id, anchor, "load"),
+        derive_seed(2, household.id, anchor, "pv"),
+    }
+    run_day(household, monday, fleet.pricing, params=FAST, seed=2)
+    assert len(fitted) == 4
+    assert len(set(fitted)) == 4
+
+
+def test_a_week_whose_history_starts_late_anchors_on_a_later_day(monkeypatch):
+    simulate._fit_network.cache_clear()
+    fitted = []
+    real = simulate.fit_series
+
+    def counted(series, cfg):
+        fitted.append(series.sample_count)
+        return real(series, cfg)
+
+    monkeypatch.setattr(simulate, "fit_series", counted)
+    sunday = datetime.date(2025, 5, 4)
+    assert sunday.weekday() == 6
+    household = Household(
+        id="h1",
+        appliances=(make_shiftable(id="wash", power=1.0, duration=3, preferred=38),),
+        pv=None,
+        history=flat_history(4, start=sunday),  # Sunday .. Wednesday
+    )
+    wednesday, thursday = sunday + datetime.timedelta(days=3), sunday + datetime.timedelta(days=4)
+    first = run_day(household, wednesday, make_pricing(), params=FAST, seed=1)
+    second = run_day(household, thursday, make_pricing(), params=FAST, seed=1)
+    # Monday has only one history day before it, so the week's fit is
+    # Wednesday's: its 3 history days, under Wednesday's seed
+    assert fitted == [3 * 24]
+    series = forecast.hourly_series_from_history(household.history[:3])
+    result, _ = forecast.fit_series(
+        series,
+        forecast.TrainingConfig(
+            max_epochs=FAST.max_epochs, rng_seed=derive_seed(1, "h1", wednesday, "load")
+        ),
+    )
+    npt.assert_array_equal(
+        first.predicted.values, forecast.predict_day(result.network, series).values
+    )
+    thursday_input = forecast.hourly_series_from_history(household.history)
+    npt.assert_array_equal(
+        second.predicted.values, forecast.predict_day(result.network, thursday_input).values
+    )
