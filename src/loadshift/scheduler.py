@@ -3,13 +3,18 @@
 The scheduler picks one start per shiftable appliance run to minimize squared
 deviation of the grid-facing curve from the objective plus weighted discomfort
 (shift and delay penalties).  Small problems are solved exactly by
-enumeration; larger ones by seeded local search.  When a PV/battery system is
-present, per-slot sourcing flags are arbitrated against the candidate demand
-and the two optimizations alternate to a fixed point.
+enumeration; larger ones by seeded local search.  Enumeration screens each
+candidate with per-start and pairwise terms, built once per round, and
+scores exactly only those within a rigorous rounding bound of the best, so
+in bounded memory it returns what scoring every candidate exactly would,
+ties included.  When a PV/battery system is present, per-slot sourcing
+flags are arbitrated against the candidate demand and the two
+optimizations alternate to a fixed point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -382,6 +387,19 @@ class _CandidateSpace:
     Deviation math runs on slot columns >= active_from with PV-flagged slots
     masked out of the shiftable contributions, exactly mirroring
     evaluate_cost's grid-facing curve.
+
+    Every instance's contribution rows are stacked in one C-contiguous
+    (rows, columns) array; ``contribs[i]`` is instance i's block of it and
+    ``offsets[i]`` that block's first row.  The screen terms are built from
+    the stack once per space: with r the residual, c a row's contribution and
+    p its penalty,
+
+        ||r + sum_i c_i||^2 + blend * sum_i p_i
+            = ||r||^2 + sum_i unary[row_i] + sum_{i<j} pairs[row_i, row_j]
+
+    where ``unary = 2 c.r + ||c||^2 + blend * p`` and ``pairs = 2 C C^T``
+    (8 B per pair of stacked rows).  A candidate whose screened total lies
+    more than ``tol`` above another's also scores exactly above it.
     """
 
     def __init__(
@@ -397,33 +415,73 @@ class _CandidateSpace:
         self.ids = [inst.instance_id for inst in shiftable]
         self.blend = blend
         cols = slice(active_from - 1, SLOT_COUNT)
-        keep = (~flags).astype(float)
         w, k = weights.shift_weight, weights.delay_weight
         self.residual = residual[cols]
-        self.starts: list[np.ndarray] = []
-        self.contribs: list[np.ndarray] = []
-        self.penalties: list[np.ndarray] = []
-        self.shift_abs: list[np.ndarray] = []
-        for inst in shiftable:
-            starts = np.asarray(starts_by_id[inst.instance_id], dtype=int)
-            contrib = np.zeros((starts.size, SLOT_COUNT))
-            for row, start in enumerate(starts):
-                contrib[row, start - 1 : start - 1 + inst.duration_slots] = inst.power_profile
-            contrib *= keep  # PV-covered slots leave the grid curve
-            shift = starts - inst.preferred_start
-            self.starts.append(starts)
-            self.contribs.append(contrib[:, cols])
-            self.penalties.append(w * np.abs(shift) + k * np.maximum(0, shift))
-            self.shift_abs.append(np.abs(shift))
+        self.starts = [
+            np.asarray(starts_by_id[inst.instance_id], dtype=int) for inst in shiftable
+        ]
+        sizes = [starts.size for starts in self.starts]
+        self.offsets = np.cumsum([0] + sizes[:-1], dtype=int)
+        grid = np.zeros((sum(sizes), SLOT_COUNT))
+        for inst, starts, first in zip(shiftable, self.starts, self.offsets):
+            cells = (starts - 1)[:, np.newaxis] + np.arange(inst.duration_slots)
+            grid[np.arange(first, first + starts.size)[:, np.newaxis], cells] = inst.power_profile
+        grid *= (~flags).astype(float)  # PV-covered slots leave the grid curve
+        stack = np.ascontiguousarray(grid[:, cols])
+        self.contribs = [stack[first : first + n] for first, n in zip(self.offsets, sizes)]
+        shifts = [starts - inst.preferred_start for inst, starts in zip(shiftable, self.starts)]
+        self.penalties = [w * np.abs(shift) + k * np.maximum(0, shift) for shift in shifts]
+        self.shift_abs = [np.abs(shift) for shift in shifts]
+
+        penalty = np.concatenate([np.zeros(0), *self.penalties])
+        self.unary = (
+            2.0 * (stack @ self.residual) + np.einsum("ij,ij->i", stack, stack) + blend * penalty
+        )
+        self.pairs = 2.0 * (stack @ stack.T)
+        # Screened (unary and pair terms) or exact (curve, einsum, penalty),
+        # a total takes at most n = columns + (instances + 2)^2 roundings of
+        # sums whose absolute parts add up to at most
+        #   magnitude = sum_t (|r_t| + sum_i max|c_i,t|)^2 + blend * sum_i max p_i,
+        # so it lies within gamma_n * magnitude of its real value, with
+        # gamma_n = n u / (1 - n u).  Candidates screened more than
+        # 4 gamma_n * magnitude apart therefore score exactly in the same
+        # order.  The factor 8 leaves room for the cutoff's own roundings and
+        # ``tiny`` for underflow.
+        reach = np.abs(self.residual) + sum(
+            (np.abs(c).max(axis=0) for c in self.contribs), np.zeros(self.residual.size)
+        )
+        magnitude = float(reach @ reach) + blend * sum(float(p.max()) for p in self.penalties)
+        n = self.residual.size + (len(sizes) + 2) ** 2
+        unit = np.finfo(float).eps / 2
+        self.tol = 8.0 * n * unit / (1.0 - n * unit) * magnitude + np.finfo(float).tiny
 
     def starts_mapping(self, choice: tuple[int, ...]) -> dict[str, int]:
         return {self.ids[i]: int(self.starts[i][row]) for i, row in enumerate(choice)}
 
 
-# Candidates scored per block.  At 48 slot columns one block of curves is
-# 4096 * 48 * 8 B = 1.5 MB, so working memory stays bounded however large
-# the start product is.
+# Candidates per block.  A block's screened totals take 4096 * 8 B = 32 KB
+# and its survivors' curves at most 4096 * 48 * 8 B = 1.5 MB at 48 slot
+# columns; a call holds at most three such curve arrays at once, beside the
+# block's index arrays, so its working memory stays within about 5 MB however
+# large the start product is.
 _BLOCK_ROWS = 4096
+
+
+def _exact_totals(space: _CandidateSpace, picked: list[np.ndarray | int]) -> np.ndarray:
+    """Exact total cost of each candidate whose row of instance i is ``picked[i]``.
+
+    ``picked[i]`` is an array of rows, one per candidate, or one row shared
+    by every candidate.  The arithmetic is that of scoring one candidate
+    alone: ``residual + c_0 + ... + c_{k-1}`` added element-wise in instance
+    order, one row-wise einsum on a C-contiguous block for the squared
+    deviation, then ``blend * (0 + p_0 + ... + p_{k-1})``.
+    """
+    curve = space.residual[np.newaxis]
+    penalty = 0.0
+    for i, row in enumerate(picked):
+        curve = curve + space.contribs[i][row]
+        penalty = penalty + space.penalties[i][row]
+    return np.einsum("ij,ij->i", curve, curve) + space.blend * penalty
 
 
 def _enumerate_exact(
@@ -432,18 +490,25 @@ def _enumerate_exact(
     """Exhaustive search over a start product; returns (choice, key, evaluations).
 
     ``rows`` restricts instance i to the ascending row indices ``rows[i]``
-    (default: all of its rows); ``choice`` holds full row indices and
-    ``key`` is the winner's (total cost, total |shift|, start tuple by id).
+    (default: all of its rows); ``choice`` holds full row indices, ``key``
+    is the winner's (total cost, total |shift|, start tuple by id) and
+    ``evaluations`` counts every candidate of the product.
 
-    Candidates are scored in fixed-size blocks of at most ``_BLOCK_ROWS``
-    rows, taken in row-major order of the product: the leading instances'
-    rows are gathered for a run of prefixes and the trailing instances are
-    broadcast.  Each candidate gets the arithmetic of a one-by-one loop,
-    whatever the block or the row subset, so exact float ties stay exact:
-    ``residual + c_0 + ... + c_{k-1}`` added element-wise in instance order,
-    one row-wise einsum on a C-contiguous block for the squared deviation,
-    then ``blend * (0 + p_0 + ... + p_{k-1})``.  Ties on the total go to the
-    least total |shift|, then to the least start tuple.
+    Candidates go in blocks of at most ``_BLOCK_ROWS``, in row-major order
+    of the product: the leading instances' rows are gathered for a run of
+    prefixes and the trailing instances are broadcast.  A block is screened
+    first: each candidate's screened total adds the space's ``unary`` and
+    ``pairs`` terms of its rows, a few additions in place of a pass over
+    every slot (an instance held at one row joins the others' unary terms,
+    and terms shared by every candidate are left out).  A candidate screened
+    more than ``space.tol`` above the least screened total so far scores
+    exactly above another candidate, so it cannot win and is dropped.  The
+    survivors are scored by ``_exact_totals``, which gives each the
+    arithmetic of scoring it alone, whatever the block or the subset, so
+    exact float ties stay exact.  Ties on the total go to the least total
+    |shift|, then to the least start tuple.  Every candidate that ties the
+    least total survives the screen, so the choice and its key are those of
+    scoring every candidate exactly.
     """
     k = len(space.starts)
     if rows is None:
@@ -457,39 +522,65 @@ def _enumerate_exact(
         inner *= sizes[split]
     group = max(1, _BLOCK_ROWS // inner)
     prefixes = math.prod(sizes[:split])
-    tail = [(space.contribs[i][rows[i]], space.penalties[i][rows[i]]) for i in range(split, k)]
+
+    # screen terms, indexed by stacked row: the pair terms with the instances
+    # held at one row join the unary terms of the rest
+    moving = [i for i in range(k) if sizes[i] > 1]
+    held = [space.offsets[i] + rows[i][0] for i in range(k) if sizes[i] == 1]
+    unary = space.unary + space.pairs[held].sum(axis=0) if held else space.unary
+    lead = [i for i in moving if i < split]
+    tail = [i for i in moving if i >= split]
+    stacked = {i: space.offsets[i] + rows[i] for i in moving}
+    for i in tail:  # a broadcast instance's rows lie along its own axis
+        stacked[i] = stacked[i].reshape((1,) * (i - split + 1) + (-1,) + (1,) * (k - 1 - i))
+    # the part of the screen over the broadcast instances alone, once per call
+    tail_screened = sum(unary[stacked[i]] for i in tail) + sum(
+        space.pairs[stacked[i], stacked[j]] for i, j in itertools.combinations(tail, 2)
+    )
 
     best_key: tuple[float, int, tuple[int, ...]] | None = None
     best_choice: tuple[int, ...] = ()
     evaluations = 0
+    least_screened = math.inf
     for lo in range(0, prefixes, group):
         hi = min(lo + group, prefixes)
+        evaluations += (hi - lo) * inner
         picks = np.unravel_index(np.arange(lo, hi), sizes[:split]) if split else ()
-        curve = space.residual[np.newaxis]
-        penalty = np.zeros(hi - lo)
-        for i, pick in enumerate(picks):
-            curve = curve + space.contribs[i][rows[i][pick]]
-            penalty = penalty + space.penalties[i][rows[i][pick]]
-        for contrib, pen in tail:
-            curve = (curve[:, np.newaxis] + contrib).reshape(-1, curve.shape[-1])
-            penalty = (penalty[:, np.newaxis] + pen).reshape(-1)
-        totals = np.einsum("ij,ij->i", curve, curve) + space.blend * penalty
-        evaluations += totals.size
+        lead_rows = {i: stacked[i][picks[i]].reshape((-1,) + (1,) * (k - split)) for i in lead}
+        # terms over the prefixes first, then each broadcast instance's axis
+        # joins, so that few additions run over the whole block
+        screened = sum(unary[lead_rows[i]] for i in lead) + sum(
+            space.pairs[lead_rows[i], lead_rows[j]] for i, j in itertools.combinations(lead, 2)
+        )
+        for j in tail:
+            screened = screened + sum(space.pairs[lead_rows[i], stacked[j]] for i in lead)
+        screened = np.reshape(screened + tail_screened, -1)
+        least_screened = min(least_screened, float(screened.min()))
+        survivors = np.flatnonzero(screened <= least_screened + space.tol)
+        if survivors.size == 0:
+            continue
+
+        flat = survivors + lo * inner
+        # (np.unravel_index rejects the empty shape of a problem with no instances)
+        pos = np.unravel_index(flat, sizes) if k else ()
+        picked = [rows[i][pos[i]] if sizes[i] > 1 else rows[i][0] for i in range(k)]
+        totals = _exact_totals(space, picked)
 
         least = totals.min()
         if best_key is not None and least > best_key[0]:
             continue
+        ties = np.flatnonzero(totals == least)
         # starts rise with the row index, so among the least shifts the
-        # first flat index is the least start tuple
-        flat = np.flatnonzero(totals == least) + lo * inner
-        # (np.unravel_index rejects the empty shape of a problem with no instances)
-        tied = [rows[i][pos] for i, pos in enumerate(np.unravel_index(flat, sizes))] if k else []
-        shift = sum((space.shift_abs[i][row] for i, row in enumerate(tied)), np.zeros_like(flat))
-        pick = int(np.argmin(shift))
-        choice = tuple(int(row[pick]) for row in tied)
+        # first tie is the least start tuple; held instances add the same
+        # shift to every tie
+        shift = sum(
+            (space.shift_abs[i][picked[i][ties]] for i in moving), np.zeros(ties.size, dtype=int)
+        )
+        winner = int(flat[ties[np.argmin(shift)]])
+        choice = tuple(int(r[p]) for r, p in zip(rows, np.unravel_index(winner, sizes))) if k else ()
         key = (
             float(least),
-            int(shift[pick]),
+            sum(int(space.shift_abs[i][c]) for i, c in enumerate(choice)),
             tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
         )
         if best_key is None or key < best_key:
@@ -556,12 +647,12 @@ def solve(
     optimized over their feasible start sets, exhaustively when the product
     of set sizes stays within ``_EXACT_LIMIT``, otherwise by local search
     whose moves score one instance's rows at a time.  Both rank candidates
-    through ``_enumerate_exact``, which scores in fixed-size blocks with
-    bounded memory and gives each candidate the same arithmetic as when
-    scored alone.  With a PV system, sourcing flags are arbitrated against
-    each intermediate schedule and start optimization repeats until the
-    flags reach a fixed point (or ``_PV_ITERATION_CAP`` rounds); the best
-    self-consistent schedule wins.
+    through ``_enumerate_exact``, which screens and scores in fixed-size
+    blocks with bounded memory and gives each candidate it scores exactly
+    the same arithmetic as when scored alone.  With a PV system, sourcing
+    flags are arbitrated against each intermediate schedule and start
+    optimization repeats until the flags reach a fixed point (or
+    ``_PV_ITERATION_CAP`` rounds); the best self-consistent schedule wins.
 
     Args:
         instances: all appliance instances (fixed and shiftable).

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -537,6 +539,172 @@ def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, block_rows):
         choice, key, evaluations = scheduler._enumerate_exact(space)
         assert (choice, key) == prefix_loop_reference(space)
         assert evaluations == int(np.prod([len(s) for s in sets.values()]))
+
+
+def candidate_space(instances, residual, flags=None, weights=None, blend=0.2, not_before=1):
+    """The candidate space of ``instances`` over all of their feasible starts."""
+    instances = sorted(instances, key=lambda i: i.instance_id)
+    sets = {i.instance_id: feasible_starts(i, not_before) for i in instances}
+    return scheduler._CandidateSpace(
+        instances,
+        residual,
+        np.zeros(48, dtype=bool) if flags is None else flags,
+        weights or DiscomfortWeights(),
+        blend,
+        not_before,
+        sets,
+    )
+
+
+def count_exact_scores(monkeypatch):
+    """Count the candidates the exact scorer sees; returns the running count."""
+    seen = [0]
+    exact = scheduler._exact_totals
+
+    def spy(space, picked):
+        totals = exact(space, picked)
+        seen[0] += totals.size
+        return totals
+
+    monkeypatch.setattr(scheduler, "_exact_totals", spy)
+    return seen
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The working memory one ``_enumerate_exact`` call may take, whatever the
+# size of the start product: three blocks of candidate curves at once, plus
+# the block's index arrays.
+WORKING_MEMORY_BOUND = 3 * scheduler._BLOCK_ROWS * 48 * 8 + 500_000
+
+
+def real_total(space, choice):
+    """A candidate's squared deviation in exact rational arithmetic."""
+    curve = [Fraction(float(v)) for v in space.residual]
+    for i, row in enumerate(choice):
+        curve = [g + Fraction(float(c)) for g, c in zip(curve, space.contribs[i][row])]
+    return sum(g * g for g in curve)
+
+
+@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
+@pytest.mark.parametrize("flavour", ["equal in reals", "equal in floats"])
+def test_enumerate_exact_keeps_near_ties_through_the_screen(monkeypatch, block_rows, flavour):
+    # Separated runs on a flat residual share one real total, but the einsum
+    # adds the same squares in an order set by where the runs lie, so their
+    # float totals differ by ulps.  A residual perturbed by ulps instead
+    # gives real totals that differ by less than the totals' ulp, so that
+    # many of them round to one float.  The screen must keep every
+    # candidate that could score exactly at or below the winner.
+    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(53)
+    for _ in range(3):
+        level = float(rng.uniform(2.0, 3.0))
+        residual = np.full(48, -level)
+        if flavour == "equal in floats":
+            residual += rng.integers(-2, 3, 48) * np.spacing(level)
+        instances = [
+            make_instance(
+                f"a{i}", power=float(rng.uniform(0.3, 1.5)), duration=int(rng.integers(1, 4)),
+                preferred=int(rng.integers(5, 42)), max_shift=4,
+            )
+            for i in range(4)
+        ]
+        space = candidate_space(instances, residual, blend=0.0)
+        choice, key, evaluations = scheduler._enumerate_exact(space)
+        assert (choice, key) == prefix_loop_reference(space)
+        assert evaluations == 9**4 > block_rows
+
+        totals = {
+            combo: key_reference(space, combo)[0]
+            for combo in itertools.product(*(range(s.size) for s in space.starts))
+        }
+        if flavour == "equal in reals":  # the winner's real total, many float totals
+            near = {t: c for c, t in totals.items() if t - key[0] < 1e-12 * key[0]}
+            assert len(near) > 1
+            assert {real_total(space, c) for c in near.values()} == {real_total(space, choice)}
+        else:  # float ties on the winner's total that differ in reals
+            tied = [c for c, t in totals.items() if t == key[0]]
+            assert len({real_total(space, c) for c in tied[:40]}) > 1
+
+
+@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
+def test_enumerate_exact_scores_a_tie_saturated_product_exactly(monkeypatch, block_rows):
+    # runs in disjoint windows with integer powers under a flat unreachable
+    # target: every placement adds the same integer squares, so every
+    # candidate ties exactly, survives the screen and is scored exactly,
+    # over more than 4 blocks; the preferred starts win on the least shift
+    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    seen = count_exact_scores(monkeypatch)
+    instances = [
+        make_instance(
+            f"a{i}", power=float(1 + i % 2), duration=1, window=(1 + 12 * i, 12 + 12 * i),
+            preferred=6 + 12 * i,
+        )
+        for i in range(4)
+    ]
+    space = candidate_space(instances, np.full(48, -50.0))
+    (choice, key, evaluations), peak = traced_peak(lambda: scheduler._enumerate_exact(space))
+    assert (choice, key) == prefix_loop_reference(space)
+    assert key[1:] == (0, (6, 18, 30, 42))
+    assert evaluations == 12**4 > 4 * block_rows
+    assert seen[0] == evaluations
+    assert peak < WORKING_MEMORY_BOUND
+
+
+def test_enumerate_exact_screen_prunes_with_bounded_memory(monkeypatch):
+    # on a random float problem few candidates come within the screen's
+    # bound of the least screened total, so the exact scorer sees under 1%
+    # of a product of ~10^6 candidates; blocks keep the call's memory to a
+    # few MB where the product's totals alone would take 7.4 MB
+    seen = count_exact_scores(monkeypatch)
+    rng = np.random.default_rng(61)
+    instances = [
+        make_instance(
+            f"a{i}", power=float(rng.uniform(0.3, 2.5)), duration=int(rng.integers(1, 5)),
+            preferred=int(rng.integers(17, 24)), max_shift=15,
+        )
+        for i in range(4)
+    ]
+    space = candidate_space(
+        instances, -rng.uniform(0.0, 2.0, 48), weights=DiscomfortWeights(0.1, 0.2)
+    )
+    (choice, key, evaluations), peak = traced_peak(lambda: scheduler._enumerate_exact(space))
+    assert evaluations == 31**4
+    assert 0 < seen[0] < evaluations / 100
+    assert peak < WORKING_MEMORY_BOUND
+    assert key == key_reference(space, choice)
+
+
+def test_candidate_space_places_each_run_like_a_per_start_loop():
+    # the contribution rows are bit-identical to placing each start's power
+    # profile in its own row, masked by the PV flags, on the scored columns
+    rng = np.random.default_rng(67)
+    instances = []
+    for i in range(3):
+        duration = int(rng.integers(1, 6))
+        instances.append(
+            ApplianceInstance(
+                instance_id=f"a{i}", kind="shiftable", power_profile=rng.uniform(0.1, 2.0, duration),
+                duration_slots=duration, window_start=1, window_end=48,
+                preferred_start=int(rng.integers(10, 40)), max_shift=int(rng.integers(1, 9)),
+            )
+        )
+    flags = rng.uniform(size=48) < 0.3
+    space = candidate_space(instances, -rng.uniform(0.0, 2.0, 48), flags=flags, not_before=4)
+    for inst, starts, contrib in zip(instances, space.starts, space.contribs):
+        expected = np.zeros((starts.size, 48))
+        for row, start in enumerate(starts):
+            expected[row, start - 1 : start - 1 + inst.duration_slots] = inst.power_profile
+        expected *= (~flags).astype(float)
+        assert contrib.tobytes() == np.ascontiguousarray(expected[:, 3:]).tobytes()
 
 
 def test_solve_flat_unreachable_objective_keeps_preferred():
