@@ -41,8 +41,9 @@ class SeriesDataset:
 
     Args:
         values: the series (kW), one value per hour, time-ordered.
-        lag: window length t_d; supervised pairs map ``lag`` consecutive
-            values to the next one, so there are ``len(values) - lag`` pairs.
+        lag: window length t_d, a whole number >= 1; supervised pairs map
+            ``lag`` consecutive values to the next one, so there are
+            ``len(values) - lag`` pairs.
     """
 
     values: np.ndarray
@@ -57,8 +58,7 @@ class SeriesDataset:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.lag < 1:
-            raise ParameterError("lag must be >= 1")
+        object.__setattr__(self, "lag", _whole_number(self.lag, 1, "lag"))
 
     @property
     def sample_count(self) -> int:
@@ -77,23 +77,26 @@ class SeriesDataset:
         return X, self.values[targets]
 
 
+_ONE_DAY = datetime.timedelta(days=1)
+
+
 def hourly_series_from_history(
     records: Sequence[DailyRecord], lag: int = 24
 ) -> SeriesDataset:
     """Collapse dated half-hour curves into one contiguous hourly series.
 
-    Each hour's value is the mean of its two half-hour slots.  Days must be
-    consecutive; a gap would silently break the autoregressive windows.
+    Each hour's value is the mean of its two half-hour slots, taken for the
+    whole window at once over the concatenated curves.  Days must be given
+    in order and be consecutive; a gap would silently break the
+    autoregressive windows.
     """
     if not records:
         raise DatasetTooSmallError("history is empty")
     days = [rec.day for rec in records]
     for prev, nxt in zip(days, days[1:]):
-        if nxt != prev + datetime.timedelta(days=1):
+        if nxt != prev + _ONE_DAY:
             raise TemporalConsistencyError(f"history days not consecutive: {prev} -> {nxt}")
-    hourly = np.concatenate(
-        [rec.curve.values.reshape(24, 2).mean(axis=1) for rec in records]
-    )
+    hourly = np.concatenate([rec.curve.values for rec in records]).reshape(-1, 2).mean(axis=1)
     return SeriesDataset(values=hourly, lag=lag)
 
 

@@ -9,6 +9,10 @@ day-ahead inputs plus the realized prefix: elapsed slots take their realized
 values, the rest share the remaining energy budget, and the cap is
 conditioned on the last history day with that prefix overlaid.  One builder
 serves both modes; the day-ahead curve is the case of an empty prefix.
+
+The peak regression takes one observation per history day it is given, in
+one pass over the stacked days; ``simulate`` gives it the window before the
+simulated day.
 """
 
 from __future__ import annotations
@@ -18,13 +22,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal
+from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal, _whole_number
 from .errors import DegenerateRegressionError, FormatError, ParameterError
 
 PROVENANCE_FLAGS = ("predicted", "capped", "realized")
 
 
 # ---------------------------------------------------------------- regression
+
+
+def _off_peak_segments(pricing: PricingSignal, segment_count) -> list[np.ndarray]:
+    """Off-peak slot indices split into ``segment_count`` contiguous segments."""
+    segment_count = _whole_number(segment_count, 1, "segment_count")
+    off_idx = np.flatnonzero(~pricing.peak_mask())
+    if segment_count > off_idx.size:
+        raise ParameterError(
+            f"segment_count {segment_count} exceeds the {off_idx.size} off-peak slots"
+        )
+    return np.array_split(off_idx, segment_count)
 
 
 def off_peak_segment_means(
@@ -34,19 +49,12 @@ def off_peak_segment_means(
 
     Off-peak slots (in slot order) are partitioned into ``segment_count``
     contiguous segments of near-equal size; the mean power of each is
-    returned.
+    returned.  ``segment_count`` must be a whole number >= 1.
     """
     values = curve.values if isinstance(curve, LoadCurve) else np.asarray(curve, dtype=float)
     if values.shape != (SLOT_COUNT,):
         raise FormatError(f"curve needs {SLOT_COUNT} values, got shape {values.shape}")
-    off_idx = np.flatnonzero(~pricing.peak_mask())
-    if segment_count < 1:
-        raise ParameterError("segment_count must be >= 1")
-    if segment_count > off_idx.size:
-        raise ParameterError(
-            f"segment_count {segment_count} exceeds the {off_idx.size} off-peak slots"
-        )
-    segments = np.array_split(off_idx, segment_count)
+    segments = _off_peak_segments(pricing, segment_count)
     return np.array([float(values[seg].mean()) for seg in segments])
 
 
@@ -85,13 +93,6 @@ class PeakRegressionModel:
         return float(np.sum(self.coefficients * means) + self.intercept)
 
 
-def _history_curves(history: Sequence[LoadCurve | DailyRecord]) -> list[LoadCurve]:
-    curves = []
-    for item in history:
-        curves.append(item.curve if isinstance(item, DailyRecord) else item)
-    return curves
-
-
 def fit_peak_regression(
     history: Sequence[LoadCurve | DailyRecord],
     pricing: PricingSignal,
@@ -100,16 +101,21 @@ def fit_peak_regression(
     """Fit the peak/off-peak relationship on historical days.
 
     Each day contributes one observation: target = maximum consumption over
-    the peak-window slots, features = the off-peak segment means.  The fit
-    is centered minimum-norm least squares, so feature directions with no
-    variance (e.g. a constant history) get zero coefficients and the
-    intercept absorbs the mean peak.
+    the peak-window slots, features = the off-peak segment means.  The days
+    are stacked into one (days, 48) array; the targets are one row-wise max,
+    and each segment mean is the same per-day 1-D mean that
+    :func:`off_peak_segment_means` takes, so a day's features do not depend
+    on the rest of the window.  The fit is centered minimum-norm least
+    squares, so feature directions with no variance (e.g. a constant
+    history) get zero coefficients and the intercept absorbs the mean peak.
 
     Raises:
+        ParameterError: ``segment_count`` not a whole number >= 1, no
+            declared peak windows, or more segments than off-peak slots.
         DegenerateRegressionError: fewer than segment_count + 1 days.
-        ParameterError: no declared peak windows.
     """
-    curves = _history_curves(history)
+    segment_count = _whole_number(segment_count, 1, "segment_count")
+    curves = [item.curve if isinstance(item, DailyRecord) else item for item in history]
     needed = segment_count + 1
     if len(curves) < needed:
         raise DegenerateRegressionError(
@@ -119,12 +125,15 @@ def fit_peak_regression(
     peak_idx = np.flatnonzero(pricing.peak_mask())
     if peak_idx.size == 0:
         raise ParameterError("pricing declares no peak windows to regress on")
+    segments = _off_peak_segments(pricing, segment_count)
 
+    values = np.stack([curve.values for curve in curves])
     features = np.empty((len(curves), segment_count))
-    targets = np.empty(len(curves))
-    for row, curve in enumerate(curves):
-        features[row] = off_peak_segment_means(curve, pricing, segment_count)
-        targets[row] = curve.values[peak_idx].max()
+    for col, seg in enumerate(segments):
+        # a 1-D mean per day: (days, slots).mean(axis=1) sums in another
+        # order, which changes the fitted coefficients' last bits
+        features[:, col] = [row.mean() for row in values[:, seg]]
+    targets = values[:, peak_idx].max(axis=1)
 
     feat_mean = features.mean(axis=0)
     target_mean = targets.mean()

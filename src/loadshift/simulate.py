@@ -14,14 +14,23 @@ that network from its own previous 24 hours.  A two-entry cache keyed by the
 anchor's series, epoch budget, seed and fit function keeps the week's fits
 while one household's days run in order; a result never depends on what the
 cache holds, so ``run_day`` stays a pure function of (household, day).
+
+A household-day sorts each history (load, PV) by day once; records may come
+in any order.  Every window is then a slice of that sorted view: the
+``history_window_days`` days before the simulated day feed the prediction
+input, the peak regression and the objective, and the days before the
+week's anchor feed the fit.  A window must end the day before its target
+day and may not skip a day.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import datetime
 import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +159,19 @@ class DayResult:
     predicted: LoadCurve
 
 
+_record_day = operator.attrgetter("day")
+
+
+def _by_day(records) -> list[DailyRecord]:
+    """``records`` sorted by day, the one sort a history gets per household-day."""
+    return sorted(records, key=_record_day)
+
+
 def _usable_history(
-    records, day: datetime.date, window_days: int
-) -> tuple[DailyRecord, ...]:
-    past = sorted((r for r in records if r.day < day), key=lambda r: r.day)
+    ordered: list[DailyRecord], day: datetime.date, window_days: int
+) -> list[DailyRecord]:
+    """The last ``window_days`` records before ``day`` of a ``_by_day`` history."""
+    past = ordered[: bisect.bisect_left(ordered, day, key=_record_day)]
     if len(past) < 3:
         raise DatasetTooSmallError(
             f"needs at least 3 history days before {day}, found {len(past)}"
@@ -163,19 +181,18 @@ def _usable_history(
         raise TemporalConsistencyError(
             f"history ends {past[-1].day}, cannot forecast {day}"
         )
-    return tuple(past)
+    return past
 
 
-def _week_anchor(records, day: datetime.date) -> datetime.date:
+def _week_anchor(ordered: list[DailyRecord], day: datetime.date) -> datetime.date:
     """The day whose forecaster serves ``day``: the Monday of its week, or
     the first day with 3 history days before it when the history starts later.
 
-    ``day`` itself must have 3 history days before it, as ``_usable_history``
-    checks.
+    ``ordered`` is a ``_by_day`` history, and ``day`` itself must have 3
+    history days before it, as ``_usable_history`` checks.
     """
     monday = day - datetime.timedelta(days=day.weekday())
-    third = sorted(r.day for r in records if r.day < day)[2]
-    return max(monday, third + datetime.timedelta(days=1))
+    return max(monday, ordered[2].day + datetime.timedelta(days=1))
 
 
 # two entries: a household's load and PV forecasters; a NarNetwork is
@@ -189,20 +206,21 @@ def _fit_network(values: bytes, max_epochs: int, seed: int, fit) -> NarNetwork:
     return result.network
 
 
-def _forecast_curve(records, day, params: RunParams, seed, household_id, kind):
+def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
     """Day-ahead curve for ``day`` from the forecaster of its week.
 
-    The network is fitted on the ``history_window_days`` before the week's
-    anchor (``_week_anchor``) with seed ``derive_seed(seed, household_id,
-    anchor, kind)``, then predicts ``day`` from the 24 hours before it.  The
-    fit depends only on the anchor's window and seed, so the cache that lets
-    the week's later days reuse it never changes a result.
+    ``ordered`` is the series' ``_by_day`` history.  The network is fitted on
+    the ``history_window_days`` before the week's anchor (``_week_anchor``)
+    with seed ``derive_seed(seed, household_id, anchor, kind)``, then
+    predicts ``day`` from the hourly series of the ``history_window_days``
+    before it.  The fit depends only on the anchor's window and seed, so the
+    cache that lets the week's later days reuse it never changes a result.
     """
     series = hourly_series_from_history(
-        _usable_history(records, day, params.history_window_days)
+        _usable_history(ordered, day, params.history_window_days)
     )
-    anchor = _week_anchor(records, day)
-    window = _usable_history(records, anchor, params.history_window_days)
+    anchor = _week_anchor(ordered, day)
+    window = _usable_history(ordered, anchor, params.history_window_days)
     network = _fit_network(
         hourly_series_from_history(window).values.tobytes(),
         params.max_epochs,
@@ -249,14 +267,15 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     fixed = [i for i in instances if i.kind == "fixed"]
     before = total_curve(instances, preferred_starts(instances))
 
-    history = _usable_history(household.history, day, params.history_window_days)
-    predicted = _forecast_curve(household.history, day, params, seed, household.id, "load")
+    load_history = _by_day(household.history)
+    history = _usable_history(load_history, day, params.history_window_days)
+    predicted = _forecast_curve(load_history, day, params, seed, household.id, "load")
     model = fit_peak_regression(history, pricing)
     objective = build_objective(predicted, pricing, model, L_MIN_KW, history=history)
 
     pv = household.pv
     if pv is not None and pv.history:
-        generation = _forecast_curve(pv.history, day, params, seed, household.id, "pv")
+        generation = _forecast_curve(_by_day(pv.history), day, params, seed, household.id, "pv")
         pv = dataclasses.replace(pv, generation=generation.values)
 
     result = solve(instances, objective, pricing=pricing, pv=pv)

@@ -123,6 +123,89 @@ def test_hourly_series_rejects_gaps():
         hourly_series_from_history(records)
 
 
+# The per-record series builder that the whole-window one replaced: one
+# reshape(24, 2).mean per day, then a concatenation.  Kept as the reference the
+# whole-window builder must match bit for bit, errors included.
+def reference_hourly_series(records, lag=24):
+    if not records:
+        raise DatasetTooSmallError("history is empty")
+    days = [rec.day for rec in records]
+    for prev, nxt in zip(days, days[1:]):
+        if nxt != prev + datetime.timedelta(days=1):
+            raise TemporalConsistencyError(f"history days not consecutive: {prev} -> {nxt}")
+    hourly = np.concatenate(
+        [rec.curve.values.reshape(24, 2).mean(axis=1) for rec in records]
+    )
+    return SeriesDataset(values=hourly, lag=lag)
+
+
+def extreme_history(seed, days, start=datetime.date(2025, 3, 1)):
+    """Seeded daily curves mixing zeros, subnormals and values up to 1e300."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 3.0, (days, 48))
+    kinds = rng.integers(0, 6, (days, 48))
+    values[kinds == 0] = 0.0
+    values[kinds == 1] = rng.choice([5e-324, 1e-310, 2.2e-308], size=int((kinds == 1).sum()))
+    values[kinds == 2] *= 10.0 ** rng.integers(3, 300, size=int((kinds == 2).sum()))
+    return [
+        DailyRecord(day=start + datetime.timedelta(days=d), curve=LoadCurve(values[d]))
+        for d in range(days)
+    ]
+
+
+def outcome(build, *args, **kwargs):
+    """What a call gives: its result, or the type and message it raised."""
+    try:
+        return build(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared against the reference
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("days", [1, 2, 7, 120])
+def test_hourly_series_matches_the_per_record_reference(seed, days):
+    records = extreme_history(seed, days)
+    for lag in (1, 24):
+        got = hourly_series_from_history(records, lag=lag)
+        ref = reference_hourly_series(records, lag=lag)
+        assert got.lag == ref.lag
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_hourly_series_errors_match_the_per_record_reference():
+    records = extreme_history(5, 6)
+    cases = [
+        [],
+        records[:2] + records[3:],  # a gap
+        records[::-1],  # descending
+        records[:3] + records[2:],  # a repeated day
+        [records[1], records[0]] + records[2:],  # out of order
+        records[:3],  # valid, for the lag cases below
+    ]
+    for case in cases:
+        for lag in (24, 0, 1.5):
+            got = outcome(hourly_series_from_history, case, lag=lag)
+            ref = outcome(reference_hourly_series, case, lag=lag)
+            if isinstance(ref, SeriesDataset):
+                assert got.values.tobytes() == ref.values.tobytes()
+            else:
+                assert got == ref
+
+
+@pytest.mark.parametrize("lag", [0, -1, 1.5, float("nan"), float("inf"), "3", None])
+def test_series_lag_must_be_a_whole_number(lag):
+    with pytest.raises(ParameterError, match="lag must be a whole number >= 1"):
+        SeriesDataset(values=np.arange(40.0), lag=lag)
+
+
+def test_series_lag_takes_whole_floats_as_ints():
+    for lag in (3.0, np.float64(3.0), np.int64(3)):
+        ds = SeriesDataset(values=np.arange(40.0), lag=lag)
+        assert type(ds.lag) is int and ds.lag == 3
+        X, y = ds.pairs_for_targets(np.arange(40))
+        assert X.shape == (37, 3) and y[0] == 3.0
+
+
 # ---------------------------------------------------------------- splitting
 
 

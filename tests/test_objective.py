@@ -110,6 +110,124 @@ def test_fit_requires_peak_windows():
         fit_peak_regression([curve_with(0.5, 1.0, make_pricing())] * 4, pricing)
 
 
+# The per-day regression that the stacked one replaced: one
+# off_peak_segment_means call and one peak max per history day.  Kept as the
+# reference the stacked fit must match bit for bit, errors included (for
+# whole segment counts; the reference crashed on the others).
+def reference_fit_peak_regression(history, pricing, segment_count=2):
+    curves = [item.curve if isinstance(item, DailyRecord) else item for item in history]
+    needed = segment_count + 1
+    if len(curves) < needed:
+        raise DegenerateRegressionError(
+            f"need at least {needed} historical days for {segment_count} segment(s), "
+            f"got {len(curves)}; reduce segments"
+        )
+    peak_idx = np.flatnonzero(pricing.peak_mask())
+    if peak_idx.size == 0:
+        raise ParameterError("pricing declares no peak windows to regress on")
+    features = np.empty((len(curves), segment_count))
+    targets = np.empty(len(curves))
+    for row, curve in enumerate(curves):
+        features[row] = off_peak_segment_means(curve, pricing, segment_count)
+        targets[row] = curve.values[peak_idx].max()
+    feat_mean = features.mean(axis=0)
+    target_mean = targets.mean()
+    alpha, *_ = np.linalg.lstsq(features - feat_mean, targets - target_mean, rcond=None)
+    return PeakRegressionModel(
+        segment_count=segment_count,
+        coefficients=alpha,
+        intercept=target_mean - float(feat_mean @ alpha),
+    )
+
+
+def fit_outcome(fit, *args):
+    """The fitted parameters' bytes, or the type and message raised."""
+    try:
+        model = fit(*args)
+    except Exception as exc:  # noqa: BLE001 - compared against the reference
+        return type(exc), str(exc)
+    return model.segment_count, model.coefficients.tobytes(), np.float64(model.intercept).tobytes()
+
+
+def mixed_history(seed, days, start=datetime.date(2025, 1, 1)):
+    """Seeded days with zeros, subnormals and large values; every other day
+    is a ``DailyRecord``, the rest bare ``LoadCurve``s."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 3.0, (days, 48))
+    kinds = rng.integers(0, 8, (days, 48))
+    values[kinds == 0] = 0.0
+    values[kinds == 1] = rng.choice([5e-324, 1e-310, 2.2e-308], size=int((kinds == 1).sum()))
+    values[kinds == 2] *= 10.0 ** rng.integers(3, 12, size=int((kinds == 2).sum()))
+    history = []
+    for d in range(days):
+        curve = LoadCurve(values[d])
+        dated = DailyRecord(day=start + datetime.timedelta(days=d), curve=curve)
+        history.append(dated if (d + seed) % 2 else curve)
+    return history
+
+
+PEAK_LAYOUTS = [
+    ((35, 44),),
+    ((1, 4), (45, 48)),  # at both ends of the day
+    ((10, 12), (20, 30), (40, 41)),
+    ((17, 40),),  # few off-peak slots left
+    ((2, 47),),  # 2 off-peak slots: 3 or 4 segments are too many
+]
+
+
+@pytest.mark.parametrize("segment_count", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout", PEAK_LAYOUTS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_the_per_day_reference(seed, layout, segment_count):
+    pricing = make_pricing(peak_windows=layout)
+    for days in (120, 9, segment_count + 1):
+        history = mixed_history(seed, days)
+        expected = fit_outcome(reference_fit_peak_regression, history, pricing, segment_count)
+        assert fit_outcome(fit_peak_regression, history, pricing, segment_count) == expected
+
+
+@pytest.mark.parametrize("segment_count", [1, 2, 3, 4])
+def test_fit_errors_match_the_per_day_reference(segment_count):
+    history = mixed_history(4, 10)
+    cases = [
+        ([], make_pricing()),
+        (history[:segment_count], make_pricing()),  # one day too few
+        (history, make_pricing(peak_windows=())),
+        (history[:segment_count], make_pricing(peak_windows=())),
+        (history, make_pricing(peak_windows=((2, 47),))),
+        (history, make_pricing(peak_windows=((1, 48),))),  # no off-peak slot
+    ]
+    for days, pricing in cases:
+        expected = fit_outcome(reference_fit_peak_regression, days, pricing, segment_count)
+        assert fit_outcome(fit_peak_regression, days, pricing, segment_count) == expected
+
+
+BAD_SEGMENT_COUNTS = [0, -1, 1.5, float("nan"), float("inf"), "2", None]
+
+
+@pytest.mark.parametrize("count", BAD_SEGMENT_COUNTS)
+def test_segment_count_must_be_a_whole_number(count):
+    pricing = make_pricing(peak_windows=(PEAK,))
+    days = [curve_with(m, 2.0 * m, pricing) for m in (0.2, 0.5, 0.8, 1.1)]
+    with pytest.raises(ParameterError, match="segment_count must be a whole number >= 1"):
+        fit_peak_regression(days, pricing, count)
+    with pytest.raises(ParameterError, match="segment_count must be a whole number >= 1"):
+        off_peak_segment_means(days[0], pricing, count)
+
+
+def test_whole_float_segment_counts_act_as_ints():
+    pricing = make_pricing(peak_windows=(PEAK,))
+    history = mixed_history(7, 12)
+    expected = fit_outcome(fit_peak_regression, history, pricing, 2)
+    for count in (2.0, np.float64(2.0), np.int64(2)):
+        assert fit_outcome(fit_peak_regression, history, pricing, count) == expected
+        npt.assert_array_equal(
+            off_peak_segment_means(history[0].curve, pricing, count),
+            off_peak_segment_means(history[0].curve, pricing, 2),
+        )
+    assert type(fit_peak_regression(history, pricing, np.float64(2.0)).segment_count) is int
+
+
 def test_evaluate_polynomial_hand_oracle():
     model = PeakRegressionModel(
         segment_count=2, coefficients=np.array([0.5, -1.5]), intercept=0.3

@@ -379,3 +379,82 @@ def test_a_week_whose_history_starts_late_anchors_on_a_later_day(monkeypatch):
     npt.assert_array_equal(
         second.predicted.values, forecast.predict_day(result.network, thursday_input).values
     )
+
+
+# ---------------------------------------------------------------- record order
+
+
+def shuffled(records, rng):
+    return tuple(records[i] for i in rng.permutation(len(records)))
+
+
+def shuffle_histories(fleet, seed):
+    """``fleet`` with every load and PV history in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    households = []
+    for household in fleet.households:
+        pv = household.pv
+        if pv is not None:
+            pv = dataclasses.replace(pv, history=shuffled(pv.history, rng))
+        households.append(
+            dataclasses.replace(household, history=shuffled(household.history, rng), pv=pv)
+        )
+    return dataclasses.replace(fleet, households=tuple(households))
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_results_do_not_depend_on_record_order(mode):
+    # Saturday .. Monday: two weeks, so two anchors per household
+    fleet = small_fleet(history_days=17, simulated_days=3, mode=mode)
+    mixed = shuffle_histories(fleet, seed=8)
+    assert all(h.pv is not None for h in mixed.households)
+    assert any(
+        [r.day for r in h.history] != sorted(r.day for r in h.history)
+        for h in mixed.households
+    )
+    simulate._fit_network.cache_clear()
+    expected = run_fleet(fleet, FAST, seed=4)
+    simulate._fit_network.cache_clear()
+    got = run_fleet(mixed, FAST, seed=4)
+    for a, b in zip(expected, got):
+        assert (a.household_id, a.day) == (b.household_id, b.day)
+        for field in ("before", "after", "after_total", "predicted", "objective"):
+            assert getattr(a, field).values.tobytes() == getattr(b, field).values.tobytes()
+        assert a.objective.provenance == b.objective.provenance
+        assert a.assignment.starts == b.assignment.starts
+        npt.assert_array_equal(a.assignment.pv_flags, b.assignment.pv_flags)
+        npt.assert_array_equal(a.assignment.battery_soc, b.assignment.battery_soc)
+    assert results_json(mixed, got, 4) == results_json(fleet, expected, 4)
+
+
+def run_day_error(household, day, params):
+    with pytest.raises((DatasetTooSmallError, TemporalConsistencyError)) as info:
+        run_day(household, day, make_pricing(), params=params)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "keep, day, window, error",
+    [
+        (range(2), datetime.date(2025, 5, 3), 30,
+         "h9 2025-05-03: needs at least 3 history days"),
+        # 2025-05-06 is missing from the window before the 11th
+        ([0, 1, 2, 3, 4, 6, 7, 8, 9], datetime.date(2025, 5, 11), 30,
+         "h9 2025-05-11: history days not consecutive: 2025-05-05 -> 2025-05-07"),
+        (range(10), datetime.date(2025, 5, 14), 30, "h9 2025-05-14: history ends 2025-05-10"),
+        # Sunday the 11th is missing: the 2 days before Wednesday the 14th
+        # are whole, the days before the week's anchor (Monday) end early
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12], datetime.date(2025, 5, 14), 2,
+         "h9 2025-05-14: history ends 2025-05-10, cannot forecast 2025-05-12"),
+    ],
+)
+def test_history_errors_do_not_depend_on_record_order(keep, day, window, error):
+    records = flat_history(13)
+    kept = tuple(records[i] for i in keep)
+    household = Household(id="h9", appliances=(make_fixed(),), pv=None, history=kept)
+    params = RunParams(max_epochs=10, history_window_days=window)
+    expected = run_day_error(household, day, params)
+    assert expected[1].startswith(error)
+    for seed in range(3):
+        mixed = shuffled(kept, np.random.default_rng(seed))
+        assert run_day_error(dataclasses.replace(household, history=mixed), day, params) == expected
