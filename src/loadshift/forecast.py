@@ -80,6 +80,14 @@ class SeriesDataset:
 _ONE_DAY = datetime.timedelta(days=1)
 
 
+def _check_consecutive_days(records: Sequence[DailyRecord]) -> None:
+    """TemporalConsistencyError at the first gap in the records' days."""
+    days = [rec.day for rec in records]
+    for prev, nxt in zip(days, days[1:]):
+        if nxt != prev + _ONE_DAY:
+            raise TemporalConsistencyError(f"history days not consecutive: {prev} -> {nxt}")
+
+
 def hourly_series_from_history(
     records: Sequence[DailyRecord], lag: int = 24
 ) -> SeriesDataset:
@@ -92,10 +100,7 @@ def hourly_series_from_history(
     """
     if not records:
         raise DatasetTooSmallError("history is empty")
-    days = [rec.day for rec in records]
-    for prev, nxt in zip(days, days[1:]):
-        if nxt != prev + _ONE_DAY:
-            raise TemporalConsistencyError(f"history days not consecutive: {prev} -> {nxt}")
+    _check_consecutive_days(records)
     hourly = np.concatenate([rec.curve.values for rec in records]).reshape(-1, 2).mean(axis=1)
     return SeriesDataset(values=hourly, lag=lag)
 

@@ -130,9 +130,12 @@ def fit_peak_regression(
     values = np.stack([curve.values for curve in curves])
     features = np.empty((len(curves), segment_count))
     for col, seg in enumerate(segments):
-        # a 1-D mean per day: (days, slots).mean(axis=1) sums in another
-        # order, which changes the fitted coefficients' last bits
-        features[:, col] = [row.mean() for row in values[:, seg]]
+        # the sum and division of a per-day 1-D ``.mean()``: ``np.take``
+        # copies the segment row-major, so a row-wise reduce sums each day
+        # alone, pairwise, as a 1-D sum does.  ``values[:, seg]`` would come
+        # out column-major and be summed down its columns, in another order
+        # that changes the fitted coefficients' last bits.
+        features[:, col] = np.add.reduce(np.take(values, seg, axis=1), axis=1) / seg.size
     targets = values[:, peak_idx].max(axis=1)
 
     feat_mean = features.mean(axis=0)

@@ -459,11 +459,18 @@ class _CandidateSpace:
         return {self.ids[i]: int(self.starts[i][row]) for i, row in enumerate(choice)}
 
 
-# Candidates per block.  A block's screened totals take 4096 * 8 B = 32 KB
-# and its survivors' curves at most 4096 * 48 * 8 B = 1.5 MB at 48 slot
-# columns; a call holds at most three such curve arrays at once, beside the
-# block's index arrays, so its working memory stays within about 5 MB however
-# large the start product is.
+# Candidates per screening block, and the largest product of broadcast
+# instances inside one.  A block's screened totals take 2^15 * 8 B = 256 KB,
+# and at most one more array of that size lives beside them while they are
+# summed and compared; they are freed before the survivors are scored.
+# Blocks of 2^14 to 2^16 ran the pipeline's solves about equally fast.
+_SCREEN_ROWS = 1 << 15
+
+# Survivors per exact-scoring chunk.  A chunk's curves take at most
+# 4096 * 48 * 8 B = 1.5 MB at 48 slot columns, and the scorer holds at most
+# three such curve arrays at once, so with a block's survivor indices beside
+# them a call's working memory stays within about 5 MB however large the
+# start product is.
 _BLOCK_ROWS = 4096
 
 
@@ -494,21 +501,22 @@ def _enumerate_exact(
     is the winner's (total cost, total |shift|, start tuple by id) and
     ``evaluations`` counts every candidate of the product.
 
-    Candidates go in blocks of at most ``_BLOCK_ROWS``, in row-major order
-    of the product: the leading instances' rows are gathered for a run of
-    prefixes and the trailing instances are broadcast.  A block is screened
-    first: each candidate's screened total adds the space's ``unary`` and
-    ``pairs`` terms of its rows, a few additions in place of a pass over
-    every slot (an instance held at one row joins the others' unary terms,
-    and terms shared by every candidate are left out).  A candidate screened
-    more than ``space.tol`` above the least screened total so far scores
-    exactly above another candidate, so it cannot win and is dropped.  The
-    survivors are scored by ``_exact_totals``, which gives each the
-    arithmetic of scoring it alone, whatever the block or the subset, so
-    exact float ties stay exact.  Ties on the total go to the least total
-    |shift|, then to the least start tuple.  Every candidate that ties the
-    least total survives the screen, so the choice and its key are those of
-    scoring every candidate exactly.
+    Candidates are screened in blocks of at most ``_SCREEN_ROWS``, in
+    row-major order of the product: the leading instances' rows are gathered
+    for a run of prefixes and the trailing instances, whose product may fill
+    a block, are broadcast.  Each candidate's screened total adds the
+    space's ``unary`` and ``pairs`` terms of its rows, a few additions in
+    place of a pass over every slot (an instance held at one row joins the
+    others' unary terms, and terms shared by every candidate are left out).
+    A candidate screened more than ``space.tol`` above the least screened
+    total so far scores exactly above another candidate, so it cannot win
+    and is dropped.  A block's survivors are scored by ``_exact_totals`` in
+    chunks of at most ``_BLOCK_ROWS``; it gives each the arithmetic of
+    scoring it alone, whatever the block, the chunk or the subset, so exact
+    float ties stay exact.  Ties on the total go to the least total |shift|,
+    then to the least start tuple, which no order of the chunks changes.
+    Every candidate that ties the least total survives the screen, so the
+    choice and its key are those of scoring every candidate exactly.
     """
     k = len(space.starts)
     if rows is None:
@@ -517,10 +525,10 @@ def _enumerate_exact(
     # instances split..k-1 are broadcast inside a block (inner rows per
     # prefix); the prefixes over instances 0..split-1 are walked in groups
     split, inner = max(k - 1, 0), sizes[-1] if k else 1
-    while split > 0 and inner * sizes[split - 1] <= _BLOCK_ROWS:
+    while split > 0 and inner * sizes[split - 1] <= _SCREEN_ROWS:
         split -= 1
         inner *= sizes[split]
-    group = max(1, _BLOCK_ROWS // inner)
+    group = max(1, _SCREEN_ROWS // inner)
     prefixes = math.prod(sizes[:split])
 
     # screen terms, indexed by stacked row: the pair terms with the instances
@@ -557,34 +565,36 @@ def _enumerate_exact(
         screened = np.reshape(screened + tail_screened, -1)
         least_screened = min(least_screened, float(screened.min()))
         survivors = np.flatnonzero(screened <= least_screened + space.tol)
-        if survivors.size == 0:
-            continue
+        del screened
+        for first in range(0, survivors.size, _BLOCK_ROWS):
+            flat = survivors[first : first + _BLOCK_ROWS] + lo * inner
+            # (np.unravel_index rejects the empty shape of a problem with no instances)
+            pos = np.unravel_index(flat, sizes) if k else ()
+            picked = [rows[i][pos[i]] if sizes[i] > 1 else rows[i][0] for i in range(k)]
+            totals = _exact_totals(space, picked)
 
-        flat = survivors + lo * inner
-        # (np.unravel_index rejects the empty shape of a problem with no instances)
-        pos = np.unravel_index(flat, sizes) if k else ()
-        picked = [rows[i][pos[i]] if sizes[i] > 1 else rows[i][0] for i in range(k)]
-        totals = _exact_totals(space, picked)
-
-        least = totals.min()
-        if best_key is not None and least > best_key[0]:
-            continue
-        ties = np.flatnonzero(totals == least)
-        # starts rise with the row index, so among the least shifts the
-        # first tie is the least start tuple; held instances add the same
-        # shift to every tie
-        shift = sum(
-            (space.shift_abs[i][picked[i][ties]] for i in moving), np.zeros(ties.size, dtype=int)
-        )
-        winner = int(flat[ties[np.argmin(shift)]])
-        choice = tuple(int(r[p]) for r, p in zip(rows, np.unravel_index(winner, sizes))) if k else ()
-        key = (
-            float(least),
-            sum(int(space.shift_abs[i][c]) for i, c in enumerate(choice)),
-            tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
-        )
-        if best_key is None or key < best_key:
-            best_key, best_choice = key, choice
+            least = totals.min()
+            if best_key is not None and least > best_key[0]:
+                continue
+            ties = np.flatnonzero(totals == least)
+            # starts rise with the row index, so among the least shifts the
+            # first tie is the least start tuple; held instances add the same
+            # shift to every tie
+            shift = sum(
+                (space.shift_abs[i][picked[i][ties]] for i in moving),
+                np.zeros(ties.size, dtype=int),
+            )
+            winner = int(flat[ties[np.argmin(shift)]])
+            choice = (
+                tuple(int(r[p]) for r, p in zip(rows, np.unravel_index(winner, sizes))) if k else ()
+            )
+            key = (
+                float(least),
+                sum(int(space.shift_abs[i][c]) for i, c in enumerate(choice)),
+                tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
+            )
+            if best_key is None or key < best_key:
+                best_key, best_choice = key, choice
     return best_choice, best_key, evaluations
 
 
@@ -647,12 +657,13 @@ def solve(
     optimized over their feasible start sets, exhaustively when the product
     of set sizes stays within ``_EXACT_LIMIT``, otherwise by local search
     whose moves score one instance's rows at a time.  Both rank candidates
-    through ``_enumerate_exact``, which screens and scores in fixed-size
-    blocks with bounded memory and gives each candidate it scores exactly
-    the same arithmetic as when scored alone.  With a PV system, sourcing
-    flags are arbitrated against each intermediate schedule and start
-    optimization repeats until the flags reach a fixed point (or
-    ``_PV_ITERATION_CAP`` rounds); the best self-consistent schedule wins.
+    through ``_enumerate_exact``, which screens in fixed-size blocks and
+    scores the survivors in fixed-size chunks, with bounded memory, giving
+    each candidate it scores exactly the same arithmetic as when scored
+    alone.  With a PV system, sourcing flags are arbitrated against each
+    intermediate schedule and start optimization repeats until the flags
+    reach a fixed point (or ``_PV_ITERATION_CAP`` rounds); the best
+    self-consistent schedule wins.
 
     Args:
         instances: all appliance instances (fixed and shiftable).

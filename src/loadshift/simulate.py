@@ -10,17 +10,19 @@ appliances that have not started yet are re-solved against it.
 Each household's load and PV forecasters are fitted once per calendar week,
 on the history window before the week's anchor day (its Monday, or later
 when the history starts later), and every day of the week is predicted by
-that network from its own previous 24 hours.  A two-entry cache keyed by the
-anchor's series, epoch budget, seed and fit function keeps the week's fits
-while one household's days run in order; a result never depends on what the
-cache holds, so ``run_day`` stays a pure function of (household, day).
+that network from its own previous 24 hours, the hourly series of the day
+before it.  A two-entry cache keyed by the anchor window's records, epoch
+budget, seed and fit function keeps the week's fits while one household's
+days run in order, so a day whose fits are cached builds no series of the
+training window.  A result or an error never depends on what the cache
+holds, so ``run_day`` stays a pure function of (household, day).
 
 A household-day sorts each history (load, PV) by day once; records may come
 in any order.  Every window is then a slice of that sorted view: the
-``history_window_days`` days before the simulated day feed the prediction
-input, the peak regression and the objective, and the days before the
-week's anchor feed the fit.  A window must end the day before its target
-day and may not skip a day.
+``history_window_days`` days before the simulated day feed the peak
+regression and the objective, the last of them the prediction input, and
+the days before the week's anchor feed the fit.  A window must end the day
+before its target day and may not skip a day.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .errors import (
 )
 from .forecast import (
     NarNetwork,
-    SeriesDataset,
     TrainingConfig,
+    _check_consecutive_days,
     fit_series,
     hourly_series_from_history,
     predict_day,
@@ -196,12 +198,15 @@ def _week_anchor(ordered: list[DailyRecord], day: datetime.date) -> datetime.dat
 
 
 # two entries: a household's load and PV forecasters; a NarNetwork is
-# immutable, so every day of the week can share the cached one.  ``fit`` is
-# part of the key, so a substituted or wrapped ``fit_series`` (a test stub, a
-# tracer) never gets a network fitted without it.
+# immutable, so every day of the week can share the cached one.  The key is
+# the anchor window's records themselves: a ``DailyRecord`` is immutable and
+# hashes by identity, so the week's later days find the fit without building
+# the window's series.  ``fit`` is part of the key, so a substituted or
+# wrapped ``fit_series`` (a test stub, a tracer) never gets a network fitted
+# without it.
 @functools.lru_cache(maxsize=2)
-def _fit_network(values: bytes, max_epochs: int, seed: int, fit) -> NarNetwork:
-    series = SeriesDataset(np.frombuffer(values), lag=24)
+def _fit_network(window: tuple[DailyRecord, ...], max_epochs: int, seed: int, fit) -> NarNetwork:
+    series = hourly_series_from_history(window)
     result, _ = fit(series, TrainingConfig(max_epochs=max_epochs, rng_seed=seed))
     return result.network
 
@@ -212,22 +217,25 @@ def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
     ``ordered`` is the series' ``_by_day`` history.  The network is fitted on
     the ``history_window_days`` before the week's anchor (``_week_anchor``)
     with seed ``derive_seed(seed, household_id, anchor, kind)``, then
-    predicts ``day`` from the hourly series of the ``history_window_days``
-    before it.  The fit depends only on the anchor's window and seed, so the
-    cache that lets the week's later days reuse it never changes a result.
+    predicts ``day`` from the hourly series of the day before it, the last
+    24 values ``predict_day`` reads.  Both windows, the
+    ``history_window_days`` before ``day`` first and then the anchor's, must
+    be consecutive days, whatever the cache holds.  The fit depends only on
+    the anchor's window and seed, so the cache that lets the week's later
+    days reuse it never changes a result.
     """
-    series = hourly_series_from_history(
-        _usable_history(ordered, day, params.history_window_days)
-    )
+    window = _usable_history(ordered, day, params.history_window_days)
+    _check_consecutive_days(window)
     anchor = _week_anchor(ordered, day)
-    window = _usable_history(ordered, anchor, params.history_window_days)
+    fit_window = _usable_history(ordered, anchor, params.history_window_days)
+    _check_consecutive_days(fit_window)
     network = _fit_network(
-        hourly_series_from_history(window).values.tobytes(),
+        tuple(fit_window),
         params.max_epochs,
         derive_seed(seed, household_id, anchor, kind),
         fit_series,
     )
-    return predict_day(network, series)
+    return predict_day(network, hourly_series_from_history(window[-1:]))
 
 
 def run_day(

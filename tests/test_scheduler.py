@@ -385,6 +385,24 @@ def test_validate_assignment_flags_moved_fixed_instance():
 # ---------------------------------------------------------------- solve: exact
 
 
+# (screening block, scoring chunk) sizes: the defaults; tiny blocks and
+# chunks, which split each product into many of both; tiny blocks beside
+# chunks that hold a whole block; and the default block with tiny chunks,
+# which splits each block's survivors.  The first two keep the ids they had
+# when one size served both.
+BLOCK_SIZES = [
+    pytest.param(scheduler._SCREEN_ROWS, scheduler._BLOCK_ROWS, id=str(scheduler._BLOCK_ROWS)),
+    pytest.param(8, 8, id="8"),
+    pytest.param(64, scheduler._BLOCK_ROWS, id="screen64"),
+    pytest.param(scheduler._SCREEN_ROWS, 8, id="chunk8"),
+]
+
+
+def set_block_sizes(monkeypatch, screen_rows, block_rows):
+    monkeypatch.setattr(scheduler, "_SCREEN_ROWS", screen_rows)
+    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+
+
 def random_problem(rng, n_appliances=3, with_fixed=True):
     specs = []
     for i in range(n_appliances):
@@ -444,12 +462,14 @@ def test_solve_matches_exhaustive_oracle():
         assert result.assignment.starts == best_starts
 
 
-@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
-def test_solve_matches_exhaustive_oracle_on_online_resolves(monkeypatch, block_rows):
+@pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
+def test_solve_matches_exhaustive_oracle_on_online_resolves(
+    monkeypatch, screen_rows, block_rows
+):
     # the call shape of an intra-day re-solve: committed load as a baseline
     # and starts (and scored slots) clipped to not_before > 1; tiny blocks
     # split each product across many of them
-    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    set_block_sizes(monkeypatch, screen_rows, block_rows)
     rng = np.random.default_rng(29)
     checked = 0
     while checked < 8:
@@ -503,11 +523,11 @@ def prefix_loop_reference(space):
     return best_choice, best_key
 
 
-@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
-def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, block_rows):
+@pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
+def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, screen_rows, block_rows):
     # random float problems, and flat unreachable targets with integer
     # powers and zero weights, where exact ties are everywhere
-    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    set_block_sizes(monkeypatch, screen_rows, block_rows)
     rng = np.random.default_rng(37)
     for trial in range(12):
         instances, objective, weights = random_problem(rng, with_fixed=False)
@@ -557,13 +577,13 @@ def candidate_space(instances, residual, flags=None, weights=None, blend=0.2, no
 
 
 def count_exact_scores(monkeypatch):
-    """Count the candidates the exact scorer sees; returns the running count."""
-    seen = [0]
+    """Record how many candidates each exact-scorer call sees; returns the list."""
+    seen = []
     exact = scheduler._exact_totals
 
     def spy(space, picked):
         totals = exact(space, picked)
-        seen[0] += totals.size
+        seen.append(totals.size)
         return totals
 
     monkeypatch.setattr(scheduler, "_exact_totals", spy)
@@ -581,8 +601,8 @@ def traced_peak(call):
 
 
 # The working memory one ``_enumerate_exact`` call may take, whatever the
-# size of the start product: three blocks of candidate curves at once, plus
-# the block's index arrays.
+# size of the start product: three scoring chunks of candidate curves at
+# once, plus a screening block's survivor indices.
 WORKING_MEMORY_BOUND = 3 * scheduler._BLOCK_ROWS * 48 * 8 + 500_000
 
 
@@ -594,16 +614,18 @@ def real_total(space, choice):
     return sum(g * g for g in curve)
 
 
-@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
+@pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
 @pytest.mark.parametrize("flavour", ["equal in reals", "equal in floats"])
-def test_enumerate_exact_keeps_near_ties_through_the_screen(monkeypatch, block_rows, flavour):
+def test_enumerate_exact_keeps_near_ties_through_the_screen(
+    monkeypatch, screen_rows, block_rows, flavour
+):
     # Separated runs on a flat residual share one real total, but the einsum
     # adds the same squares in an order set by where the runs lie, so their
     # float totals differ by ulps.  A residual perturbed by ulps instead
     # gives real totals that differ by less than the totals' ulp, so that
     # many of them round to one float.  The screen must keep every
     # candidate that could score exactly at or below the winner.
-    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    set_block_sizes(monkeypatch, screen_rows, block_rows)
     rng = np.random.default_rng(53)
     for _ in range(3):
         level = float(rng.uniform(2.0, 3.0))
@@ -635,13 +657,15 @@ def test_enumerate_exact_keeps_near_ties_through_the_screen(monkeypatch, block_r
             assert len({real_total(space, c) for c in tied[:40]}) > 1
 
 
-@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
-def test_enumerate_exact_scores_a_tie_saturated_product_exactly(monkeypatch, block_rows):
+@pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
+def test_enumerate_exact_scores_a_tie_saturated_product_exactly(
+    monkeypatch, screen_rows, block_rows
+):
     # runs in disjoint windows with integer powers under a flat unreachable
     # target: every placement adds the same integer squares, so every
     # candidate ties exactly, survives the screen and is scored exactly,
     # over more than 4 blocks; the preferred starts win on the least shift
-    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+    set_block_sizes(monkeypatch, screen_rows, block_rows)
     seen = count_exact_scores(monkeypatch)
     instances = [
         make_instance(
@@ -655,7 +679,30 @@ def test_enumerate_exact_scores_a_tie_saturated_product_exactly(monkeypatch, blo
     assert (choice, key) == prefix_loop_reference(space)
     assert key[1:] == (0, (6, 18, 30, 42))
     assert evaluations == 12**4 > 4 * block_rows
-    assert seen[0] == evaluations
+    assert sum(seen) == evaluations
+    assert peak < WORKING_MEMORY_BOUND
+
+
+def test_enumerate_exact_scores_many_survivors_of_one_block_in_chunks(monkeypatch):
+    # two unit runs share one window and two more have a window each, under
+    # a flat unreachable target: the 12 * 11 * 12^2 placements that keep the
+    # shared pair apart tie exactly, and the screen drops the collisions.
+    # The product fits one screening block, so its 19008 survivors fill
+    # several scoring chunks; the least shift wins, then the least starts.
+    seen = count_exact_scores(monkeypatch)
+    instances = [
+        make_instance(name, power=1.0, duration=1, window=window, preferred=preferred)
+        for name, window, preferred in (
+            ("a", (1, 12), 6), ("b", (1, 12), 6), ("c", (13, 24), 18), ("d", (25, 36), 30),
+        )
+    ]
+    space = candidate_space(instances, np.full(48, -50.0))
+    (choice, key, evaluations), peak = traced_peak(lambda: scheduler._enumerate_exact(space))
+    assert (choice, key) == prefix_loop_reference(space)
+    assert key[1:] == (1, (5, 6, 18, 30))
+    assert evaluations == 12**4 <= scheduler._SCREEN_ROWS
+    assert sum(seen) == 12 * 11 * 12**2 > 4 * scheduler._BLOCK_ROWS
+    assert max(seen) == scheduler._BLOCK_ROWS
     assert peak < WORKING_MEMORY_BOUND
 
 
@@ -678,7 +725,7 @@ def test_enumerate_exact_screen_prunes_with_bounded_memory(monkeypatch):
     )
     (choice, key, evaluations), peak = traced_peak(lambda: scheduler._enumerate_exact(space))
     assert evaluations == 31**4
-    assert 0 < seen[0] < evaluations / 100
+    assert 0 < sum(seen) < evaluations / 100
     assert peak < WORKING_MEMORY_BOUND
     assert key == key_reference(space, choice)
 
@@ -737,7 +784,8 @@ def test_solve_breaks_exact_ties_lexicographically():
     # the same collision ahead of three 17-start runs: every placement with
     # no two runs in one slot ties on cost, the first blocks already hold
     # such ties at larger shifts, and the four displacement-1 ties lie in
-    # different blocks; the earliest of them, (3, 4), must survive the rest
+    # three screening blocks; the earliest of them, (3, 4), must survive the
+    # rest
     collision = [
         make_instance("a1", power=1.0, duration=1, window=(1, 8), preferred=4),
         make_instance("a2", power=1.0, duration=1, window=(1, 8), preferred=4),
@@ -952,9 +1000,9 @@ def local_search_problem(rng, trial):
     return expand_instances(specs), make_objective(rng.uniform(0.0, 2.0, 48)), weights
 
 
-@pytest.mark.parametrize("block_rows", [scheduler._BLOCK_ROWS, 8])
-def test_local_search_matches_single_move_reference(monkeypatch, block_rows):
-    monkeypatch.setattr(scheduler, "_BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
+def test_local_search_matches_single_move_reference(monkeypatch, screen_rows, block_rows):
+    set_block_sizes(monkeypatch, screen_rows, block_rows)
     rng = np.random.default_rng(43)
     for trial in range(12):
         instances, objective, weights = local_search_problem(rng, trial)

@@ -381,6 +381,66 @@ def test_a_week_whose_history_starts_late_anchors_on_a_later_day(monkeypatch):
     )
 
 
+def day_result_parts(result):
+    """Everything a ``DayResult`` holds, as comparable values and bytes."""
+    curves = ("before", "after", "after_total", "predicted", "objective")
+    assignment = result.assignment
+    return (
+        result.household_id,
+        result.day,
+        *(getattr(result, name).values.tobytes() for name in curves),
+        result.objective.provenance,
+        result.objective.mode,
+        assignment.starts,
+        assignment.pv_flags.tobytes(),
+        None if assignment.battery_soc is None else assignment.battery_soc.tobytes(),
+    )
+
+
+def test_a_day_with_cached_fits_runs_as_after_a_cache_clear():
+    fleet = small_fleet(household_count=1, history_days=17, simulated_days=3)
+    household = fleet.households[0]
+    monday = datetime.date(2025, 1, 20)
+    assert household.history[-1].day == monday - datetime.timedelta(days=1)
+
+    def extended(records):
+        # Monday and Wednesday, with Tuesday missing
+        return records + tuple(
+            DailyRecord(day=monday + datetime.timedelta(days=d), curve=records[-1 - d].curve)
+            for d in (0, 2)
+        )
+
+    gappy = dataclasses.replace(
+        household,
+        history=extended(household.history),
+        pv=dataclasses.replace(household.pv, history=extended(household.pv.history)),
+    )
+    tuesday, thursday = (monday + datetime.timedelta(days=d) for d in (1, 3))
+    params = RunParams(max_epochs=3, history_window_days=10)
+
+    def run(day, cached):
+        simulate._fit_network.cache_clear()
+        if cached:  # Monday fits the week's load and PV forecasters
+            run_day(gappy, monday, fleet.pricing, params=params, seed=3)
+            assert simulate._fit_network.cache_info().currsize == 2
+        return run_day(gappy, day, fleet.pricing, params=params, seed=3)
+
+    warm = run(tuesday, cached=True)
+    assert simulate._fit_network.cache_info().hits == 2
+    cold = run(tuesday, cached=False)
+    assert day_result_parts(warm) == day_result_parts(cold)
+
+    # Thursday's window has the gap; the week's anchor window has none
+    errors = []
+    for cached in (True, False):
+        with pytest.raises(TemporalConsistencyError) as info:
+            run(thursday, cached)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == (
+        "h001 2025-01-23: history days not consecutive: 2025-01-20 -> 2025-01-22"
+    )
+
+
 # ---------------------------------------------------------------- record order
 
 
