@@ -50,7 +50,8 @@ def main():
         max_epochs=params.max_epochs, rng_seed=derive_seed(0, household.id, anchor, "load")
     )
     result, split = fit_series(series, cfg)
-    print(f"split sizes (train/val/test): {split.sizes()}")
+    sizes = (split.train_indices.size, split.validation_indices.size, split.test_indices.size)
+    print(f"split sizes (train/val/test): {sizes}")
 
     # residuals on the held-out test pairs
     x_test, y_test = series.pairs_for_targets(split.test_indices)

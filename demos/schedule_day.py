@@ -14,6 +14,7 @@ from loadshift import (
     PvSystem,
     bill,
     expand_instances,
+    pv_arbitrate,
     solve,
     split_consumption,
     total_curve,
@@ -75,5 +76,8 @@ pv_slots = np.flatnonzero(result_pv.assignment.pv_flags) + 1
 print(f"\nwith PV/battery: {len(pv_slots)} slots served off-grid {pv_slots.tolist()}")
 print(f"  grid bill {bill(split.grid, pricing):.2f} "
       f"(appliance energy unchanged: {split.total.energy_kwh():.2f} kWh)")
-soc = result_pv.assignment.battery_soc
+# the battery trajectory behind the flags: arbitrate the scheduled shiftable demand
+movable = [i for i in instances if i.kind == "shiftable"]
+demand = total_curve(movable, result_pv.assignment.starts)
+soc = pv_arbitrate(pv, demand, pricing, max(i.duration_slots for i in movable)).soc
 print(f"  battery SoC start {soc[0]:.2f} kWh, min {soc.min():.2f}, end {soc[-1]:.2f}")

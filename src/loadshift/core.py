@@ -158,9 +158,6 @@ class ApplianceSpec:
                     f"appliance {self.id}: fixed appliance cannot permit shifts"
                 )
 
-    def energy_kwh(self) -> float:
-        return float(self.power_profile.sum() * SLOT_HOURS)
-
 
 @dataclass(frozen=True, eq=False)
 class ApplianceInstance:
@@ -357,11 +354,9 @@ def total_curve(
 
 @dataclass(frozen=True, eq=False)
 class ConsumptionBreakdown:
-    """Scheduled consumption split by category and by supply source."""
+    """Scheduled consumption, in total and by supply source."""
 
     total: LoadCurve
-    fixed: LoadCurve
-    shiftable: LoadCurve
     grid: LoadCurve
     pv: LoadCurve
 
@@ -371,7 +366,7 @@ def split_consumption(
     starts: Mapping[str, int],
     pv_flags: np.ndarray | None = None,
 ) -> ConsumptionBreakdown:
-    """Split placed consumption into fixed/shiftable and grid/PV components.
+    """Split placed consumption into grid and PV/battery components.
 
     In a flagged slot the PV/battery supplies the shiftable demand; fixed
     demand always comes from the grid.
@@ -388,7 +383,7 @@ def split_consumption(
         pv_values = np.where(flags, shiftable.values, 0.0)
     pv = LoadCurve(pv_values)
     grid = LoadCurve(total.values - pv.values)
-    return ConsumptionBreakdown(total=total, fixed=fixed, shiftable=shiftable, grid=grid, pv=pv)
+    return ConsumptionBreakdown(total=total, grid=grid, pv=pv)
 
 
 def load_factor(curve: LoadCurve) -> float:

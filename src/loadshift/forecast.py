@@ -440,13 +440,6 @@ class DatasetSplit:
     validation_indices: np.ndarray
     test_indices: np.ndarray
 
-    def sizes(self) -> tuple[int, int, int]:
-        return (
-            int(self.train_indices.size),
-            int(self.validation_indices.size),
-            int(self.test_indices.size),
-        )
-
 
 def split_dataset(ds: SeriesDataset, cfg: TrainingConfig) -> DatasetSplit:
     """Partition the dataset's sample indices for training.

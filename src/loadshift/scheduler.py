@@ -74,7 +74,6 @@ class ScheduleAssignment:
 
     starts: Mapping[str, int]
     pv_flags: np.ndarray | None = None
-    battery_soc: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "starts", dict(self.starts))
@@ -88,12 +87,6 @@ class ScheduleAssignment:
         flags = flags.copy()
         flags.setflags(write=False)
         object.__setattr__(self, "pv_flags", flags)
-        if self.battery_soc is not None:
-            soc = np.asarray(self.battery_soc, dtype=float).copy()
-            if soc.shape != (SLOT_COUNT,):
-                raise FormatError(f"battery_soc needs {SLOT_COUNT} entries")
-            soc.setflags(write=False)
-            object.__setattr__(self, "battery_soc", soc)
 
     def to_json_dict(self, instances: Sequence[ApplianceInstance]) -> dict:
         """Export schema: per-appliance placement plus the sourcing vector.
@@ -206,13 +199,12 @@ def feasible_starts(
 class PvArbitration:
     """Per-slot sourcing decision and the induced battery trajectory.
 
-    ``soc[h]`` is the stored energy at the start of slot h+1; ``supplied_kwh``
-    is the energy the battery actually delivered in each slot.
+    ``soc[h]`` is the stored energy at the start of slot h+1.  In a flagged
+    slot the battery delivers that slot's whole shiftable demand.
     """
 
     flags: np.ndarray
     soc: np.ndarray
-    supplied_kwh: np.ndarray
 
 
 def pv_arbitrate(
@@ -232,40 +224,42 @@ def pv_arbitrate(
     ``soc' = clamp(soc + eff*gen*0.5h - supplied, 0, capacity)``.
 
     Infeasible PV never raises; it simply yields all-zero flags.
+
+    Raises:
+        FormatError, ParameterError: ``shiftable_demand`` is not a valid
+            ``LoadCurve``, or ``max_app_duration`` is not a whole number >= 0.
     """
-    demand = (
-        shiftable_demand.values
-        if isinstance(shiftable_demand, LoadCurve)
-        else np.asarray(shiftable_demand, dtype=float)
-    )
-    if demand.shape != (SLOT_COUNT,):
-        raise FormatError(f"demand needs {SLOT_COUNT} values, got shape {demand.shape}")
-    if max_app_duration < 0:
-        raise ParameterError("max_app_duration must be >= 0")
+    if not isinstance(shiftable_demand, LoadCurve):
+        shiftable_demand = LoadCurve(shiftable_demand)
+    demand = shiftable_demand.values
+    max_app_duration = _whole_number(max_app_duration, 0, "max_app_duration")
 
     peak_mask = pricing.peak_mask()
     starts = sorted(start for start, _ in pricing.peak_windows)
+    # the first peak start after each slot, None when no peak window follows
+    following = np.searchsorted(starts, np.arange(1, SLOT_COUNT + 1), side="right")
+    ahead = [*starts, None]
+    next_starts = [ahead[j] for j in following.tolist()]
 
     flags = np.zeros(SLOT_COUNT, dtype=bool)
     soc_trace = np.empty(SLOT_COUNT)
-    supplied = np.zeros(SLOT_COUNT)
     soc = pv.battery_soc
-    for idx in range(SLOT_COUNT):
+    for idx, next_start in enumerate(next_starts):
         slot = idx + 1
         soc_trace[idx] = soc
-        next_start = next((s for s in starts if s > slot), None)
         if peak_mask[idx] or next_start is None:
             time_ok = True
         else:
             recharge_slots = (pv.battery_capacity - soc) / pv.charge_rate / SLOT_HOURS
             time_ok = (next_start - slot) - recharge_slots > max_app_duration
         demand_kwh = demand[idx] * SLOT_HOURS
+        supplied = 0.0
         if time_ok and soc > demand_kwh:
             flags[idx] = True
-            supplied[idx] = demand_kwh
+            supplied = demand_kwh
         charged = pv.charge_efficiency * pv.generation[idx] * SLOT_HOURS
-        soc = min(max(soc + charged - supplied[idx], 0.0), pv.battery_capacity)
-    return PvArbitration(flags=flags, soc=soc_trace, supplied_kwh=supplied)
+        soc = min(max(soc + charged - supplied, 0.0), pv.battery_capacity)
+    return PvArbitration(flags=flags, soc=soc_trace)
 
 
 # ---------------------------------------------------------------- cost
@@ -376,7 +370,6 @@ class SolveResult:
 
     assignment: ScheduleAssignment
     cost: CostBreakdown
-    trace: tuple[float, ...]
     mode: str
     evaluations: int
 
@@ -598,7 +591,7 @@ def _enumerate_exact(
     return best_choice, best_key, evaluations
 
 
-def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], tuple[float, ...], int]:
+def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
     """Multi-restart hill descent over single-appliance moves.
 
     One move of instance i is one ``_enumerate_exact`` call over all of its
@@ -612,10 +605,9 @@ def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], tuple[float,
     every_row = [np.arange(s.size) for s in space.starts]
     evaluations = 0
 
-    def polish(choice: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, list[float]]:
+    def polish(choice: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
         nonlocal evaluations
         _, key, _ = _enumerate_exact(space, [np.array([row]) for row in choice])
-        trace = [key[0]]
         for _ in range(_MAX_PASSES):
             improved = False
             for i in range(k):
@@ -625,20 +617,19 @@ def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], tuple[float,
                 evaluations += evals - 1
                 if winner != choice:
                     choice = winner
-                    trace.append(key[0])
                     improved = True
             if not improved:
                 break
-        return choice, key, trace
+        return choice, key
 
     # descent starts at the least-shift rows, then from random rows
-    best_choice, best_key, best_trace = polish(tuple(int(np.argmin(a)) for a in space.shift_abs))
+    best_choice, best_key = polish(tuple(int(np.argmin(a)) for a in space.shift_abs))
     for _ in range(_RESTARTS):
         start = tuple(int(rng.integers(space.starts[i].size)) for i in range(k))
-        choice, key, trace = polish(start)
+        choice, key = polish(start)
         if key < best_key:
-            best_choice, best_key, best_trace = choice, key, trace
-    return best_choice, tuple(best_trace), evaluations
+            best_choice, best_key = choice, key
+    return best_choice, evaluations
 
 
 def solve(
@@ -663,7 +654,9 @@ def solve(
     alone.  With a PV system, sourcing flags are arbitrated against each
     intermediate schedule and start optimization repeats until the flags
     reach a fixed point (or ``_PV_ITERATION_CAP`` rounds); the best
-    self-consistent schedule wins.
+    self-consistent schedule wins.  The result holds the starts, the flags
+    and their cost; ``pv_arbitrate`` of the scheduled shiftable demand gives
+    the battery trajectory behind the flags.
 
     Args:
         instances: all appliance instances (fixed and shiftable).
@@ -724,27 +717,21 @@ def solve(
         product *= len(starts)
     mode = "exhaustive" if product <= _EXACT_LIMIT else "local_search"
 
-    def optimize(flags: np.ndarray) -> tuple[dict[str, int], tuple[float, ...], int]:
+    def optimize(flags: np.ndarray) -> tuple[dict[str, int], int]:
         space = _CandidateSpace(
             shiftable, residual, flags, weights, blend, not_before, starts_by_id
         )
         if mode == "exhaustive":
-            choice, key, evals = _enumerate_exact(space)
-            trace = (key[0],)
+            choice, _, evals = _enumerate_exact(space)
         else:
-            choice, trace, evals = _local_search(space)
-        return space.starts_mapping(choice), trace, evals
+            choice, evals = _local_search(space)
+        return space.starts_mapping(choice), evals
 
-    def complete(starts: dict[str, int], flags, soc) -> ScheduleAssignment:
-        all_starts = {**preferred_starts(fixed), **starts}
-        return ScheduleAssignment(starts=all_starts, pv_flags=flags, battery_soc=soc)
-
-    def arbitrated(starts: dict[str, int]) -> tuple[np.ndarray, np.ndarray | None]:
+    def arbitrated(starts: dict[str, int]) -> np.ndarray:
         if pv is None:
-            return np.zeros(SLOT_COUNT, dtype=bool), None
+            return np.zeros(SLOT_COUNT, dtype=bool)
         demand = total_curve(shiftable, starts)
-        result = pv_arbitrate(pv, demand, pricing, max_duration)
-        return result.flags, result.soc
+        return pv_arbitrate(pv, demand, pricing, max_duration).flags
 
     def score(assignment: ScheduleAssignment) -> CostBreakdown:
         return evaluate_cost(
@@ -753,26 +740,19 @@ def solve(
         )
 
     evaluations = 0
-    flags = np.zeros(SLOT_COUNT, dtype=bool)
-    soc = None
-    if pv is not None:
-        preferred = {i.instance_id: i.preferred_start for i in shiftable}
-        flags, soc = arbitrated(preferred)
-
-    best: tuple[CostBreakdown, ScheduleAssignment, tuple[float, ...]] | None = None
+    flags = arbitrated(preferred_starts(shiftable))
+    best: tuple[CostBreakdown, ScheduleAssignment] | None = None
     for _ in range(_PV_ITERATION_CAP if pv is not None else 1):
-        starts, trace, evals = optimize(flags)
+        starts, evals = optimize(flags)
         evaluations += evals
-        new_flags, new_soc = arbitrated(starts)
-        candidate = complete(starts, new_flags, new_soc)
+        new_flags = arbitrated(starts)
+        candidate = ScheduleAssignment({**preferred_starts(fixed), **starts}, new_flags)
         cost = score(candidate)
         if best is None or cost.total < best[0].total:
-            best = (cost, candidate, trace)
+            best = (cost, candidate)
         if pv is None or np.array_equal(new_flags, flags):
             break
-        flags, soc = new_flags, new_soc
+        flags = new_flags
 
-    cost, assignment, trace = best
-    return SolveResult(
-        assignment=assignment, cost=cost, trace=trace, mode=mode, evaluations=evaluations
-    )
+    cost, assignment = best
+    return SolveResult(assignment=assignment, cost=cost, mode=mode, evaluations=evaluations)

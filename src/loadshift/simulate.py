@@ -325,8 +325,8 @@ def _replay_online(
     their grid share under the day-ahead flags as a baseline, and open runs
     are costed as drawn entirely from the grid.  The final schedule then
     gets one fresh PV arbitration of its whole shiftable demand, which
-    re-decides every slot, elapsed ones included, so the reported flags,
-    battery trajectory and curves all follow the executed demand.
+    re-decides every slot, elapsed ones included, so the reported flags and
+    curves follow the executed demand.
     """
     rng = np.random.default_rng(derive_seed(seed, household_id, day, "online"))
     noise = rng.normal(0.0, ONLINE_NOISE_KW, SLOT_COUNT)
@@ -353,12 +353,10 @@ def _replay_online(
             starts[inst.instance_id] = partial.assignment.starts[inst.instance_id]
 
     flags = None
-    soc = None
     if pv is not None:
         max_duration = max((i.duration_slots for i in shiftable), default=0)
-        arb = pv_arbitrate(pv, total_curve(shiftable, starts), pricing, max_duration)
-        flags, soc = arb.flags, arb.soc
-    return ScheduleAssignment(starts=starts, pv_flags=flags, battery_soc=soc), current
+        flags = pv_arbitrate(pv, total_curve(shiftable, starts), pricing, max_duration).flags
+    return ScheduleAssignment(starts=starts, pv_flags=flags), current
 
 
 def run_fleet(

@@ -143,7 +143,8 @@ def test_1_split_exactness():
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
     year = SeriesDataset(values=rng.uniform(0.1, 2.0, 8760), lag=24)
-    sizes = split_dataset(year, TrainingConfig()).sizes()
+    split = split_dataset(year, TrainingConfig())
+    sizes = (split.train_indices.size, split.validation_indices.size, split.test_indices.size)
     elapsed = time.monotonic() - t0
     ok = sizes == (6132, 1314, 1314) and elapsed < 1.0
     conclude(1, ok, f"sizes={sizes}, {elapsed:.3f}s")

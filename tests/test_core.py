@@ -230,7 +230,8 @@ def test_split_consumption_sources():
     flags[9] = True  # PV covers slot 10
     parts = split_consumption(instances, preferred_starts(instances), flags)
     npt.assert_allclose(parts.total.values, parts.grid.values + parts.pv.values)
-    npt.assert_allclose(parts.total.values, parts.fixed.values + parts.shiftable.values)
+    placed = total_curve(instances, preferred_starts(instances))
+    npt.assert_allclose(parts.total.values, placed.values)
     assert parts.pv.values[9] == 2.0  # shiftable demand only
     assert parts.grid.values[9] == 0.5  # fixed stays on the grid
     assert parts.pv.values[10] == 0.0

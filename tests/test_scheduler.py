@@ -135,6 +135,16 @@ def test_feasible_starts_names_binding_constraint():
 # ---------------------------------------------------------------- pv_arbitrate
 
 
+def assert_soc_recurrence(pv, demand, result):
+    """The battery delivers a flagged slot's whole demand and nothing else:
+    ``soc[h+1] == clip(soc[h] + eff*gen[h]*0.5 - flags[h]*demand[h]*0.5, 0, cap)``."""
+    soc = result.soc
+    assert soc[0] == pv.battery_soc
+    step = soc[:-1] + pv.charge_efficiency * pv.generation[:-1] * 0.5
+    step = step - (result.flags * demand * 0.5)[:-1]
+    npt.assert_array_equal(soc[1:], np.clip(step, 0.0, pv.battery_capacity))
+
+
 def test_pv_arbitrate_hand_simulation():
     # full 2 kWh battery, no sun, flat 0.2 kW shiftable demand, peak at 35-44
     pv = PvSystem(
@@ -145,7 +155,8 @@ def test_pv_arbitrate_hand_simulation():
         charge_efficiency=1.0,
     )
     pricing = make_pricing()
-    result = pv_arbitrate(pv, np.full(48, 0.2), pricing, max_app_duration=4)
+    demand = np.full(48, 0.2)
+    result = pv_arbitrate(pv, demand, pricing, max_app_duration=4)
 
     # supplies 0.1 kWh per slot until only 0.1 kWh remains (strict > demand),
     # which happens entering slot 20; the time condition holds well past that
@@ -154,7 +165,8 @@ def test_pv_arbitrate_hand_simulation():
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[:20], 2.0 - 0.1 * np.arange(20))
     npt.assert_allclose(result.soc[20:], 0.1)
-    assert result.supplied_kwh.sum() == pytest.approx(1.9)
+    assert_soc_recurrence(pv, demand, result)
+    assert (result.flags * demand * 0.5).sum() == pytest.approx(1.9)
 
 
 def test_pv_arbitrate_waits_to_recharge_before_peak():
@@ -168,7 +180,8 @@ def test_pv_arbitrate_waits_to_recharge_before_peak():
         charge_efficiency=1.0,
     )
     pricing = make_pricing()
-    result = pv_arbitrate(pv, np.full(48, 0.05), pricing, max_app_duration=6)
+    demand = np.full(48, 0.05)
+    result = pv_arbitrate(pv, demand, pricing, max_app_duration=6)
 
     # drain 0.025 kWh/slot: at slot h the margin is (35-h) - 0.2*(h-1) slots,
     # which drops to max_app_duration entering slot 25; supply resumes inside
@@ -177,14 +190,16 @@ def test_pv_arbitrate_waits_to_recharge_before_peak():
     expected[24:34] = False
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[24:34], 2.0 - 0.025 * 24)
-    assert result.supplied_kwh.sum() <= pv.battery_soc + 1e-9
+    assert_soc_recurrence(pv, demand, result)
+    assert (result.flags * demand * 0.5).sum() <= pv.battery_soc + 1e-9
 
 
 def test_pv_arbitrate_empty_battery_never_raises():
     pv = PvSystem(generation=np.zeros(48), battery_capacity=1.0, battery_soc=0.0)
-    result = pv_arbitrate(pv, np.full(48, 1.0), make_pricing(), max_app_duration=2)
+    demand = np.full(48, 1.0)
+    result = pv_arbitrate(pv, demand, make_pricing(), max_app_duration=2)
     assert not result.flags.any()
-    assert result.supplied_kwh.sum() == 0.0
+    assert_soc_recurrence(pv, demand, result)
     npt.assert_allclose(result.soc, 0.0)
 
 
@@ -196,9 +211,10 @@ def test_pv_arbitrate_charging_trajectory():
         charge_rate=2.0,
         charge_efficiency=0.9,
     )
-    result = pv_arbitrate(pv, np.zeros(48), make_pricing(), max_app_duration=2)
+    demand = np.zeros(48)
+    result = pv_arbitrate(pv, demand, make_pricing(), max_app_duration=2)
     npt.assert_allclose(result.soc, np.minimum(0.45 * np.arange(48), 10.0))
-    assert result.supplied_kwh.sum() == 0.0
+    assert_soc_recurrence(pv, demand, result)
 
 
 def test_pv_arbitrate_energy_conservation():
@@ -216,10 +232,36 @@ def test_pv_arbitrate_energy_conservation():
         demand = rng.uniform(0, 3, 48)
         result = pv_arbitrate(pv, demand, pricing, max_app_duration=int(rng.integers(1, 8)))
         available = pv.battery_soc + pv.charge_efficiency * pv.generation.sum() * 0.5
-        assert result.supplied_kwh.sum() <= available + 1e-9
+        assert (result.flags * demand * 0.5).sum() <= available + 1e-9
         assert (result.soc >= -1e-12).all() and (result.soc <= capacity + 1e-12).all()
-        npt.assert_allclose(result.supplied_kwh[result.flags], demand[result.flags] * 0.5)
-        assert (result.supplied_kwh[~result.flags] == 0).all()
+        assert_soc_recurrence(pv, demand, result)
+
+
+@pytest.mark.parametrize(
+    "demand, max_app_duration, error",
+    [
+        (np.full(48, -0.5), 2, ParameterError),
+        (np.where(np.arange(48) == 10, np.nan, 0.5), 2, FormatError),
+        (np.where(np.arange(48) == 10, np.inf, 0.5), 2, FormatError),
+        (np.full(47, 0.5), 2, FormatError),
+        ("3", 2, FormatError),
+        (None, 2, FormatError),
+        (np.full(48, 0.5), float("nan"), ParameterError),
+        (np.full(48, 0.5), 2.5, ParameterError),
+        (np.full(48, 0.5), -1, ParameterError),
+        (np.full(48, 0.5), "3", ParameterError),
+        (np.full(48, 0.5), None, ParameterError),
+    ],
+    ids=[
+        "negative-demand", "nan-demand", "inf-demand", "short-demand", "str-demand",
+        "none-demand", "nan-duration", "fractional-duration", "negative-duration",
+        "str-duration", "none-duration",
+    ],
+)
+def test_pv_arbitrate_rejects_malformed_input(demand, max_app_duration, error):
+    pv = PvSystem(generation=np.ones(48), battery_capacity=4.0, battery_soc=4.0)
+    with pytest.raises(error):
+        pv_arbitrate(pv, demand, make_pricing(), max_app_duration)
 
 
 # ---------------------------------------------------------------- evaluate_cost
@@ -871,14 +913,33 @@ def test_solve_pricing_required_with_pv():
 # ---------------------------------------------------------------- solve: local search
 
 
+def spy_enumerate_exact(monkeypatch):
+    """Record each ``_enumerate_exact`` call as (rows, choice, key), in order."""
+    calls = []
+    enumerate_exact = scheduler._enumerate_exact
+
+    def spy(space, rows=None):
+        choice, key, evaluations = enumerate_exact(space, rows)
+        calls.append((rows, choice, key))
+        return choice, key, evaluations
+
+    monkeypatch.setattr(scheduler, "_enumerate_exact", spy)
+    return calls
+
+
 def test_solve_switches_to_local_search_beyond_threshold(monkeypatch):
     monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
+    calls = spy_enumerate_exact(monkeypatch)
     rng = np.random.default_rng(5)
     instances, objective, weights = random_problem(rng, n_appliances=3)
     result = solve(instances, objective, weights, blend=0.2)
     assert result.mode == "local_search"
     assert validate_assignment(instances, result.assignment) == ()
-    assert np.all(np.diff(result.trace) <= 1e-12)  # non-increasing descent
+    # non-increasing descent: a move scores one instance's rows with the rest
+    # held, from the choice the call before it won
+    moves = [n for n, (rows, _, _) in enumerate(calls) if any(r.size > 1 for r in rows)]
+    assert moves and moves[0] > 0
+    assert all(calls[n][2][0] <= calls[n - 1][2][0] for n in moves)
 
     # descent starts at the preferred schedule, so it can never end worse
     baseline = evaluate_cost(
@@ -905,13 +966,16 @@ def test_solve_local_search_finds_exact_optimum_here(monkeypatch):
 
 def test_solve_is_deterministic(monkeypatch):
     monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
+    calls = spy_enumerate_exact(monkeypatch)
     rng = np.random.default_rng(41)
     instances, objective, weights = random_problem(rng, n_appliances=4)
     first = solve(instances, objective, weights)
+    first_moves = [(choice, key) for _, choice, key in calls]
+    calls.clear()
     second = solve(instances, objective, weights)
     assert first.assignment.starts == second.assignment.starts
     assert first.cost.total == second.cost.total
-    assert first.trace == second.trace
+    assert first_moves == [(choice, key) for _, choice, key in calls]
 
 
 def key_reference(space, choice):
@@ -935,15 +999,23 @@ def key_reference(space, choice):
 def local_search_reference(space, restarts=3, max_passes=60):
     """Hill descent that scores each single-instance move on its own and
     keeps a trial only when its key is strictly lower than the best so far:
-    the move rule that block-scored moves must reproduce."""
+    the move rule that block-scored moves must reproduce.
+
+    Returns (choice, trace, evaluations, moves): ``trace`` holds the winning
+    descent's start cost and its cost after each move, and ``moves`` the
+    (choice, key) after each descent start and each tried move, in the order
+    ``_local_search`` scores them with ``_enumerate_exact``."""
     rng = np.random.default_rng(0)
     k = len(space.starts)
     evaluations = 0
+    moves = []
 
     def polish(start):
         nonlocal evaluations
         current = list(start)
-        trace = [key_reference(space, current)[0]]
+        key = key_reference(space, current)
+        trace = [key[0]]
+        moves.append((tuple(current), key))
         for _ in range(max_passes):
             improved = False
             for i in range(k):
@@ -961,6 +1033,7 @@ def local_search_reference(space, restarts=3, max_passes=60):
                     current[i] = best_row
                     trace.append(best_key[0])
                     improved = True
+                moves.append((tuple(current), best_key))
             if not improved:
                 break
         return tuple(current), key_reference(space, current), trace
@@ -970,7 +1043,7 @@ def local_search_reference(space, restarts=3, max_passes=60):
         found = polish(tuple(int(rng.integers(s.size)) for s in space.starts))
         if found[1] < best[1]:
             best = found
-    return best[0], tuple(best[2]), evaluations
+    return best[0], tuple(best[2]), evaluations, moves
 
 
 def local_search_problem(rng, trial):
@@ -1021,11 +1094,12 @@ def test_local_search_matches_single_move_reference(monkeypatch, screen_rows, bl
             not_before,
             sets,
         )
-        choice, trace, evaluations = scheduler._local_search(space)
-        ref_choice, ref_trace, ref_evaluations = local_search_reference(space)
+        calls = spy_enumerate_exact(monkeypatch)
+        choice, evaluations = scheduler._local_search(space)
+        ref_choice, ref_trace, ref_evaluations, ref_moves = local_search_reference(space)
         assert choice == ref_choice
         assert evaluations == ref_evaluations
-        assert trace == ref_trace and len(trace) > 1
+        assert [(choice, key) for _, choice, key in calls] == ref_moves and len(ref_trace) > 1
 
 
 # ---------------------------------------------------------------- solve: pv
@@ -1059,7 +1133,6 @@ def test_solve_with_pv_reaches_consistent_flags():
     demand = total_curve(shiftable, result.assignment.starts)
     again = pv_arbitrate(pv, demand, pricing, max_app_duration=3)
     npt.assert_array_equal(result.assignment.pv_flags, again.flags)
-    npt.assert_allclose(result.assignment.battery_soc, again.soc)
 
     recomputed = evaluate_cost(
         result.assignment, objective, DiscomfortWeights(), instances,

@@ -174,7 +174,6 @@ def test_online_pv_replay_reports_the_final_arbitration(monkeypatch):
             demand, arb = calls[-1]
             npt.assert_array_equal(demand.values, total_curve(shiftable, starts).values)
             npt.assert_array_equal(arb.flags, flags)
-            npt.assert_array_equal(arb.soc, result.assignment.battery_soc)
             flagged += int(flags.any())
     assert flagged  # the battery covered demand somewhere
 
@@ -393,7 +392,6 @@ def day_result_parts(result):
         result.objective.mode,
         assignment.starts,
         assignment.pv_flags.tobytes(),
-        None if assignment.battery_soc is None else assignment.battery_soc.tobytes(),
     )
 
 
@@ -483,7 +481,6 @@ def test_results_do_not_depend_on_record_order(mode):
         assert a.objective.provenance == b.objective.provenance
         assert a.assignment.starts == b.assignment.starts
         npt.assert_array_equal(a.assignment.pv_flags, b.assignment.pv_flags)
-        npt.assert_array_equal(a.assignment.battery_soc, b.assignment.battery_soc)
     assert results_json(mixed, got, 4) == results_json(fleet, expected, 4)
 
 
