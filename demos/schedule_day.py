@@ -8,7 +8,6 @@ import numpy as np
 
 from loadshift import (
     ApplianceSpec,
-    DiscomfortWeights,
     ObjectiveCurve,
     PricingSignal,
     PvSystem,
@@ -50,26 +49,25 @@ objective = ObjectiveCurve(
     mode="offline",
     provenance=("predicted",) * 48,
 )
-weights = DiscomfortWeights(shift_weight=0.01, delay_weight=0.005)
 
 before = total_curve(instances, {i.instance_id: i.preferred_start for i in instances})
 print(f"before: peak {before.values.max():.2f} kW, bill {bill(before, pricing):.2f}")
 
-result = solve(instances, objective, weights)
+result = solve(instances, objective)
 assert validate_assignment(instances, result.assignment) == ()
 after = total_curve(instances, result.assignment.starts)
 print(f"grid-only solve ({result.mode}, {result.evaluations} evaluations):")
 for app_id, start in sorted(result.assignment.starts.items()):
     print(f"  {app_id:<11} slot {start}")
 print(f"  peak {after.values.max():.2f} kW, bill {bill(after, pricing):.2f}, "
-      f"cost {result.cost.total:.4f} (deviation {result.cost.deviation:.4f})")
+      f"squared deviation {result.cost:.4f}")
 
 # same problem with 1 kW PV and a 4 kWh battery arbitrating the peak
 gen = np.zeros(48)
 gen[16:38] = 1.0 * np.sin(np.linspace(0, np.pi, 22)) ** 2
 pv = PvSystem(generation=gen, battery_capacity=4.0, battery_soc=2.0,
               charge_rate=1.5, charge_efficiency=0.9)
-result_pv = solve(instances, objective, weights, pricing=pricing, pv=pv)
+result_pv = solve(instances, objective, pricing=pricing, pv=pv)
 split = split_consumption(instances, result_pv.assignment.starts,
                           result_pv.assignment.pv_flags)
 pv_slots = np.flatnonzero(result_pv.assignment.pv_flags) + 1

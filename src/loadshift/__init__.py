@@ -58,8 +58,6 @@ from .objective import (
     update_online,
 )
 from .scheduler import (
-    CostBreakdown,
-    DiscomfortWeights,
     PvArbitration,
     ScheduleAssignment,
     SolveResult,
@@ -82,12 +80,10 @@ __all__ = [
     "AutocorrelationResult",
     "ConfigError",
     "ConsumptionBreakdown",
-    "CostBreakdown",
     "DailyRecord",
     "DatasetTooSmallError",
     "DayResult",
     "DegenerateRegressionError",
-    "DiscomfortWeights",
     "FeasibilityError",
     "FleetConfig",
     "FormatError",

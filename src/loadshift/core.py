@@ -172,9 +172,6 @@ class ApplianceInstance:
     preferred_start: int
     max_shift: int
 
-    def energy_kwh(self) -> float:
-        return float(np.sum(self.power_profile) * SLOT_HOURS)
-
 
 def expand_instances(specs: Sequence[ApplianceSpec]) -> tuple[ApplianceInstance, ...]:
     """Expand appliance specs into individually schedulable instances.

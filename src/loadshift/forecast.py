@@ -201,9 +201,13 @@ class NarNetwork:
 
 
 def initialize_network(input_size: int, hidden_size: int, seed: int = 0) -> NarNetwork:
-    """Fresh network: weights uniform in [-0.5, 0.5]/sqrt(fan-in), zero biases."""
-    if input_size < 1 or hidden_size < 1:
-        raise ParameterError("layer sizes must be >= 1")
+    """Fresh network: weights uniform in [-0.5, 0.5]/sqrt(fan-in), zero biases.
+
+    Raises:
+        ParameterError: a layer size is not a whole number >= 1.
+    """
+    input_size = _whole_number(input_size, 1, "input_size")
+    hidden_size = _whole_number(hidden_size, 1, "hidden_size")
     rng = np.random.default_rng(seed)
     w_in = rng.uniform(-0.5, 0.5, size=(hidden_size, input_size)) / np.sqrt(input_size)
     w_out = rng.uniform(-0.5, 0.5, size=hidden_size) / np.sqrt(hidden_size)
@@ -709,6 +713,7 @@ def error_autocorrelation(residuals: Sequence[float], max_lag: int = 20) -> Auto
     Raises:
         DatasetTooSmallError: fewer than 20 residuals.
         UndefinedMetricError: constant residuals (zero variance).
+        ParameterError: ``max_lag`` is not a whole number >= 1.
     """
     e = np.asarray(residuals, dtype=float)
     if e.ndim != 1 or e.size < 20:
@@ -717,9 +722,7 @@ def error_autocorrelation(residuals: Sequence[float], max_lag: int = 20) -> Auto
         raise FormatError("residuals contain non-finite values")
     if np.ptp(e) == 0.0:
         raise UndefinedMetricError("autocorrelation undefined for constant residuals")
-    if max_lag < 1:
-        raise ParameterError("max_lag must be >= 1")
-    max_lag = min(max_lag, e.size - 1)
+    max_lag = min(_whole_number(max_lag, 1, "max_lag"), e.size - 1)
     denom = float(np.sum(e * e))
     values = np.empty(max_lag + 1)
     values[0] = 1.0

@@ -1,13 +1,13 @@
 """Start-slot assignment and PV/grid arbitration against an objective curve.
 
-The scheduler picks one start per shiftable appliance run to minimize squared
-deviation of the grid-facing curve from the objective plus weighted discomfort
-(shift and delay penalties).  Small problems are solved exactly by
-enumeration; larger ones by seeded local search.  Enumeration screens each
-candidate with per-start and pairwise terms, built once per round, and
-scores exactly only those within a rigorous rounding bound of the best, so
-in bounded memory it returns what scoring every candidate exactly would,
-ties included.  When a PV/battery system is present, per-slot sourcing
+The scheduler picks one start per shiftable appliance run to minimize the
+squared deviation of the grid-facing curve from the objective; ties go to
+the least total displacement from the preferred starts.  Small problems are
+solved exactly by enumeration; larger ones by seeded local search.
+Enumeration screens each candidate with per-start and pairwise terms, built
+once per round, and scores exactly only those within a rigorous rounding
+bound of the best, so in bounded memory it returns what scoring every
+candidate exactly would, ties included.  When a PV/battery system is present, per-slot sourcing
 flags are arbitrated against the candidate demand and the two
 optimizations alternate to a fixed point.
 """
@@ -42,27 +42,6 @@ from .errors import (
     ParameterError,
 )
 from .objective import ObjectiveCurve
-
-
-# ---------------------------------------------------------------- weights
-
-
-@dataclass(frozen=True)
-class DiscomfortWeights:
-    """Shift/delay penalty weights, shared by every appliance.
-
-    ``shift_weight`` prices each slot of absolute displacement from the
-    preferred start; ``delay_weight`` prices each slot of forward delay only.
-    The simulation pipeline always schedules with the all-zero default.
-    """
-
-    shift_weight: float = 0.0
-    delay_weight: float = 0.0
-
-    def __post_init__(self):
-        for weight in (self.shift_weight, self.delay_weight):
-            if not (np.isfinite(weight) and weight >= 0):
-                raise ParameterError("discomfort weights must be finite and >= 0")
 
 
 # ---------------------------------------------------------------- assignment
@@ -265,29 +244,6 @@ def pv_arbitrate(
 # ---------------------------------------------------------------- cost
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Deviation-from-objective and discomfort parts of the schedule cost."""
-
-    deviation: float
-    discomfort: float
-    total: float
-    blend: float
-
-
-def default_blend(objective: ObjectiveCurve) -> float:
-    """Default weight joining discomfort to squared deviation."""
-    return 0.1 * float(objective.values.mean()) ** 2
-
-
-def _blend_value(objective: ObjectiveCurve, blend: float | None) -> float:
-    """``blend``, or the objective's default when None; finite and >= 0."""
-    value = default_blend(objective) if blend is None else float(blend)
-    if not (np.isfinite(value) and value >= 0):
-        raise ParameterError(f"blend must be finite and >= 0, got {value!r}")
-    return value
-
-
 def _baseline_values(baseline) -> np.ndarray | None:
     """``baseline`` as an array of ``SLOT_COUNT`` finite floats, or None."""
     if baseline is None:
@@ -304,19 +260,15 @@ def _baseline_values(baseline) -> np.ndarray | None:
 def evaluate_cost(
     assignment: ScheduleAssignment,
     objective: ObjectiveCurve,
-    weights: DiscomfortWeights,
     instances: Sequence[ApplianceInstance],
-    blend: float | None = None,
     baseline: np.ndarray | None = None,
     active_from: int = 1,
-) -> CostBreakdown:
-    """Score a feasible assignment against the objective curve.
+) -> float:
+    """Squared deviation of a feasible assignment from the objective curve.
 
-    Deviation is the squared gap between the grid-facing curve (PV-supplied
-    energy excluded, plus any committed ``baseline`` load) and the objective,
-    summed over slots >= ``active_from``.  Discomfort sums each run's
-    ``w*|shift| + k*max(0, delay)``.  Total = deviation + blend * discomfort,
-    with ``blend`` defaulting to 0.1 * (mean objective power)^2.
+    The gap is between the grid-facing curve (PV-supplied energy excluded,
+    plus any committed ``baseline`` load) and the objective, summed over
+    slots >= ``active_from``.
 
     Raises:
         FeasibilityError: the assignment violates a hard constraint.
@@ -336,21 +288,7 @@ def evaluate_cost(
     if active_from > SLOT_COUNT:
         raise ParameterError(f"active_from must be <= {SLOT_COUNT}, got {active_from}")
     gap = (grid - objective.values)[active_from - 1 :]
-    deviation = float(np.sum(gap * gap))
-
-    w, k = weights.shift_weight, weights.delay_weight
-    discomfort = 0.0
-    for inst in instances:
-        shift = int(assignment.starts[inst.instance_id]) - inst.preferred_start
-        discomfort += w * abs(shift) + k * max(0, shift)
-
-    blend_value = _blend_value(objective, blend)
-    return CostBreakdown(
-        deviation=deviation,
-        discomfort=discomfort,
-        total=deviation + blend_value * discomfort,
-        blend=blend_value,
-    )
+    return float(np.sum(gap * gap))
 
 
 # ---------------------------------------------------------------- solver
@@ -366,16 +304,16 @@ _PV_ITERATION_CAP = 5
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Solver outcome: the assignment, its canonical cost, and diagnostics."""
+    """Solver outcome: the assignment, its ``evaluate_cost``, and diagnostics."""
 
     assignment: ScheduleAssignment
-    cost: CostBreakdown
+    cost: float
     mode: str
     evaluations: int
 
 
 class _CandidateSpace:
-    """Precomputed per-instance start sets, contributions and penalties.
+    """Precomputed per-instance start sets, contributions and displacements.
 
     Deviation math runs on slot columns >= active_from with PV-flagged slots
     masked out of the shiftable contributions, exactly mirroring
@@ -384,13 +322,12 @@ class _CandidateSpace:
     Every instance's contribution rows are stacked in one C-contiguous
     (rows, columns) array; ``contribs[i]`` is instance i's block of it and
     ``offsets[i]`` that block's first row.  The screen terms are built from
-    the stack once per space: with r the residual, c a row's contribution and
-    p its penalty,
+    the stack once per space: with r the residual and c a row's contribution,
 
-        ||r + sum_i c_i||^2 + blend * sum_i p_i
+        ||r + sum_i c_i||^2
             = ||r||^2 + sum_i unary[row_i] + sum_{i<j} pairs[row_i, row_j]
 
-    where ``unary = 2 c.r + ||c||^2 + blend * p`` and ``pairs = 2 C C^T``
+    where ``unary = 2 c.r + ||c||^2`` and ``pairs = 2 C C^T``
     (8 B per pair of stacked rows).  A candidate whose screened total lies
     more than ``tol`` above another's also scores exactly above it.
     """
@@ -400,15 +337,11 @@ class _CandidateSpace:
         shiftable: list[ApplianceInstance],
         residual: np.ndarray,
         flags: np.ndarray,
-        weights: DiscomfortWeights,
-        blend: float,
         active_from: int,
         starts_by_id: dict[str, tuple[int, ...]],
     ):
         self.ids = [inst.instance_id for inst in shiftable]
-        self.blend = blend
         cols = slice(active_from - 1, SLOT_COUNT)
-        w, k = weights.shift_weight, weights.delay_weight
         self.residual = residual[cols]
         self.starts = [
             np.asarray(starts_by_id[inst.instance_id], dtype=int) for inst in shiftable
@@ -422,19 +355,16 @@ class _CandidateSpace:
         grid *= (~flags).astype(float)  # PV-covered slots leave the grid curve
         stack = np.ascontiguousarray(grid[:, cols])
         self.contribs = [stack[first : first + n] for first, n in zip(self.offsets, sizes)]
-        shifts = [starts - inst.preferred_start for inst, starts in zip(shiftable, self.starts)]
-        self.penalties = [w * np.abs(shift) + k * np.maximum(0, shift) for shift in shifts]
-        self.shift_abs = [np.abs(shift) for shift in shifts]
+        self.shift_abs = [
+            np.abs(starts - inst.preferred_start) for inst, starts in zip(shiftable, self.starts)
+        ]
 
-        penalty = np.concatenate([np.zeros(0), *self.penalties])
-        self.unary = (
-            2.0 * (stack @ self.residual) + np.einsum("ij,ij->i", stack, stack) + blend * penalty
-        )
+        self.unary = 2.0 * (stack @ self.residual) + np.einsum("ij,ij->i", stack, stack)
         self.pairs = 2.0 * (stack @ stack.T)
-        # Screened (unary and pair terms) or exact (curve, einsum, penalty),
-        # a total takes at most n = columns + (instances + 2)^2 roundings of
-        # sums whose absolute parts add up to at most
-        #   magnitude = sum_t (|r_t| + sum_i max|c_i,t|)^2 + blend * sum_i max p_i,
+        # Screened (unary and pair terms) or exact (curve, einsum), a total
+        # takes at most n = columns + (instances + 2)^2 roundings of sums whose
+        # absolute parts add up to at most
+        #   magnitude = sum_t (|r_t| + sum_i max|c_i,t|)^2,
         # so it lies within gamma_n * magnitude of its real value, with
         # gamma_n = n u / (1 - n u).  Candidates screened more than
         # 4 gamma_n * magnitude apart therefore score exactly in the same
@@ -443,7 +373,7 @@ class _CandidateSpace:
         reach = np.abs(self.residual) + sum(
             (np.abs(c).max(axis=0) for c in self.contribs), np.zeros(self.residual.size)
         )
-        magnitude = float(reach @ reach) + blend * sum(float(p.max()) for p in self.penalties)
+        magnitude = float(reach @ reach)
         n = self.residual.size + (len(sizes) + 2) ** 2
         unit = np.finfo(float).eps / 2
         self.tol = 8.0 * n * unit / (1.0 - n * unit) * magnitude + np.finfo(float).tiny
@@ -468,20 +398,17 @@ _BLOCK_ROWS = 4096
 
 
 def _exact_totals(space: _CandidateSpace, picked: list[np.ndarray | int]) -> np.ndarray:
-    """Exact total cost of each candidate whose row of instance i is ``picked[i]``.
+    """Exact cost of each candidate whose row of instance i is ``picked[i]``.
 
     ``picked[i]`` is an array of rows, one per candidate, or one row shared
     by every candidate.  The arithmetic is that of scoring one candidate
     alone: ``residual + c_0 + ... + c_{k-1}`` added element-wise in instance
-    order, one row-wise einsum on a C-contiguous block for the squared
-    deviation, then ``blend * (0 + p_0 + ... + p_{k-1})``.
+    order, then one row-wise einsum on a C-contiguous block.
     """
     curve = space.residual[np.newaxis]
-    penalty = 0.0
     for i, row in enumerate(picked):
         curve = curve + space.contribs[i][row]
-        penalty = penalty + space.penalties[i][row]
-    return np.einsum("ij,ij->i", curve, curve) + space.blend * penalty
+    return np.einsum("ij,ij->i", curve, curve)
 
 
 def _enumerate_exact(
@@ -635,19 +562,19 @@ def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
 def solve(
     instances: Sequence[ApplianceInstance],
     objective: ObjectiveCurve,
-    weights: DiscomfortWeights | None = None,
     pricing: PricingSignal | None = None,
     pv: PvSystem | None = None,
-    blend: float | None = None,
     baseline: np.ndarray | None = None,
     not_before: int = 1,
 ) -> SolveResult:
     """Schedule every instance to track the objective curve.
 
-    Fixed instances are pinned at their preferred starts; shiftable ones are
-    optimized over their feasible start sets, exhaustively when the product
-    of set sizes stays within ``_EXACT_LIMIT``, otherwise by local search
-    whose moves score one instance's rows at a time.  Both rank candidates
+    The cost is ``evaluate_cost``'s squared deviation; among equal costs the
+    least total |shift| from the preferred starts wins, then the least start
+    tuple.  Fixed instances are pinned at their preferred starts; shiftable
+    ones are optimized over their feasible start sets, exhaustively when the
+    product of set sizes stays within ``_EXACT_LIMIT``, otherwise by local
+    search whose moves score one instance's rows at a time.  Both rank candidates
     through ``_enumerate_exact``, which screens in fixed-size blocks and
     scores the survivors in fixed-size chunks, with bounded memory, giving
     each candidate it scores exactly the same arithmetic as when scored
@@ -661,26 +588,20 @@ def solve(
     Args:
         instances: all appliance instances (fixed and shiftable).
         objective: the curve to track.
-        weights: discomfort weights applied to every shiftable run
-            (default: all zero, which the simulation pipeline always uses).
         pricing: required when ``pv`` is given (peak windows drive timing).
         pv: optional PV/battery system.
-        blend: weight of discomfort in the cost, as in ``evaluate_cost``
-            (default ``default_blend(objective)``).
         baseline: committed grid load added to every candidate curve.
         not_before: earliest permitted start (intra-day re-solves); deviation
             is likewise evaluated on slots >= this.
 
     Raises:
         InfeasibleProblemError: any instance has no feasible start.
-        ParameterError: ``blend`` is not finite and >= 0, or ``not_before`` is
-            not a whole slot number in 1..SLOT_COUNT.
+        ParameterError: ``not_before`` is not a whole slot number in
+            1..SLOT_COUNT, or ``pv`` is given without ``pricing``.
         FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
 
     Every argument is checked before any search.
     """
-    weights = weights or DiscomfortWeights()
-    blend = _blend_value(objective, blend)
     baseline = _baseline_values(baseline)
     not_before = _whole_number(not_before, 1, "not_before")
     if not_before > SLOT_COUNT:
@@ -718,9 +639,7 @@ def solve(
     mode = "exhaustive" if product <= _EXACT_LIMIT else "local_search"
 
     def optimize(flags: np.ndarray) -> tuple[dict[str, int], int]:
-        space = _CandidateSpace(
-            shiftable, residual, flags, weights, blend, not_before, starts_by_id
-        )
+        space = _CandidateSpace(shiftable, residual, flags, not_before, starts_by_id)
         if mode == "exhaustive":
             choice, _, evals = _enumerate_exact(space)
         else:
@@ -733,22 +652,18 @@ def solve(
         demand = total_curve(shiftable, starts)
         return pv_arbitrate(pv, demand, pricing, max_duration).flags
 
-    def score(assignment: ScheduleAssignment) -> CostBreakdown:
-        return evaluate_cost(
-            assignment, objective, weights, instances,
-            blend=blend, baseline=baseline, active_from=not_before,
-        )
-
     evaluations = 0
     flags = arbitrated(preferred_starts(shiftable))
-    best: tuple[CostBreakdown, ScheduleAssignment] | None = None
+    best: tuple[float, ScheduleAssignment] | None = None
     for _ in range(_PV_ITERATION_CAP if pv is not None else 1):
         starts, evals = optimize(flags)
         evaluations += evals
         new_flags = arbitrated(starts)
         candidate = ScheduleAssignment({**preferred_starts(fixed), **starts}, new_flags)
-        cost = score(candidate)
-        if best is None or cost.total < best[0].total:
+        cost = evaluate_cost(
+            candidate, objective, instances, baseline=baseline, active_from=not_before
+        )
+        if best is None or cost < best[0]:
             best = (cost, candidate)
         if pv is None or np.array_equal(new_flags, flags):
             break

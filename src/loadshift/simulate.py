@@ -93,8 +93,8 @@ class RunParams:
     of the pipeline is fixed: every forecaster has lag 24 and 10 hidden
     units, the peak regression is linear in 2 off-peak segment means,
     ``l_min`` is ``L_MIN_KW``, online replays observe noise of std-dev
-    ``ONLINE_NOISE_KW``, and every solve runs with the all-zero default
-    ``DiscomfortWeights``.
+    ``ONLINE_NOISE_KW``, and every solve minimizes the squared deviation
+    from the objective alone.
     """
 
     max_epochs: int = 60

@@ -30,7 +30,6 @@ from loadshift.forecast import (
 )
 from loadshift.objective import ObjectiveCurve, build_objective, fit_peak_regression
 from loadshift.scheduler import (
-    DiscomfortWeights,
     ScheduleAssignment,
     evaluate_cost,
     feasible_starts,
@@ -88,14 +87,13 @@ def random_problem(rng, max_appliances=3, wide=False):
         specs.append(make_fixed("base", power=float(rng.uniform(0.05, 0.4)), duration=48))
     instances = expand_instances(specs)
     objective = make_objective(rng.uniform(0.0, 2.0, 48))
-    weights = DiscomfortWeights(
-        shift_weight=float(rng.uniform(0, 0.5)),
-        delay_weight=float(rng.uniform(0, 0.5)),
-    )
-    return instances, objective, weights
+    # two draws left unused: they keep every seeded trial after this one on
+    # the instances and objectives its checks were written for
+    rng.uniform(0, 0.5, 2)
+    return instances, objective
 
 
-def brute_force_total(instances, objective, weights, blend):
+def brute_force_total(instances, objective):
     shiftable = sorted(
         (i for i in instances if i.kind == "shiftable"), key=lambda i: i.instance_id
     )
@@ -104,9 +102,7 @@ def brute_force_total(instances, objective, weights, blend):
     for combo in itertools.product(*(feasible_starts(i) for i in shiftable)):
         starts = dict(fixed)
         starts.update({inst.instance_id: s for inst, s in zip(shiftable, combo)})
-        total = evaluate_cost(
-            ScheduleAssignment(starts), objective, weights, instances, blend=blend
-        ).total
+        total = evaluate_cost(ScheduleAssignment(starts), objective, instances)
         if best is None or total < best:
             best = total
     return best
@@ -122,8 +118,8 @@ from loadshift.synth import SyntheticRecipe, generate_fleet
 
 recipe = SyntheticRecipe(household_count=50, history_days=150, simulated_days=1)
 fleet = generate_fleet(recipe, seed=0)
-# the no-harm property is stated for zero discomfort weights, which every
-# pipeline solve uses
+# the no-harm property is stated for the pipeline's solves, which minimize
+# the squared deviation from the objective alone
 report = compute_metrics(run_fleet(fleet, RunParams(), seed=0), fleet.pricing)
 print(json.dumps({
     "rows": len(report.rows),
@@ -219,10 +215,10 @@ def test_4_scheduler_matches_exhaustive_oracle():
     rng = np.random.default_rng(99)
     mismatches = 0
     for _ in range(100):
-        instances, objective, weights = random_problem(rng)
-        result = solve(instances, objective, weights, blend=0.25)
-        oracle = brute_force_total(instances, objective, weights, blend=0.25)
-        if result.cost.total != oracle:  # tolerance 0: exact float equality
+        instances, objective = random_problem(rng)
+        result = solve(instances, objective)
+        oracle = brute_force_total(instances, objective)
+        if result.cost != oracle:  # tolerance 0: exact float equality
             mismatches += 1
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 120.0
@@ -234,10 +230,8 @@ def test_5_validator_passes_all_solver_outputs():
     rng = np.random.default_rng(5)
     violations = 0
     for trial in range(1000):
-        instances, objective, weights = random_problem(
-            rng, max_appliances=5, wide=trial % 5 == 0
-        )
-        result = solve(instances, objective, weights)
+        instances, objective = random_problem(rng, max_appliances=5, wide=trial % 5 == 0)
+        result = solve(instances, objective)
         if validate_assignment(instances, result.assignment) != ():
             violations += 1
     elapsed = time.monotonic() - t0

@@ -421,6 +421,15 @@ def test_training_config_takes_whole_epoch_counts():
     assert type(TrainingConfig(rng_seed=3.0).rng_seed) is int
 
 
+@pytest.mark.parametrize("size", [0, 2.5, float("nan"), float("inf"), "3", None])
+@pytest.mark.parametrize("layer", ["input_size", "hidden_size"])
+def test_layer_sizes_must_be_whole_numbers(layer, size):
+    with pytest.raises(ParameterError, match=f"{layer} must be a whole number >= 1"):
+        initialize_network(**{"input_size": 3, "hidden_size": 2, layer: size})
+    net = initialize_network(input_size=3.0, hidden_size=2.0)
+    assert net.w_in.shape == (2, 3) and net.b_in.shape == net.w_out.shape == (2,)
+
+
 def test_train_zero_data_stops_immediately():
     X = np.zeros((12, 4))
     y = np.zeros(12)
@@ -748,3 +757,11 @@ def test_autocorrelation_rejects_constant_and_short():
         error_autocorrelation(np.full(50, 3.3))
     with pytest.raises(DatasetTooSmallError):
         error_autocorrelation(np.arange(10.0))
+
+
+@pytest.mark.parametrize("max_lag", [0, 2.5, float("nan"), float("inf"), "3", None])
+def test_autocorrelation_max_lag_must_be_a_whole_number(max_lag):
+    residuals = np.random.default_rng(23).normal(size=100)
+    with pytest.raises(ParameterError, match="max_lag must be a whole number >= 1"):
+        error_autocorrelation(residuals, max_lag=max_lag)
+    assert error_autocorrelation(residuals, max_lag=4.0).values.size == 5

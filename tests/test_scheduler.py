@@ -30,9 +30,7 @@ from loadshift.errors import (
 from loadshift import scheduler
 from loadshift.objective import ObjectiveCurve
 from loadshift.scheduler import (
-    DiscomfortWeights,
     ScheduleAssignment,
-    default_blend,
     evaluate_cost,
     feasible_starts,
     pv_arbitrate,
@@ -273,35 +271,7 @@ def test_cost_zero_when_objective_matches_preferred():
     )
     starts = preferred_starts(instances)
     objective = make_objective(total_curve(instances, starts).values)
-    cost = evaluate_cost(
-        ScheduleAssignment(starts), objective, DiscomfortWeights(), instances
-    )
-    assert cost.deviation == 0.0
-    assert cost.discomfort == 0.0
-    assert cost.total == 0.0
-
-
-def test_cost_counts_shift_and_delay():
-    inst = make_instance("wash", power=1.0, duration=2, preferred=10)
-    starts = {"wash": 12}
-    objective = make_objective(total_curve([inst], starts).values)
-    weights = DiscomfortWeights(shift_weight=1.0, delay_weight=1.0)
-    cost = evaluate_cost(
-        ScheduleAssignment(starts), objective, weights, [inst], blend=1.0
-    )
-    assert cost.deviation == 0.0
-    assert cost.discomfort == 4.0  # |+2| shift plus 2 slots of delay
-    assert cost.total == 4.0
-
-
-def test_cost_delay_ignores_earlier_starts():
-    inst = make_instance("wash", duration=2, preferred=10)
-    objective = make_objective(np.zeros(48))
-    weights = DiscomfortWeights(shift_weight=0.5, delay_weight=2.0)
-    early = evaluate_cost(
-        ScheduleAssignment({"wash": 7}), objective, weights, [inst], blend=1.0
-    )
-    assert early.discomfort == pytest.approx(1.5)  # 0.5*3, no delay term
+    assert evaluate_cost(ScheduleAssignment(starts), objective, instances) == 0.0
 
 
 def test_cost_matches_slot_by_slot_recomputation():
@@ -321,54 +291,29 @@ def test_cost_matches_slot_by_slot_recomputation():
         starts.update(preferred_starts(i for i in instances if i.kind == "fixed"))
         flags = rng.uniform(size=48) < 0.3
         objective = make_objective(rng.uniform(0, 2, 48))
-        weights = DiscomfortWeights(shift_weight=0.7, delay_weight=0.3)
         assignment = ScheduleAssignment(starts, pv_flags=flags)
-        cost = evaluate_cost(assignment, objective, weights, instances, blend=0.25)
+        cost = evaluate_cost(assignment, objective, instances)
 
         grid = np.zeros(48)
-        discomfort = 0.0
         for inst in instances:
             start = starts[inst.instance_id]
             for k in range(inst.duration_slots):
                 idx = start - 1 + k
                 if inst.kind == "fixed" or not flags[idx]:
                     grid[idx] += inst.power_profile[k]
-            if inst.kind == "shiftable":
-                shift = start - inst.preferred_start
-                discomfort += 0.7 * abs(shift) + 0.3 * max(0, shift)
         deviation = float(np.sum((grid - objective.values) ** 2))
-        assert cost.deviation == pytest.approx(deviation, rel=1e-12)
-        assert cost.discomfort == pytest.approx(discomfort, rel=1e-12)
-        assert cost.total == pytest.approx(deviation + 0.25 * discomfort, rel=1e-12)
+        assert cost == pytest.approx(deviation, rel=1e-12)
 
 
 def test_cost_refuses_infeasible_assignment():
     inst = make_instance("wash", duration=4, window=(10, 20), preferred=12)
     objective = make_objective(np.zeros(48))
     with pytest.raises(FeasibilityError, match="outside window"):
-        evaluate_cost(
-            ScheduleAssignment({"wash": 18}), objective, DiscomfortWeights(), [inst]
-        )
+        evaluate_cost(ScheduleAssignment({"wash": 18}), objective, [inst])
     with pytest.raises(FeasibilityError, match="no start"):
-        evaluate_cost(ScheduleAssignment({}), objective, DiscomfortWeights(), [inst])
+        evaluate_cost(ScheduleAssignment({}), objective, [inst])
     with pytest.raises(FeasibilityError, match="start nan is not a whole slot"):
-        evaluate_cost(
-            ScheduleAssignment({"wash": float("nan")}), objective, DiscomfortWeights(), [inst]
-        )
-
-
-def test_default_blend_is_tenth_of_mean_power_squared():
-    objective = make_objective(np.full(48, 1.4))
-    assert default_blend(objective) == pytest.approx(0.1 * 1.4**2)
-    inst = make_instance("wash", duration=2, preferred=10)
-    cost = evaluate_cost(
-        ScheduleAssignment({"wash": 11}),
-        objective,
-        DiscomfortWeights(shift_weight=1.0),
-        [inst],
-    )
-    assert cost.blend == pytest.approx(0.196)
-    assert cost.total == pytest.approx(cost.deviation + 0.196 * 1.0)
+        evaluate_cost(ScheduleAssignment({"wash": float("nan")}), objective, [inst])
 
 
 def test_validate_assignment_reports_each_violation():
@@ -466,13 +411,13 @@ def random_problem(rng, n_appliances=3, with_fixed=True):
         specs.append(make_fixed("fridge", power=float(rng.uniform(0.05, 0.4)), duration=48))
     instances = expand_instances(specs)
     objective = make_objective(rng.uniform(0.0, 2.0, 48))
-    weights = DiscomfortWeights(
-        shift_weight=float(rng.uniform(0, 0.5)), delay_weight=float(rng.uniform(0, 0.5))
-    )
-    return instances, objective, weights
+    # two draws left unused: they keep every seeded trial after this one on
+    # the instances and objectives its checks were written for
+    rng.uniform(0, 0.5, 2)
+    return instances, objective
 
 
-def brute_force_optimum(instances, objective, weights, blend, baseline=None, not_before=1):
+def brute_force_optimum(instances, objective, baseline=None, not_before=1):
     shiftable = sorted(
         (i for i in instances if i.kind == "shiftable"), key=lambda i: i.instance_id
     )
@@ -482,11 +427,11 @@ def brute_force_optimum(instances, objective, weights, blend, baseline=None, not
         starts = dict(fixed)
         starts.update({inst.instance_id: s for inst, s in zip(shiftable, combo)})
         cost = evaluate_cost(
-            ScheduleAssignment(starts), objective, weights, instances,
-            blend=blend, baseline=baseline, active_from=not_before,
+            ScheduleAssignment(starts), objective, instances,
+            baseline=baseline, active_from=not_before,
         )
         shift_sum = sum(abs(s - i.preferred_start) for i, s in zip(shiftable, combo))
-        key = (cost.total, shift_sum, combo)
+        key = (cost, shift_sum, combo)
         if best is None or key < best[0]:
             best = (key, starts)
     return best
@@ -495,12 +440,12 @@ def brute_force_optimum(instances, objective, weights, blend, baseline=None, not
 def test_solve_matches_exhaustive_oracle():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        instances, objective, weights = random_problem(rng)
-        result = solve(instances, objective, weights, blend=0.2)
+        instances, objective = random_problem(rng)
+        result = solve(instances, objective)
         assert result.mode == "exhaustive"
         assert validate_assignment(instances, result.assignment) == ()
-        best_key, best_starts = brute_force_optimum(instances, objective, weights, blend=0.2)
-        assert result.cost.total == best_key[0]
+        best_key, best_starts = brute_force_optimum(instances, objective)
+        assert result.cost == best_key[0]
         assert result.assignment.starts == best_starts
 
 
@@ -515,7 +460,7 @@ def test_solve_matches_exhaustive_oracle_on_online_resolves(
     rng = np.random.default_rng(29)
     checked = 0
     while checked < 8:
-        instances, objective, weights = random_problem(rng)
+        instances, objective = random_problem(rng)
         shiftable = [i for i in instances if i.kind == "shiftable"]
         not_before = int(rng.integers(2, 25))
         try:
@@ -525,17 +470,13 @@ def test_solve_matches_exhaustive_oracle_on_online_resolves(
         baseline = np.zeros(48)
         baseline[: not_before - 1] = rng.uniform(0.0, 1.5, not_before - 1)
         baseline += rng.uniform(0.0, 0.5, 48)
-        result = solve(
-            instances, objective, weights, blend=0.2,
-            baseline=baseline, not_before=not_before,
-        )
+        result = solve(instances, objective, baseline=baseline, not_before=not_before)
         assert result.mode == "exhaustive"
         assert result.evaluations == int(np.prod([len(s) for s in sets]))
         best_key, best_starts = brute_force_optimum(
-            instances, objective, weights, blend=0.2,
-            baseline=baseline, not_before=not_before,
+            instances, objective, baseline=baseline, not_before=not_before
         )
-        assert result.cost.total == best_key[0]
+        assert result.cost == best_key[0]
         assert result.assignment.starts == best_starts
         checked += 1
 
@@ -547,12 +488,10 @@ def prefix_loop_reference(space):
     last = len(space.starts) - 1
     for prefix in itertools.product(*(range(s.size) for s in space.starts[:-1])):
         curve = space.residual.copy()
-        penalty = 0.0
         for i, row in enumerate(prefix):
             curve += space.contribs[i][row]
-            penalty += space.penalties[i][row]
         gaps = curve + space.contribs[last]
-        totals = np.einsum("ij,ij->i", gaps, gaps) + space.blend * (penalty + space.penalties[last])
+        totals = np.einsum("ij,ij->i", gaps, gaps)
         for row, total in enumerate(totals):
             choice = prefix + (row,)
             key = (
@@ -568,11 +507,11 @@ def prefix_loop_reference(space):
 @pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
 def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, screen_rows, block_rows):
     # random float problems, and flat unreachable targets with integer
-    # powers and zero weights, where exact ties are everywhere
+    # powers, where exact ties are everywhere
     set_block_sizes(monkeypatch, screen_rows, block_rows)
     rng = np.random.default_rng(37)
     for trial in range(12):
-        instances, objective, weights = random_problem(rng, with_fixed=False)
+        instances, objective = random_problem(rng, with_fixed=False)
         if trial % 2:
             instances = [
                 make_instance(
@@ -583,7 +522,6 @@ def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, screen_rows,
                 for inst in instances
             ]
             objective = make_objective(np.full(48, 50.0))
-            weights = DiscomfortWeights()
         not_before = 1 + int(rng.integers(0, 3))
         try:
             sets = {i.instance_id: feasible_starts(i, not_before) for i in instances}
@@ -593,8 +531,6 @@ def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, screen_rows,
             sorted(instances, key=lambda i: i.instance_id),
             rng.uniform(-1.0, 0.0, 48) if trial % 2 == 0 else -objective.values,
             rng.uniform(size=48) < 0.2,
-            weights,
-            0.2,
             not_before,
             sets,
         )
@@ -603,7 +539,7 @@ def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, screen_rows,
         assert evaluations == int(np.prod([len(s) for s in sets.values()]))
 
 
-def candidate_space(instances, residual, flags=None, weights=None, blend=0.2, not_before=1):
+def candidate_space(instances, residual, flags=None, not_before=1):
     """The candidate space of ``instances`` over all of their feasible starts."""
     instances = sorted(instances, key=lambda i: i.instance_id)
     sets = {i.instance_id: feasible_starts(i, not_before) for i in instances}
@@ -611,8 +547,6 @@ def candidate_space(instances, residual, flags=None, weights=None, blend=0.2, no
         instances,
         residual,
         np.zeros(48, dtype=bool) if flags is None else flags,
-        weights or DiscomfortWeights(),
-        blend,
         not_before,
         sets,
     )
@@ -681,7 +615,7 @@ def test_enumerate_exact_keeps_near_ties_through_the_screen(
             )
             for i in range(4)
         ]
-        space = candidate_space(instances, residual, blend=0.0)
+        space = candidate_space(instances, residual)
         choice, key, evaluations = scheduler._enumerate_exact(space)
         assert (choice, key) == prefix_loop_reference(space)
         assert evaluations == 9**4 > block_rows
@@ -762,9 +696,7 @@ def test_enumerate_exact_screen_prunes_with_bounded_memory(monkeypatch):
         )
         for i in range(4)
     ]
-    space = candidate_space(
-        instances, -rng.uniform(0.0, 2.0, 48), weights=DiscomfortWeights(0.1, 0.2)
-    )
+    space = candidate_space(instances, -rng.uniform(0.0, 2.0, 48))
     (choice, key, evaluations), peak = traced_peak(lambda: scheduler._enumerate_exact(space))
     assert evaluations == 31**4
     assert 0 < sum(seen) < evaluations / 100
@@ -798,8 +730,8 @@ def test_candidate_space_places_each_run_like_a_per_start_loop():
 
 def test_solve_flat_unreachable_objective_keeps_preferred():
     # far-above-reach flat target: every start ties on deviation (integer
-    # powers keep the float sums exact), so the zero-discomfort preferred
-    # slots must win through the tie-break even with zero weights
+    # powers keep the float sums exact), so the preferred slots must win
+    # through the least-shift tie-break
     instances = expand_instances(
         [
             make_shiftable("a", power=1.0, duration=3, window=(1, 24), preferred=9),
@@ -807,9 +739,8 @@ def test_solve_flat_unreachable_objective_keeps_preferred():
         ]
     )
     objective = make_objective(np.full(48, 50.0))
-    result = solve(instances, objective, DiscomfortWeights())
+    result = solve(instances, objective)
     assert result.assignment.starts == {"a": 9, "b": 40}
-    assert result.cost.discomfort == 0.0
 
 
 def test_solve_breaks_exact_ties_lexicographically():
@@ -820,7 +751,7 @@ def test_solve_breaks_exact_ties_lexicographically():
         make_instance("a1", power=1.0, duration=1, preferred=10),
         make_instance("a2", power=1.0, duration=1, preferred=10),
     ]
-    result = solve(pair, objective, DiscomfortWeights())
+    result = solve(pair, objective)
     assert result.assignment.starts == {"a1": 9, "a2": 10}
 
     # the same collision ahead of three 17-start runs: every placement with
@@ -835,7 +766,7 @@ def test_solve_breaks_exact_ties_lexicographically():
         make_instance(name, power=1.0, duration=1, window=(9, 48), preferred=p, max_shift=8)
         for name, p in (("b", 20), ("c", 30), ("d", 40))
     ]
-    result = solve(collision, objective, DiscomfortWeights())
+    result = solve(collision, objective)
     assert result.evaluations == 8 * 8 * 17**3 > 4 * scheduler._BLOCK_ROWS
     assert result.assignment.starts == {"a1": 3, "a2": 4, "b": 20, "c": 30, "d": 40}
 
@@ -843,7 +774,7 @@ def test_solve_breaks_exact_ties_lexicographically():
 def test_solve_achievable_objective_reaches_zero_deviation():
     rng = np.random.default_rng(23)
     for _ in range(5):
-        instances, _, _ = random_problem(rng, with_fixed=True)
+        instances, _ = random_problem(rng, with_fixed=True)
         target_starts = {}
         for inst in instances:
             if inst.kind == "shiftable":
@@ -852,8 +783,8 @@ def test_solve_achievable_objective_reaches_zero_deviation():
             else:
                 target_starts[inst.instance_id] = inst.preferred_start
         objective = make_objective(total_curve(instances, target_starts).values)
-        result = solve(instances, objective, DiscomfortWeights())
-        assert result.cost.deviation == pytest.approx(0.0, abs=1e-18)
+        result = solve(instances, objective)
+        assert result.cost == pytest.approx(0.0, abs=1e-18)
 
 
 def test_solve_without_shiftable_scores_fixed_remainder():
@@ -861,16 +792,16 @@ def test_solve_without_shiftable_scores_fixed_remainder():
     objective = make_objective(np.zeros(48))
     result = solve(instances, objective)
     assert result.assignment.starts == {"f": 5}
-    assert result.cost.deviation == pytest.approx(10 * 1.0)
+    assert result.cost == pytest.approx(10 * 1.0)
     assert result.mode == "exhaustive"
 
 
 def test_solve_energy_is_placement_invariant():
     rng = np.random.default_rng(31)
-    instances, objective, weights = random_problem(rng, n_appliances=3)
-    result = solve(instances, objective, weights)
+    instances, objective = random_problem(rng, n_appliances=3)
+    result = solve(instances, objective)
     scheduled = total_curve(instances, result.assignment.starts)
-    expected = sum(inst.energy_kwh() for inst in instances)
+    expected = total_curve(instances, preferred_starts(instances)).energy_kwh()
     assert scheduled.energy_kwh() == pytest.approx(expected, rel=1e-12)
 
 
@@ -895,12 +826,8 @@ def test_solve_not_before_clips_starts_and_deviation():
     result = solve([inst], objective, not_before=20)
     # all feasible placements tie at deviation 8, so the smallest shift wins
     assert result.assignment.starts["a"] == 20
-    assert result.cost.deviation == pytest.approx(8.0)
-    manual = evaluate_cost(
-        result.assignment, objective, DiscomfortWeights(), [inst],
-        blend=result.cost.blend, active_from=20,
-    )
-    assert result.cost.total == manual.total
+    assert result.cost == pytest.approx(8.0)
+    assert result.cost == evaluate_cost(result.assignment, objective, [inst], active_from=20)
 
 
 def test_solve_pricing_required_with_pv():
@@ -931,8 +858,8 @@ def test_solve_switches_to_local_search_beyond_threshold(monkeypatch):
     monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
     calls = spy_enumerate_exact(monkeypatch)
     rng = np.random.default_rng(5)
-    instances, objective, weights = random_problem(rng, n_appliances=3)
-    result = solve(instances, objective, weights, blend=0.2)
+    instances, objective = random_problem(rng, n_appliances=3)
+    result = solve(instances, objective)
     assert result.mode == "local_search"
     assert validate_assignment(instances, result.assignment) == ()
     # non-increasing descent: a move scores one instance's rows with the rest
@@ -942,25 +869,19 @@ def test_solve_switches_to_local_search_beyond_threshold(monkeypatch):
     assert all(calls[n][2][0] <= calls[n - 1][2][0] for n in moves)
 
     # descent starts at the preferred schedule, so it can never end worse
-    baseline = evaluate_cost(
-        ScheduleAssignment(preferred_starts(instances)),
-        objective,
-        weights,
-        instances,
-        blend=0.2,
-    )
-    assert result.cost.total <= baseline.total + 1e-12
+    baseline = evaluate_cost(ScheduleAssignment(preferred_starts(instances)), objective, instances)
+    assert result.cost <= baseline + 1e-12
 
 
 def test_solve_local_search_finds_exact_optimum_here(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(5):
-        instances, objective, weights = random_problem(rng, n_appliances=2)
-        exact = solve(instances, objective, weights, blend=0.3)
+        instances, objective = random_problem(rng, n_appliances=2)
+        exact = solve(instances, objective)
         with monkeypatch.context() as patch:
             patch.setattr(scheduler, "_EXACT_LIMIT", 1)
-            local = solve(instances, objective, weights, blend=0.3)
-        assert local.cost.total <= exact.cost.total + 1e-9
+            local = solve(instances, objective)
+        assert local.cost <= exact.cost + 1e-9
         assert local.mode == "local_search" and exact.mode == "exhaustive"
 
 
@@ -968,30 +889,27 @@ def test_solve_is_deterministic(monkeypatch):
     monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
     calls = spy_enumerate_exact(monkeypatch)
     rng = np.random.default_rng(41)
-    instances, objective, weights = random_problem(rng, n_appliances=4)
-    first = solve(instances, objective, weights)
+    instances, objective = random_problem(rng, n_appliances=4)
+    first = solve(instances, objective)
     first_moves = [(choice, key) for _, choice, key in calls]
     calls.clear()
-    second = solve(instances, objective, weights)
+    second = solve(instances, objective)
     assert first.assignment.starts == second.assignment.starts
-    assert first.cost.total == second.cost.total
+    assert first.cost == second.cost
     assert first_moves == [(choice, key) for _, choice, key in calls]
 
 
 def key_reference(space, choice):
-    """One candidate scored alone: (total cost, total |shift|, start tuple).
+    """One candidate scored alone: (cost, total |shift|, start tuple).
 
     The squared deviation is the scorer's one-row einsum.  ``np.sum``'s
     pairwise order can differ from it in the last bit, which decides
     near-ties differently: on one online re-solve two starts of a run came
     out equal under ``np.sum`` and one ulp apart under einsum."""
     curve = space.residual.copy()
-    penalty = 0.0
     for i, row in enumerate(choice):
         curve += space.contribs[i][row]
-        penalty += space.penalties[i][row]
     total = float(np.einsum("ij,ij->i", curve[np.newaxis], curve[np.newaxis])[0])
-    total += space.blend * penalty
     shift = sum(int(space.shift_abs[i][row]) for i, row in enumerate(choice))
     return (total, shift, tuple(int(space.starts[i][row]) for i, row in enumerate(choice)))
 
@@ -1048,13 +966,10 @@ def local_search_reference(space, restarts=3, max_passes=60):
 
 def local_search_problem(rng, trial):
     """Random windows; whole-day windows with count-2 duplicates; or the
-    duplicates under a flat unreachable target with integer powers and zero
-    weights, where exact ties are everywhere."""
+    duplicates under a flat unreachable target with integer powers, where
+    exact ties are everywhere."""
     if trial % 3 == 0:
-        instances, objective, weights = random_problem(
-            rng, n_appliances=int(rng.integers(3, 6)), with_fixed=False
-        )
-        return instances, objective, weights
+        return random_problem(rng, n_appliances=int(rng.integers(3, 6)), with_fixed=False)
     specs = [
         make_shiftable(
             f"app{i}",
@@ -1066,11 +981,11 @@ def local_search_problem(rng, trial):
         for i in range(2)
     ]
     if trial % 3 == 2:
-        return expand_instances(specs), make_objective(np.full(48, 50.0)), DiscomfortWeights()
-    weights = DiscomfortWeights(
-        shift_weight=float(rng.uniform(0, 0.5)), delay_weight=float(rng.uniform(0, 0.5))
-    )
-    return expand_instances(specs), make_objective(rng.uniform(0.0, 2.0, 48)), weights
+        return expand_instances(specs), make_objective(np.full(48, 50.0))
+    # two draws left unused: they keep every seeded trial after this one on
+    # the instances and objectives its checks were written for
+    rng.uniform(0, 0.5, 2)
+    return expand_instances(specs), make_objective(rng.uniform(0.0, 2.0, 48))
 
 
 @pytest.mark.parametrize("screen_rows, block_rows", BLOCK_SIZES)
@@ -1078,22 +993,16 @@ def test_local_search_matches_single_move_reference(monkeypatch, screen_rows, bl
     set_block_sizes(monkeypatch, screen_rows, block_rows)
     rng = np.random.default_rng(43)
     for trial in range(12):
-        instances, objective, weights = local_search_problem(rng, trial)
+        instances, objective = local_search_problem(rng, trial)
         instances = sorted(instances, key=lambda i: i.instance_id)
         not_before = 1 + int(rng.integers(0, 3))
         try:
             sets = {i.instance_id: feasible_starts(i, not_before) for i in instances}
         except InfeasibleApplianceError:
             continue
-        space = scheduler._CandidateSpace(
-            instances,
-            -objective.values,
-            rng.uniform(size=48) < 0.2,
-            weights,
-            float(rng.uniform(0.1, 0.5)),
-            not_before,
-            sets,
-        )
+        flags = rng.uniform(size=48) < 0.2
+        rng.uniform(0.1, 0.5)  # left unused, so the trials after this one stay as written
+        space = scheduler._CandidateSpace(instances, -objective.values, flags, not_before, sets)
         calls = spy_enumerate_exact(monkeypatch)
         choice, evaluations = scheduler._local_search(space)
         ref_choice, ref_trace, ref_evaluations, ref_moves = local_search_reference(space)
@@ -1134,11 +1043,7 @@ def test_solve_with_pv_reaches_consistent_flags():
     again = pv_arbitrate(pv, demand, pricing, max_app_duration=3)
     npt.assert_array_equal(result.assignment.pv_flags, again.flags)
 
-    recomputed = evaluate_cost(
-        result.assignment, objective, DiscomfortWeights(), instances,
-        blend=result.cost.blend,
-    )
-    assert result.cost.total == recomputed.total
+    assert result.cost == evaluate_cost(result.assignment, objective, instances)
 
 
 def test_solve_big_battery_leaves_only_fixed_load_on_grid():
@@ -1162,12 +1067,12 @@ def test_solve_big_battery_leaves_only_fixed_load_on_grid():
 
     assert result.assignment.starts["wash"] == 10  # all placements tie, keep preferred
     assert result.assignment.pv_flags[9] and result.assignment.pv_flags[10]
-    assert result.cost.deviation == pytest.approx(48 * 0.3**2)
+    assert result.cost == pytest.approx(48 * 0.3**2)
 
     without = solve(instances, objective)
     expected = 46 * 0.3**2 + 2 * 1.3**2
-    assert without.cost.deviation == pytest.approx(expected)
-    assert result.cost.total < without.cost.total
+    assert without.cost == pytest.approx(expected)
+    assert result.cost < without.cost
 
 
 # ---------------------------------------------------------------- export
@@ -1197,24 +1102,6 @@ def test_assignment_export_schema():
     assert payload["pv_flags"][5] == 1 and sum(payload["pv_flags"]) == 1
 
 
-def test_discomfort_weights_validation():
-    for field in ("shift_weight", "delay_weight"):
-        for value in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ParameterError, match="finite and >= 0"):
-                DiscomfortWeights(**{field: value})
-
-
-@pytest.mark.parametrize("blend", [float("nan"), float("inf"), -1.0])
-def test_evaluate_cost_rejects_a_bad_blend(blend):
-    inst = make_instance("wash", duration=2, preferred=10)
-    with pytest.raises(ParameterError, match="blend must be finite and >= 0"):
-        evaluate_cost(
-            ScheduleAssignment({"wash": 10}), make_objective(np.ones(48)),
-            DiscomfortWeights(), [inst], blend=blend,
-        )
-
-
-BAD_BLEND = (ParameterError, "blend must be finite and >= 0")
 BAD_BASELINE = (FormatError, "baseline needs 48 finite values")
 BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
 
@@ -1222,9 +1109,6 @@ BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
 @pytest.mark.parametrize(
     "bad, expected",
     [
-        ({"blend": float("nan")}, BAD_BLEND),
-        ({"blend": float("inf")}, BAD_BLEND),
-        ({"blend": -1.0}, BAD_BLEND),
         ({"baseline": np.zeros(47)}, BAD_BASELINE),
         ({"baseline": np.array([0.0])}, BAD_BASELINE),
         ({"baseline": np.full(48, np.nan)}, BAD_BASELINE),
@@ -1234,9 +1118,8 @@ BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
         ({"not_before": float("nan")}, BAD_NOT_BEFORE),
         ({"not_before": 49}, (ParameterError, "not_before must be <= 48, got 49")),
     ],
-    ids=["blend nan", "blend inf", "blend -1.0", "baseline of 47", "baseline of 1",
-         "baseline nan", "baseline inf", "not_before 0", "not_before 2.5",
-         "not_before nan", "not_before 49"],
+    ids=["baseline of 47", "baseline of 1", "baseline nan", "baseline inf", "not_before 0",
+         "not_before 2.5", "not_before nan", "not_before 49"],
 )
 def test_solve_rejects_bad_input_before_searching(bad, expected, monkeypatch):
     def no_search(*args, **kwargs):
@@ -1252,11 +1135,11 @@ def test_solve_rejects_bad_input_before_searching(bad, expected, monkeypatch):
     if "baseline" in bad:  # evaluate_cost shares the check
         with pytest.raises(error, match=message):
             evaluate_cost(
-                ScheduleAssignment({"wash": 10}), objective, DiscomfortWeights(), [inst], **bad
+                ScheduleAssignment({"wash": 10}), objective, [inst], **bad
             )
     if "not_before" in bad:  # evaluate_cost's active_from is checked the same way
         with pytest.raises(error, match=message.replace("not_before", "active_from")):
             evaluate_cost(
-                ScheduleAssignment({"wash": 10}), objective, DiscomfortWeights(), [inst],
+                ScheduleAssignment({"wash": 10}), objective, [inst],
                 active_from=bad["not_before"],
             )
