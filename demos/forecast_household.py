@@ -72,7 +72,7 @@ def main():
     assert np.array_equal(prediction.values, scheduled.predicted.values)
     print("run_day schedules against this same prediction")
 
-    diag = error_autocorrelation(residuals, max_lag=20)
+    diag = error_autocorrelation(residuals)
     outside = diag.lags_outside_bound()
     print(
         f"residual autocorrelation: {len(outside)}/20 lags outside "

@@ -46,7 +46,6 @@ instances = expand_instances(specs)
 # flat objective: push everything away from the stacked evening spike
 objective = ObjectiveCurve(
     values=np.full(48, 0.45),
-    mode="offline",
     provenance=("predicted",) * 48,
 )
 

@@ -2,7 +2,9 @@
 
 The objective keeps the forecast's total energy but moves it toward cheap
 slots; during peak windows it is capped from a regression on historical
-peak/off-peak behaviour whenever yesterday's off-peak usage was low.  The
+peak/off-peak behaviour whenever yesterday's off-peak usage was low: its
+``objective.SEGMENT_COUNT`` off-peak segment means sum below
+``objective.L_MIN_KW`` (2.0 kW).  The
 mid-day refresh rebuilds the curve from the same day-ahead inputs plus the
 consumption realized so far: elapsed slots take their realized values, and
 the cap is conditioned on yesterday's curve with that prefix overlaid.
@@ -33,12 +35,11 @@ for _ in range(7):
     day = base + 1.1 * np.exp(-0.5 * ((slots - 38) / 2.5) ** 2)
     history.append(LoadCurve(values=np.clip(day + rng.normal(0, 0.05, 48), 0, None)))
 
-model = fit_peak_regression(history, pricing, segment_count=2)
+model = fit_peak_regression(history, pricing)
 print(f"peak regression: intercept {model.intercept:.3f}, coeffs {np.round(model.coefficients, 3)}")
 
 predicted = LoadCurve(values=history[-1].values)  # stand-in for a forecast
-l_min = 2.0
-objective = build_objective(predicted, pricing, model, l_min, history=history)
+objective = build_objective(predicted, pricing, model, history=history)
 
 print(f"predicted energy {predicted.energy_kwh():.2f} kWh, objective {objective.energy_kwh():.2f} kWh")
 print(f"provenance flags in use: {sorted(set(objective.provenance))}")
@@ -50,7 +51,7 @@ print(f"off-peak mean:   predicted {predicted.values[off].mean():.2f} kW -> obje
 
 # mid-day refresh: the morning ran 20% hotter than forecast; slot 25 is next
 realized = predicted.values[:24] * 1.2
-updated = update_online(predicted, pricing, model, l_min, history, realized)
+updated = update_online(predicted, pricing, model, history, realized)
 print(f"\nafter online update at slot 25 (morning +20%):")
 print(f"  frozen prefix matches telemetry: {np.array_equal(updated.values[:24], realized)}")
 print(f"  remaining budget shrank: {objective.values[24:].sum():.2f} -> {updated.values[24:].sum():.2f} kW summed")

@@ -73,6 +73,15 @@ class DailyRecord:
             object.__setattr__(self, "curve", LoadCurve(self.curve))
 
 
+def _day_sorted(history, owner: str) -> tuple[DailyRecord, ...]:
+    """``history`` sorted by day; FormatError naming ``owner`` for a non-``DailyRecord``."""
+    records = tuple(history)
+    for rec in records:
+        if not isinstance(rec, DailyRecord):
+            raise FormatError(f"{owner} history holds a {type(rec).__name__}, not a DailyRecord")
+    return tuple(sorted(records, key=lambda rec: rec.day))
+
+
 def _whole_number(value, least: int, name: str) -> int:
     """``value`` as an int; ParameterError naming ``name`` unless a whole number >= ``least``."""
     try:
@@ -255,7 +264,7 @@ class PvSystem:
         charge_rate: charging power used to estimate time-to-full (kW).
         charge_efficiency: fraction of generated energy that reaches the
             battery, in (0, 1].
-        history: dated generation curves, used to forecast ``generation``.
+        history: dated generation curves, held sorted by day, to forecast ``generation``.
     """
 
     generation: np.ndarray
@@ -288,12 +297,12 @@ class PvSystem:
             raise ParameterError("charge rate must be > 0")
         if not (0 < self.charge_efficiency <= 1):
             raise ParameterError("charge efficiency must be in (0, 1]")
-        object.__setattr__(self, "history", tuple(self.history))
+        object.__setattr__(self, "history", _day_sorted(self.history, "pv"))
 
 
 @dataclass(frozen=True, eq=False)
 class Household:
-    """One customer: appliances, optional PV system, consumption history."""
+    """One customer: appliances, optional PV system, day-sorted consumption history."""
 
     id: str
     appliances: tuple[ApplianceSpec, ...]
@@ -310,7 +319,7 @@ class Household:
         if len(set(ids)) != len(ids):
             raise ParameterError(f"household {self.id}: duplicate appliance ids")
         object.__setattr__(self, "appliances", appliances)
-        object.__setattr__(self, "history", tuple(self.history))
+        object.__setattr__(self, "history", _day_sorted(self.history, f"household {self.id}"))
 
     def instances(self) -> tuple[ApplianceInstance, ...]:
         return expand_instances(self.appliances)

@@ -18,7 +18,7 @@ class FormatError(LoadshiftError, ValueError):
 
 
 class ParameterError(LoadshiftError, ValueError):
-    """A value is outside its documented domain (negative power, l_min <= 0, ...)."""
+    """A value is outside its documented domain (negative power, a fractional slot count, ...)."""
 
 
 class ConfigError(LoadshiftError, ValueError):

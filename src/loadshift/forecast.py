@@ -1,8 +1,10 @@
 """Day-ahead forecasting with a small autoregressive neural network.
 
 One hidden tanh layer maps the last ``lag`` values of an hourly series to the
-next value.  Training is damped Gauss-Newton (Levenberg-Marquardt) on the
-flattened parameter vector; day-ahead curves come from closed-loop multi-step
+next value.  The network code takes its shape from its arrays; the pipeline's
+forecasters all have lag ``FORECAST_LAG`` and ``HIDDEN_UNITS`` hidden units.
+Training is damped Gauss-Newton (Levenberg-Marquardt) on the flattened
+parameter vector; day-ahead curves come from closed-loop multi-step
 prediction, linearly interpolated onto the 48-slot grid.
 
 Training never forms the (pairs, parameters) Jacobian.  Each epoch builds
@@ -79,6 +81,11 @@ class SeriesDataset:
 
 _ONE_DAY = datetime.timedelta(days=1)
 
+# the fixed shape of the pipeline's forecasters and of their diagnostics
+FORECAST_LAG = 24  # hours in one input window
+HIDDEN_UNITS = 10
+AUTOCORRELATION_LAGS = 20  # r(1) .. r(20) of the residuals
+
 
 def _check_consecutive_days(records: Sequence[DailyRecord]) -> None:
     """TemporalConsistencyError at the first gap in the records' days."""
@@ -88,10 +95,9 @@ def _check_consecutive_days(records: Sequence[DailyRecord]) -> None:
             raise TemporalConsistencyError(f"history days not consecutive: {prev} -> {nxt}")
 
 
-def hourly_series_from_history(
-    records: Sequence[DailyRecord], lag: int = 24
-) -> SeriesDataset:
-    """Collapse dated half-hour curves into one contiguous hourly series.
+def hourly_series_from_history(records: Sequence[DailyRecord]) -> SeriesDataset:
+    """Collapse dated half-hour curves into one contiguous hourly series with
+    lag ``FORECAST_LAG``.
 
     Each hour's value is the mean of its two half-hour slots, taken for the
     whole window at once over the concatenated curves.  Days must be given
@@ -102,7 +108,7 @@ def hourly_series_from_history(
         raise DatasetTooSmallError("history is empty")
     _check_consecutive_days(records)
     hourly = np.concatenate([rec.curve.values for rec in records]).reshape(-1, 2).mean(axis=1)
-    return SeriesDataset(values=hourly, lag=lag)
+    return SeriesDataset(values=hourly, lag=FORECAST_LAG)
 
 
 # ---------------------------------------------------------------- config
@@ -639,14 +645,12 @@ def train_lm(
     return finish("max_epochs")
 
 
-def fit_series(
-    ds: SeriesDataset, cfg: TrainingConfig, hidden_size: int = 10
-) -> tuple[TrainingResult, DatasetSplit]:
-    """Split, initialize and train a forecaster for one series."""
+def fit_series(ds: SeriesDataset, cfg: TrainingConfig) -> tuple[TrainingResult, DatasetSplit]:
+    """Split, initialize and train a ``HIDDEN_UNITS`` forecaster for one series."""
     split = split_dataset(ds, cfg)
     x_train, y_train = ds.pairs_for_targets(split.train_indices)
     x_val, y_val = ds.pairs_for_targets(split.validation_indices)
-    net = initialize_network(input_size=ds.lag, hidden_size=hidden_size, seed=cfg.rng_seed)
+    net = initialize_network(input_size=ds.lag, hidden_size=HIDDEN_UNITS, seed=cfg.rng_seed)
     result = train_lm(net, (x_train, y_train), (x_val, y_val), cfg)
     return result, split
 
@@ -695,7 +699,7 @@ def predict_day(net: NarNetwork, history: SeriesDataset) -> LoadCurve:
 class AutocorrelationResult:
     """Normalized residual autocorrelations with their 95% confidence bound."""
 
-    values: np.ndarray  # r(0) .. r(max_lag)
+    values: np.ndarray  # r(0) .. r(AUTOCORRELATION_LAGS)
     confidence_bound: float
     sample_count: int
 
@@ -704,16 +708,16 @@ class AutocorrelationResult:
         return tuple(int(k) for k in outside)
 
 
-def error_autocorrelation(residuals: Sequence[float], max_lag: int = 20) -> AutocorrelationResult:
+def error_autocorrelation(residuals: Sequence[float]) -> AutocorrelationResult:
     """Non-centered residual autocorrelation r(k) = sum(e_t e_{t+k}) / sum(e_t^2).
 
-    r(0) is 1 by construction; the 95% confidence bound for white residuals
-    is 1.96/sqrt(N).
+    r(0) is 1 by construction, and k runs to ``AUTOCORRELATION_LAGS`` (at
+    most N - 1); the 95% confidence bound for white residuals is
+    1.96/sqrt(N).
 
     Raises:
         DatasetTooSmallError: fewer than 20 residuals.
         UndefinedMetricError: constant residuals (zero variance).
-        ParameterError: ``max_lag`` is not a whole number >= 1.
     """
     e = np.asarray(residuals, dtype=float)
     if e.ndim != 1 or e.size < 20:
@@ -722,7 +726,7 @@ def error_autocorrelation(residuals: Sequence[float], max_lag: int = 20) -> Auto
         raise FormatError("residuals contain non-finite values")
     if np.ptp(e) == 0.0:
         raise UndefinedMetricError("autocorrelation undefined for constant residuals")
-    max_lag = min(_whole_number(max_lag, 1, "max_lag"), e.size - 1)
+    max_lag = min(AUTOCORRELATION_LAGS, e.size - 1)
     denom = float(np.sum(e * e))
     values = np.empty(max_lag + 1)
     values[0] = 1.0

@@ -2,17 +2,20 @@
 
 The curve follows the predicted load, reshaped off-peak inversely to prices
 (cheap slots attract energy) and, when recent off-peak usage falls below the
-required minimum ``l_min``, capped during peak windows at the maximum
+required minimum ``L_MIN_KW``, capped during peak windows at the maximum
 permitted level given by a peak/off-peak regression.  Offline mode builds the
 day-ahead curve.  Online mode rebuilds it every half hour from the same
 day-ahead inputs plus the realized prefix: elapsed slots take their realized
 values, the rest share the remaining energy budget, and the cap is
 conditioned on the last history day with that prefix overlaid.  One builder
-serves both modes; the day-ahead curve is the case of an empty prefix.
+serves both modes; the day-ahead curve is the case of an empty prefix, and a
+curve's mode follows from its provenance: ``"online"`` once a slot is
+realized.
 
-The peak regression takes one observation per history day it is given, in
-one pass over the stacked days; ``simulate`` gives it the window before the
-simulated day.
+The peak regression is linear in the means of ``SEGMENT_COUNT`` off-peak
+segments and takes one observation per history day it is given, in one pass
+over the stacked days; ``simulate`` gives it the window before the simulated
+day.
 """
 
 from __future__ import annotations
@@ -22,40 +25,44 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal, _whole_number
+from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal
 from .errors import DegenerateRegressionError, FormatError, ParameterError
 
 PROVENANCE_FLAGS = ("predicted", "capped", "realized")
+
+# contiguous off-peak segments whose means the peak regression is linear in
+SEGMENT_COUNT = 2
+
+# peak windows are capped when the conditioning day's off-peak segment means
+# sum below this (kW)
+L_MIN_KW = 2.0
 
 
 # ---------------------------------------------------------------- regression
 
 
-def _off_peak_segments(pricing: PricingSignal, segment_count) -> list[np.ndarray]:
-    """Off-peak slot indices split into ``segment_count`` contiguous segments."""
-    segment_count = _whole_number(segment_count, 1, "segment_count")
+def _off_peak_segments(pricing: PricingSignal) -> list[np.ndarray]:
+    """Off-peak slot indices split into ``SEGMENT_COUNT`` contiguous segments."""
     off_idx = np.flatnonzero(~pricing.peak_mask())
-    if segment_count > off_idx.size:
+    if off_idx.size < SEGMENT_COUNT:
         raise ParameterError(
-            f"segment_count {segment_count} exceeds the {off_idx.size} off-peak slots"
+            f"the tariff has {off_idx.size} off-peak slot(s); "
+            f"the peak regression needs {SEGMENT_COUNT}"
         )
-    return np.array_split(off_idx, segment_count)
+    return np.array_split(off_idx, SEGMENT_COUNT)
 
 
-def off_peak_segment_means(
-    curve: LoadCurve | np.ndarray, pricing: PricingSignal, segment_count: int
-) -> np.ndarray:
+def off_peak_segment_means(curve: LoadCurve | np.ndarray, pricing: PricingSignal) -> np.ndarray:
     """Mean consumption of each off-peak segment.
 
-    Off-peak slots (in slot order) are partitioned into ``segment_count``
+    Off-peak slots (in slot order) are partitioned into ``SEGMENT_COUNT``
     contiguous segments of near-equal size; the mean power of each is
-    returned.  ``segment_count`` must be a whole number >= 1.
+    returned.
     """
     values = curve.values if isinstance(curve, LoadCurve) else np.asarray(curve, dtype=float)
     if values.shape != (SLOT_COUNT,):
         raise FormatError(f"curve needs {SLOT_COUNT} values, got shape {values.shape}")
-    segments = _off_peak_segments(pricing, segment_count)
-    return np.array([float(values[seg].mean()) for seg in segments])
+    return np.array([float(values[seg].mean()) for seg in _off_peak_segments(pricing)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,21 +70,16 @@ class PeakRegressionModel:
     """Linear regression of daily peak maxima on off-peak segment means.
 
     The fitted rule is ``peak_max = sum_i coefficients[i] * mean_i
-    + intercept`` over the ``segment_count`` off-peak segments.
+    + intercept`` over the ``SEGMENT_COUNT`` off-peak segments.
     """
 
-    segment_count: int
-    coefficients: np.ndarray  # (segment_count,)
+    coefficients: np.ndarray  # (SEGMENT_COUNT,)
     intercept: float
 
     def __post_init__(self):
-        if self.segment_count < 1:
-            raise ParameterError("segment_count must be >= 1")
         coef = np.asarray(self.coefficients, dtype=float)
-        if coef.shape != (self.segment_count,):
-            raise FormatError(
-                f"coefficients need shape ({self.segment_count},), got {coef.shape}"
-            )
+        if coef.shape != (SEGMENT_COUNT,):
+            raise FormatError(f"coefficients need shape ({SEGMENT_COUNT},), got {coef.shape}")
         if not np.all(np.isfinite(coef)) or not np.isfinite(self.intercept):
             raise FormatError("regression parameters must be finite")
         coef = coef.copy()
@@ -88,15 +90,13 @@ class PeakRegressionModel:
     def evaluate(self, segment_means: Sequence[float]) -> float:
         """Predicted peak-window maximum for the given segment means."""
         means = np.asarray(segment_means, dtype=float)
-        if means.shape != (self.segment_count,):
-            raise FormatError(f"need {self.segment_count} segment means, got {means.shape}")
+        if means.shape != self.coefficients.shape:
+            raise FormatError(f"need {self.coefficients.size} segment means, got {means.shape}")
         return float(np.sum(self.coefficients * means) + self.intercept)
 
 
 def fit_peak_regression(
-    history: Sequence[LoadCurve | DailyRecord],
-    pricing: PricingSignal,
-    segment_count: int = 2,
+    history: Sequence[LoadCurve | DailyRecord], pricing: PricingSignal
 ) -> PeakRegressionModel:
     """Fit the peak/off-peak relationship on historical days.
 
@@ -110,25 +110,23 @@ def fit_peak_regression(
     history) get zero coefficients and the intercept absorbs the mean peak.
 
     Raises:
-        ParameterError: ``segment_count`` not a whole number >= 1, no
-            declared peak windows, or more segments than off-peak slots.
-        DegenerateRegressionError: fewer than segment_count + 1 days.
+        ParameterError: no declared peak windows, or fewer off-peak slots
+            than ``SEGMENT_COUNT``.
+        DegenerateRegressionError: fewer than ``SEGMENT_COUNT + 1`` days.
     """
-    segment_count = _whole_number(segment_count, 1, "segment_count")
     curves = [item.curve if isinstance(item, DailyRecord) else item for item in history]
-    needed = segment_count + 1
-    if len(curves) < needed:
+    if len(curves) <= SEGMENT_COUNT:
         raise DegenerateRegressionError(
-            f"need at least {needed} historical days for {segment_count} segment(s), "
-            f"got {len(curves)}; reduce segments"
+            f"need at least {SEGMENT_COUNT + 1} historical days for "
+            f"{SEGMENT_COUNT} off-peak segments, got {len(curves)}"
         )
     peak_idx = np.flatnonzero(pricing.peak_mask())
     if peak_idx.size == 0:
         raise ParameterError("pricing declares no peak windows to regress on")
-    segments = _off_peak_segments(pricing, segment_count)
+    segments = _off_peak_segments(pricing)
 
     values = np.stack([curve.values for curve in curves])
-    features = np.empty((len(curves), segment_count))
+    features = np.empty((len(curves), SEGMENT_COUNT))
     for col, seg in enumerate(segments):
         # the sum and division of a per-day 1-D ``.mean()``: ``np.take``
         # copies the segment row-major, so a row-wise reduce sums each day
@@ -142,7 +140,6 @@ def fit_peak_regression(
     target_mean = targets.mean()
     alpha, *_ = np.linalg.lstsq(features - feat_mean, targets - target_mean, rcond=None)
     return PeakRegressionModel(
-        segment_count=segment_count,
         coefficients=alpha,
         intercept=target_mean - float(feat_mean @ alpha),
     )
@@ -162,7 +159,6 @@ class ObjectiveCurve:
     """
 
     values: np.ndarray
-    mode: str
     provenance: tuple[str, ...]
 
     def __post_init__(self):
@@ -174,13 +170,16 @@ class ObjectiveCurve:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.mode not in ("offline", "online"):
-            raise ParameterError(f"unknown mode {self.mode!r}")
         prov = tuple(self.provenance)
         if len(prov) != SLOT_COUNT or any(p not in PROVENANCE_FLAGS for p in prov):
             raise FormatError("provenance needs 48 flags from "
                               f"{PROVENANCE_FLAGS}")
         object.__setattr__(self, "provenance", prov)
+
+    @property
+    def mode(self) -> str:
+        """``"online"`` once a slot holds realized consumption, else ``"offline"``."""
+        return "online" if "realized" in self.provenance else "offline"
 
     def energy_kwh(self) -> float:
         return float(self.values.sum() * SLOT_HOURS)
@@ -190,10 +189,8 @@ def _build(
     predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
-    l_min: float,
     history: Sequence[LoadCurve | DailyRecord],
     realized: Sequence[float],
-    mode: str,
 ) -> ObjectiveCurve:
     """The one objective builder: a realized prefix, then the rebuilt slots.
 
@@ -205,8 +202,6 @@ def _build(
     with the realized prefix overlaid; with no history it never binds.  The
     day-ahead curve is the case of an empty prefix.
     """
-    if not np.isfinite(l_min) or l_min <= 0:
-        raise ParameterError("l_min must be > 0")
     realized = np.asarray(realized, dtype=float)
     if realized.ndim != 1 or realized.size >= SLOT_COUNT:
         raise FormatError(
@@ -231,8 +226,8 @@ def _build(
         last = history[-1]
         condition = (last.curve if isinstance(last, DailyRecord) else last).values.copy()
         condition[:first_index] = realized
-        condition_means = off_peak_segment_means(condition, pricing, model.segment_count)
-        if float(condition_means.sum()) < l_min:
+        condition_means = off_peak_segment_means(condition, pricing)
+        if float(condition_means.sum()) < L_MIN_KW:
             cap = max(model.evaluate(condition_means), 0.0)
     if cap is not None:
         values[peak_future] = cap
@@ -252,20 +247,19 @@ def _build(
             # prediction is zero off-peak: fall back to pure inverse-price weights
             inverse = 1.0 / pricing.prices[off_future]
             values[off_future] = energy_off * (inverse / inverse.sum()) / SLOT_HOURS
-    return ObjectiveCurve(values=values, mode=mode, provenance=tuple(provenance))
+    return ObjectiveCurve(values=values, provenance=tuple(provenance))
 
 
 def build_objective(
     predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
-    l_min: float,
     history: Sequence[LoadCurve | DailyRecord] = (),
 ) -> ObjectiveCurve:
     """Day-ahead objective curve from a forecast, prices and the regression.
 
     Peak-window slots keep the predicted values unless the previous day's
-    off-peak segment means sum below ``l_min``; then they are set to the
+    off-peak segment means sum below ``L_MIN_KW``; then they are set to the
     regression's maximum-permitted level.  Off-peak slots are the prediction
     reshaped inversely to price and renormalized so the whole curve carries
     the predicted total energy.
@@ -274,21 +268,16 @@ def build_objective(
         predicted: the day-ahead forecast.
         pricing: tariff with declared peak windows.
         model: fitted peak regression (evaluated at the conditioning means).
-        l_min: minimum required off-peak usage (kW, sum of segment means).
         history: recent daily curves; the last one conditions the cap. With
             no history the cap branch is disabled.
-
-    Raises:
-        ParameterError: ``l_min <= 0``.
     """
-    return _build(predicted, pricing, model, l_min, history, (), "offline")
+    return _build(predicted, pricing, model, history, ())
 
 
 def update_online(
     predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
-    l_min: float,
     history: Sequence[LoadCurve | DailyRecord],
     realized_so_far: Sequence[float],
 ) -> ObjectiveCurve:
@@ -299,17 +288,16 @@ def update_online(
     realized values; the later slots are rebuilt with the remaining energy
     budget (predicted total minus realized energy) and ``pricing``.  The cap
     is conditioned on the last history day with the realized prefix
-    overlaid; with no history it stays off.
+    overlaid; with no history it stays off.  With an empty prefix the curve
+    is the day-ahead one, mode ``"offline"`` included.
 
     Args:
-        predicted, pricing, model, l_min, history: as for
-            :func:`build_objective`.
+        predicted, pricing, model, history: as for :func:`build_objective`.
         realized_so_far: consumption of the elapsed slots, 0 to 47 values;
             the slot about to begin is ``len(realized_so_far) + 1``.
 
     Raises:
         FormatError: realized data not a 1-D array of fewer than 48 finite
             values >= 0.
-        ParameterError: ``l_min <= 0``.
     """
-    return _build(predicted, pricing, model, l_min, history, realized_so_far, "online")
+    return _build(predicted, pricing, model, history, realized_so_far)

@@ -17,12 +17,13 @@ days run in order, so a day whose fits are cached builds no series of the
 training window.  A result or an error never depends on what the cache
 holds, so ``run_day`` stays a pure function of (household, day).
 
-A household-day sorts each history (load, PV) by day once; records may come
-in any order.  Every window is then a slice of that sorted view: the
-``history_window_days`` days before the simulated day feed the peak
-regression and the objective, the last of them the prediction input, and
-the days before the week's anchor feed the fit.  A window must end the day
-before its target day and may not skip a day.
+A ``Household`` and its ``PvSystem`` hold their histories sorted by day, so
+every window is a slice of one: the ``history_window_days`` days before the
+simulated day feed the peak regression and the objective, the last of them
+the prediction input, and the days before the week's anchor feed the fit.
+A window must end the day before its target day and may not skip a day.
+``RunParams`` sets the window; the model's shape is fixed by the constants
+of ``forecast`` and ``objective`` that it lists.
 """
 
 from __future__ import annotations
@@ -62,7 +63,13 @@ from .forecast import (
     hourly_series_from_history,
     predict_day,
 )
-from .objective import ObjectiveCurve, build_objective, fit_peak_regression, update_online
+from .objective import (
+    SEGMENT_COUNT,
+    ObjectiveCurve,
+    build_objective,
+    fit_peak_regression,
+    update_online,
+)
 from .scheduler import ScheduleAssignment, pv_arbitrate, solve
 
 MODES = ("offline", "online")
@@ -75,13 +82,14 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-# ``build_objective``'s l_min for every household: peak windows are capped
-# when the previous day's off-peak segment means sum below this (kW).
-L_MIN_KW = 2.0
-
 # Std-dev (kW) of the seeded noise added to the load forecast to stand in
 # for the realized consumption an online replay observes.
 ONLINE_NOISE_KW = 0.05
+
+# the fewest history days before a target day that a forecast takes, and the
+# shortest window both a forecast and the peak regression accept
+MIN_HISTORY_DAYS = 3
+MIN_WINDOW_DAYS = max(MIN_HISTORY_DAYS, SEGMENT_COUNT + 1)
 
 
 @dataclass(frozen=True)
@@ -89,24 +97,21 @@ class RunParams:
     """Pipeline knobs shared by every household in a run.
 
     ``max_epochs`` caps each forecaster's LM training; ``history_window_days``
-    caps how much history feeds training and the peak regression.  The rest
-    of the pipeline is fixed: every forecaster has lag 24 and 10 hidden
-    units, the peak regression is linear in 2 off-peak segment means,
-    ``l_min`` is ``L_MIN_KW``, online replays observe noise of std-dev
-    ``ONLINE_NOISE_KW``, and every solve minimizes the squared deviation
-    from the objective alone.
+    (at least ``MIN_WINDOW_DAYS``) caps how much history feeds training and
+    the peak regression.  Module constants fix the rest: every forecaster has
+    lag ``forecast.FORECAST_LAG`` and ``forecast.HIDDEN_UNITS`` hidden units,
+    the peak regression is linear in ``objective.SEGMENT_COUNT`` off-peak
+    segment means, the cap's threshold is ``objective.L_MIN_KW``, online
+    replays observe noise of std-dev ``ONLINE_NOISE_KW``, and every solve
+    minimizes the squared deviation from the objective alone.
     """
 
     max_epochs: int = 60
     history_window_days: int = 120
 
     def __post_init__(self):
-        object.__setattr__(self, "max_epochs", _whole_number(self.max_epochs, 1, "max_epochs"))
-        object.__setattr__(
-            self,
-            "history_window_days",
-            _whole_number(self.history_window_days, 2, "history_window_days"),
-        )
+        for name, least in (("max_epochs", 1), ("history_window_days", MIN_WINDOW_DAYS)):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), least, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,19 +169,14 @@ class DayResult:
 _record_day = operator.attrgetter("day")
 
 
-def _by_day(records) -> list[DailyRecord]:
-    """``records`` sorted by day, the one sort a history gets per household-day."""
-    return sorted(records, key=_record_day)
-
-
 def _usable_history(
-    ordered: list[DailyRecord], day: datetime.date, window_days: int
-) -> list[DailyRecord]:
-    """The last ``window_days`` records before ``day`` of a ``_by_day`` history."""
+    ordered: tuple[DailyRecord, ...], day: datetime.date, window_days: int
+) -> tuple[DailyRecord, ...]:
+    """The last ``window_days`` records before ``day`` of a day-sorted history."""
     past = ordered[: bisect.bisect_left(ordered, day, key=_record_day)]
-    if len(past) < 3:
+    if len(past) < MIN_HISTORY_DAYS:
         raise DatasetTooSmallError(
-            f"needs at least 3 history days before {day}, found {len(past)}"
+            f"needs at least {MIN_HISTORY_DAYS} history days before {day}, found {len(past)}"
         )
     past = past[-window_days:]
     if past[-1].day != day - datetime.timedelta(days=1):
@@ -186,15 +186,15 @@ def _usable_history(
     return past
 
 
-def _week_anchor(ordered: list[DailyRecord], day: datetime.date) -> datetime.date:
+def _week_anchor(ordered: tuple[DailyRecord, ...], day: datetime.date) -> datetime.date:
     """The day whose forecaster serves ``day``: the Monday of its week, or
-    the first day with 3 history days before it when the history starts later.
+    the first day with enough history before it when the history starts later.
 
-    ``ordered`` is a ``_by_day`` history, and ``day`` itself must have 3
-    history days before it, as ``_usable_history`` checks.
+    ``ordered`` is a day-sorted history, and ``day`` itself must have
+    ``MIN_HISTORY_DAYS`` history days before it, as ``_usable_history`` checks.
     """
     monday = day - datetime.timedelta(days=day.weekday())
-    return max(monday, ordered[2].day + datetime.timedelta(days=1))
+    return max(monday, ordered[MIN_HISTORY_DAYS - 1].day + datetime.timedelta(days=1))
 
 
 # two entries: a household's load and PV forecasters; a NarNetwork is
@@ -214,7 +214,7 @@ def _fit_network(window: tuple[DailyRecord, ...], max_epochs: int, seed: int, fi
 def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
     """Day-ahead curve for ``day`` from the forecaster of its week.
 
-    ``ordered`` is the series' ``_by_day`` history.  The network is fitted on
+    ``ordered`` is the series' day-sorted history.  The network is fitted on
     the ``history_window_days`` before the week's anchor (``_week_anchor``)
     with seed ``derive_seed(seed, household_id, anchor, kind)``, then
     predicts ``day`` from the hourly series of the day before it, the last
@@ -230,7 +230,7 @@ def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
     fit_window = _usable_history(ordered, anchor, params.history_window_days)
     _check_consecutive_days(fit_window)
     network = _fit_network(
-        tuple(fit_window),
+        fit_window,
         params.max_epochs,
         derive_seed(seed, household_id, anchor, kind),
         fit_series,
@@ -275,15 +275,14 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     fixed = [i for i in instances if i.kind == "fixed"]
     before = total_curve(instances, preferred_starts(instances))
 
-    load_history = _by_day(household.history)
-    history = _usable_history(load_history, day, params.history_window_days)
-    predicted = _forecast_curve(load_history, day, params, seed, household.id, "load")
+    history = _usable_history(household.history, day, params.history_window_days)
+    predicted = _forecast_curve(household.history, day, params, seed, household.id, "load")
     model = fit_peak_regression(history, pricing)
-    objective = build_objective(predicted, pricing, model, L_MIN_KW, history=history)
+    objective = build_objective(predicted, pricing, model, history=history)
 
     pv = household.pv
     if pv is not None and pv.history:
-        generation = _forecast_curve(_by_day(pv.history), day, params, seed, household.id, "pv")
+        generation = _forecast_curve(pv.history, day, params, seed, household.id, "pv")
         pv = dataclasses.replace(pv, generation=generation.values)
 
     result = solve(instances, objective, pricing=pricing, pv=pv)
@@ -315,7 +314,7 @@ def _replay_online(
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
 
     Before each re-solve the objective is rebuilt from the day-ahead inputs
-    (forecast, regression ``model``, ``history`` and ``L_MIN_KW``) plus the
+    (forecast, regression ``model`` and ``history``) plus the
     realized prefix; the cap is conditioned on the last history day with
     that prefix overlaid.  The returned objective is the last refresh, or
     the day-ahead ``objective`` when nothing was left to re-solve.
@@ -338,9 +337,7 @@ def _replay_online(
         open_instances = [i for i in shiftable if starts[i.instance_id] >= slot_now]
         if not open_instances:
             break
-        current = update_online(
-            predicted, pricing, model, L_MIN_KW, history, realized_full[: slot_now - 1]
-        )
+        current = update_online(predicted, pricing, model, history, realized_full[: slot_now - 1])
         committed = [i for i in shiftable if starts[i.instance_id] < slot_now]
         committed_starts = {i.instance_id: starts[i.instance_id] for i in committed}
         baseline = split_consumption(

@@ -27,6 +27,7 @@ from .core import (
     LoadCurve,
     PricingSignal,
     PvSystem,
+    _whole_number,
 )
 from .errors import ConfigError, ParameterError
 from .simulate import FleetConfig, derive_seed
@@ -88,10 +89,8 @@ class SyntheticRecipe:
     charge_efficiency: float = 0.9
 
     def __post_init__(self):
-        if self.household_count < 1:
-            raise ParameterError("household_count must be >= 1")
-        if self.history_days < 5 or self.simulated_days < 1:
-            raise ParameterError("need history_days >= 5 and simulated_days >= 1")
+        for name, least in (("household_count", 1), ("history_days", 5), ("simulated_days", 1)):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), least, name))
         mix = dict(self.appliance_mix)
         for name, probability in mix.items():
             if name not in ARCHETYPES:

@@ -54,11 +54,7 @@ def conclude(number: int, ok: bool, detail: str) -> None:
 
 def make_objective(values) -> ObjectiveCurve:
     values = np.asarray(values, dtype=float)
-    return ObjectiveCurve(
-        values=values,
-        mode="offline",
-        provenance=("predicted",) * 48,
-    )
+    return ObjectiveCurve(values=values, provenance=("predicted",) * 48)
 
 
 def random_problem(rng, max_appliances=3, wide=False):
@@ -202,7 +198,7 @@ def test_3_autocorrelation_calibration():
     t0 = time.monotonic()
     rng = np.random.default_rng(12)
     residuals = rng.standard_normal(1000)
-    result = error_autocorrelation(residuals, max_lag=20)
+    result = error_autocorrelation(residuals)
     inside = 20 - len(result.lags_outside_bound())
     bound_ok = abs(result.confidence_bound - 1.96 / np.sqrt(1000)) < 1e-12
     elapsed = time.monotonic() - t0
@@ -312,10 +308,9 @@ def test_8_objective_conserves_predicted_energy():
     for household in fleet.households:
         history = household.history
         predicted = history[-1].curve  # any plausible day works as a prediction
-        model = fit_peak_regression(history, pricing, segment_count=2)
-        # a tiny consumption threshold keeps the peak cap from ever engaging
-        objective = build_objective(predicted, pricing, model, l_min=1e-12,
-                                    history=history)
+        model = fit_peak_regression(history, pricing)
+        # no conditioning history keeps the peak cap from ever engaging
+        objective = build_objective(predicted, pricing, model, history=())
         assert "capped" not in objective.provenance
         rel = abs(objective.energy_kwh() - predicted.energy_kwh()) / predicted.energy_kwh()
         worst = max(worst, rel)

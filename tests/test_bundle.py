@@ -32,6 +32,7 @@ from loadshift.bundle import (
 )
 from loadshift.core import DailyRecord, LoadCurve
 from loadshift.errors import FormatError, LoadshiftError
+from loadshift.simulate import RunParams, run_day
 from loadshift.synth import SyntheticRecipe, generate_fleet
 
 from conftest import json_values, make_fixed, make_pricing, make_shiftable, value_slots
@@ -377,6 +378,27 @@ def test_save_is_byte_stable(tmp_path):
     b = save_bundle(fleet, tmp_path / "b")
     for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_reversed_history_round_trips_and_runs_like_the_sorted_one(tmp_path):
+    fleet = tiny_fleet()
+    reversed_fleet = dataclasses.replace(fleet, households=tuple(
+        dataclasses.replace(
+            h, history=h.history[::-1],
+            pv=dataclasses.replace(h.pv, history=h.pv.history[::-1]),
+        )
+        for h in fleet.households
+    ))
+    root = save_bundle(reversed_fleet, tmp_path / "bundle")
+    assert not lint_bundle(root)
+    back = load_bundle(root)
+    params = RunParams(max_epochs=3)
+    for sorted_household, loaded in zip(fleet.households, back.households):
+        for day in fleet.days:
+            want = run_day(sorted_household, day, fleet.pricing, params=params)
+            got = run_day(loaded, day, back.pricing, params=params)
+            for name in ("before", "after", "after_total", "predicted", "objective"):
+                assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
 
 
 def test_manifest_missing_key_rejected(tmp_path):

@@ -361,3 +361,21 @@ def test_household_validation():
     assert len(house.instances()) == 1
     with pytest.raises(FormatError):
         DailyRecord(day="2025-03-01", curve=LoadCurve(np.ones(48)))
+
+
+def test_histories_are_held_sorted_by_day():
+    records = [
+        DailyRecord(day=datetime.date(2025, 3, d), curve=LoadCurve(np.full(48, float(d))))
+        for d in (3, 1, 2)
+    ]
+    house = Household(id="h1", appliances=(make_shiftable(),), history=records)
+    pv = PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=iter(records))
+    for history in (house.history, pv.history):
+        assert isinstance(history, tuple)
+        assert [r.day.day for r in history] == [1, 2, 3]
+        assert {id(r) for r in history} == {id(r) for r in records}
+    bare = LoadCurve(np.ones(48))
+    with pytest.raises(FormatError, match="household h1 history holds a LoadCurve"):
+        Household(id="h1", appliances=(make_shiftable(),), history=(records[0], bare))
+    with pytest.raises(FormatError, match="pv history holds a LoadCurve"):
+        PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=(bare,))

@@ -20,6 +20,9 @@ from loadshift.errors import (
     UndefinedMetricError,
 )
 from loadshift.forecast import (
+    AUTOCORRELATION_LAGS,
+    FORECAST_LAG,
+    HIDDEN_UNITS,
     NarNetwork,
     SeriesDataset,
     TrainingConfig,
@@ -106,8 +109,8 @@ def test_hourly_series_from_history():
         DailyRecord(day=datetime.date(2025, 3, 1), curve=day1),
         DailyRecord(day=datetime.date(2025, 3, 2), curve=day2),
     )
-    ds = hourly_series_from_history(records, lag=4)
-    assert ds.sample_count == 48
+    ds = hourly_series_from_history(records)
+    assert ds.sample_count == 48 and ds.lag == FORECAST_LAG
     # hour h averages slots 2h+1 and 2h+2
     npt.assert_allclose(ds.values[:24], np.arange(48).reshape(24, 2).mean(axis=1))
     npt.assert_allclose(ds.values[24:], 1.0)
@@ -126,7 +129,7 @@ def test_hourly_series_rejects_gaps():
 # The per-record series builder that the whole-window one replaced: one
 # reshape(24, 2).mean per day, then a concatenation.  Kept as the reference the
 # whole-window builder must match bit for bit, errors included.
-def reference_hourly_series(records, lag=24):
+def reference_hourly_series(records):
     if not records:
         raise DatasetTooSmallError("history is empty")
     days = [rec.day for rec in records]
@@ -136,7 +139,7 @@ def reference_hourly_series(records, lag=24):
     hourly = np.concatenate(
         [rec.curve.values.reshape(24, 2).mean(axis=1) for rec in records]
     )
-    return SeriesDataset(values=hourly, lag=lag)
+    return SeriesDataset(values=hourly, lag=FORECAST_LAG)
 
 
 def extreme_history(seed, days, start=datetime.date(2025, 3, 1)):
@@ -165,11 +168,10 @@ def outcome(build, *args, **kwargs):
 @pytest.mark.parametrize("days", [1, 2, 7, 120])
 def test_hourly_series_matches_the_per_record_reference(seed, days):
     records = extreme_history(seed, days)
-    for lag in (1, 24):
-        got = hourly_series_from_history(records, lag=lag)
-        ref = reference_hourly_series(records, lag=lag)
-        assert got.lag == ref.lag
-        assert got.values.tobytes() == ref.values.tobytes()
+    got = hourly_series_from_history(records)
+    ref = reference_hourly_series(records)
+    assert got.lag == ref.lag
+    assert got.values.tobytes() == ref.values.tobytes()
 
 
 def test_hourly_series_errors_match_the_per_record_reference():
@@ -180,16 +182,15 @@ def test_hourly_series_errors_match_the_per_record_reference():
         records[::-1],  # descending
         records[:3] + records[2:],  # a repeated day
         [records[1], records[0]] + records[2:],  # out of order
-        records[:3],  # valid, for the lag cases below
+        records[:3],  # valid
     ]
     for case in cases:
-        for lag in (24, 0, 1.5):
-            got = outcome(hourly_series_from_history, case, lag=lag)
-            ref = outcome(reference_hourly_series, case, lag=lag)
-            if isinstance(ref, SeriesDataset):
-                assert got.values.tobytes() == ref.values.tobytes()
-            else:
-                assert got == ref
+        got = outcome(hourly_series_from_history, case)
+        ref = outcome(reference_hourly_series, case)
+        if isinstance(ref, SeriesDataset):
+            assert got.values.tobytes() == ref.values.tobytes()
+        else:
+            assert got == ref
 
 
 @pytest.mark.parametrize("lag", [0, -1, 1.5, float("nan"), float("inf"), "3", None])
@@ -653,7 +654,8 @@ def test_fit_series_beats_persistence_baseline():
     # forecast skill: one-step test MSE no worse than predicting the last value
     values = ar1_series(600, phi=0.5, y0=1.0, noise=0.1, seed=13) + 2.0
     ds = make_series(values, lag=4)
-    result, split = fit_series(ds, TrainingConfig(max_epochs=50, rng_seed=13), hidden_size=4)
+    result, split = fit_series(ds, TrainingConfig(max_epochs=50, rng_seed=13))
+    assert result.network.hidden_size == HIDDEN_UNITS
     X_test, y_test = ds.pairs_for_targets(split.test_indices)
     net = result.network
     preds = np.array([forward(net, row) for row in X_test])
@@ -727,7 +729,8 @@ def test_predict_day_requires_day_alignment():
 def test_autocorrelation_alternating_series():
     n = 200
     residuals = np.resize([1.0, -1.0], n)
-    result = error_autocorrelation(residuals, max_lag=2)
+    result = error_autocorrelation(residuals)
+    assert result.values.size == AUTOCORRELATION_LAGS + 1
     assert result.values[0] == 1.0
     assert result.values[1] == pytest.approx(-(n - 1) / n)
     assert result.values[2] == pytest.approx((n - 2) / n)
@@ -745,7 +748,7 @@ def test_autocorrelation_white_noise_calibration():
     total = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        result = error_autocorrelation(rng.standard_normal(1000), max_lag=20)
+        result = error_autocorrelation(rng.standard_normal(1000))
         total += 20
         inside += 20 - len(result.lags_outside_bound())
         assert result.confidence_bound == pytest.approx(1.96 / np.sqrt(1000))
@@ -757,11 +760,3 @@ def test_autocorrelation_rejects_constant_and_short():
         error_autocorrelation(np.full(50, 3.3))
     with pytest.raises(DatasetTooSmallError):
         error_autocorrelation(np.arange(10.0))
-
-
-@pytest.mark.parametrize("max_lag", [0, 2.5, float("nan"), float("inf"), "3", None])
-def test_autocorrelation_max_lag_must_be_a_whole_number(max_lag):
-    residuals = np.random.default_rng(23).normal(size=100)
-    with pytest.raises(ParameterError, match="max_lag must be a whole number >= 1"):
-        error_autocorrelation(residuals, max_lag=max_lag)
-    assert error_autocorrelation(residuals, max_lag=4.0).values.size == 5

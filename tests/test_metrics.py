@@ -39,7 +39,6 @@ def make_result(household_id, day, before, after, after_total=None):
         assignment=ScheduleAssignment(starts={}),
         objective=ObjectiveCurve(
             values=before.copy(),
-            mode="offline",
             provenance=("predicted",) * 48,
         ),
         predicted=predicted,

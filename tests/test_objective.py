@@ -17,7 +17,9 @@ from loadshift.errors import (
     ParameterError,
     TemporalConsistencyError,
 )
+from loadshift import objective
 from loadshift.objective import (
+    L_MIN_KW,
     ObjectiveCurve,
     PeakRegressionModel,
     build_objective,
@@ -47,7 +49,7 @@ def bumpy_prediction(seed=0, base=0.4, scale=1.2):
 def test_segment_means_hand_oracle():
     pricing = make_pricing(peak_windows=(PEAK,))
     values = np.arange(48, dtype=float)
-    means = off_peak_segment_means(values, pricing, 2)
+    means = off_peak_segment_means(values, pricing)
     off = np.concatenate([np.arange(0, 34), np.arange(44, 48)])  # 0-based indices
     first, second = off[:19], off[19:]
     npt.assert_allclose(means, [values[first].mean(), values[second].mean()])
@@ -55,30 +57,36 @@ def test_segment_means_hand_oracle():
 
 def test_segment_means_bounds():
     pricing = make_pricing(peak_windows=(PEAK,))
-    with pytest.raises(ParameterError):
-        off_peak_segment_means(np.ones(48), pricing, 0)
-    with pytest.raises(ParameterError):
-        off_peak_segment_means(np.ones(48), pricing, 39)  # only 38 off-peak slots
     with pytest.raises(FormatError):
-        off_peak_segment_means(np.ones(24), pricing, 2)
+        off_peak_segment_means(np.ones(24), pricing)
 
 
 # ---------------------------------------------------------------- regression
 
 
+def segment_curve(first, second, peak_value, pricing):
+    """Off-peak slots at ``first`` in the first segment and ``second`` in the
+    second (19 slots each around the 35-44 peak), peak slots at ``peak_value``."""
+    values = np.full(48, float(second))
+    values[np.flatnonzero(~pricing.peak_mask())[:19]] = float(first)
+    values[pricing.peak_mask()] = float(peak_value)
+    return LoadCurve(values)
+
+
 def test_fit_recovers_exact_linear_rule():
     pricing = make_pricing(peak_windows=(PEAK,))
-    days = [curve_with(m, 2.0 * m + 1.0, pricing) for m in (0.2, 0.5, 0.8, 1.1, 1.7)]
-    model = fit_peak_regression(days, pricing, segment_count=1)
-    assert model.coefficients[0] == pytest.approx(2.0, abs=1e-6)
+    means = [(0.2, 1.0), (0.5, 0.3), (0.8, 1.4), (1.1, 0.6), (1.7, 0.9)]
+    days = [segment_curve(a, b, 2.0 * a - 0.5 * b + 1.0, pricing) for a, b in means]
+    model = fit_peak_regression(days, pricing)
+    npt.assert_allclose(model.coefficients, [2.0, -0.5], atol=1e-6)
     assert model.intercept == pytest.approx(1.0, abs=1e-6)
-    assert model.evaluate([0.9]) == pytest.approx(2.0 * 0.9 + 1.0, abs=1e-6)
+    assert model.evaluate([0.9, 0.4]) == pytest.approx(2.0 * 0.9 - 0.5 * 0.4 + 1.0, abs=1e-6)
 
 
 def test_fit_constant_history_zero_slope():
     pricing = make_pricing(peak_windows=(PEAK,))
     days = [curve_with(0.6, 3.1, pricing)] * 5
-    model = fit_peak_regression(days, pricing, segment_count=2)
+    model = fit_peak_regression(days, pricing)
     npt.assert_allclose(model.coefficients, 0.0, atol=1e-12)
     assert model.intercept == pytest.approx(3.1)
 
@@ -90,18 +98,18 @@ def test_fit_no_worse_than_mean_model():
     for _ in range(30):
         values = rng.uniform(0.1, 2.0, 48)
         days.append(LoadCurve(values))
-    model = fit_peak_regression(days, pricing, segment_count=2)
+    model = fit_peak_regression(days, pricing)
     peaks = np.array([d.values[pricing.peak_mask()].max() for d in days])
     mean_sse = float(np.sum((peaks - peaks.mean()) ** 2))
-    fitted = [model.evaluate(off_peak_segment_means(d, pricing, 2)) for d in days]
+    fitted = [model.evaluate(off_peak_segment_means(d, pricing)) for d in days]
     assert float(np.sum((peaks - fitted) ** 2)) <= mean_sse + 1e-12
 
 
 def test_fit_needs_enough_days():
     pricing = make_pricing(peak_windows=(PEAK,))
     days = [curve_with(0.5, 2.0, pricing)] * 2
-    with pytest.raises(DegenerateRegressionError, match="reduce"):
-        fit_peak_regression(days, pricing, segment_count=2)
+    with pytest.raises(DegenerateRegressionError, match="need at least 3 historical days"):
+        fit_peak_regression(days, pricing)
 
 
 def test_fit_requires_peak_windows():
@@ -110,17 +118,28 @@ def test_fit_requires_peak_windows():
         fit_peak_regression([curve_with(0.5, 1.0, make_pricing())] * 4, pricing)
 
 
+def test_tariff_must_leave_an_off_peak_slot_per_segment():
+    pricing = make_pricing(peak_windows=((1, 47),))  # 47 peak slots, 1 off-peak
+    message = "the tariff has 1 off-peak slot.*the peak regression needs 2"
+    with pytest.raises(ParameterError, match=message) as info:
+        fit_peak_regression([curve_with(0.5, 1.0, pricing)] * 4, pricing)
+    assert "segment_count" not in str(info.value)
+
+
 # The per-day regression that the stacked one replaced: one
 # off_peak_segment_means call and one peak max per history day.  Kept as the
-# reference the stacked fit must match bit for bit, errors included (for
-# whole segment counts; the reference crashed on the others).
-def reference_fit_peak_regression(history, pricing, segment_count=2):
+# reference the stacked fit must match bit for bit, errors included.  Both
+# read the segment count from ``objective.SEGMENT_COUNT``, which the
+# reference tests set to each of 1..4 so the stacked reduce is checked at
+# more shapes than the pipeline's 2.
+def reference_fit_peak_regression(history, pricing):
+    segment_count = objective.SEGMENT_COUNT
     curves = [item.curve if isinstance(item, DailyRecord) else item for item in history]
     needed = segment_count + 1
     if len(curves) < needed:
         raise DegenerateRegressionError(
-            f"need at least {needed} historical days for {segment_count} segment(s), "
-            f"got {len(curves)}; reduce segments"
+            f"need at least {needed} historical days for {segment_count} off-peak segments, "
+            f"got {len(curves)}"
         )
     peak_idx = np.flatnonzero(pricing.peak_mask())
     if peak_idx.size == 0:
@@ -128,13 +147,12 @@ def reference_fit_peak_regression(history, pricing, segment_count=2):
     features = np.empty((len(curves), segment_count))
     targets = np.empty(len(curves))
     for row, curve in enumerate(curves):
-        features[row] = off_peak_segment_means(curve, pricing, segment_count)
+        features[row] = off_peak_segment_means(curve, pricing)
         targets[row] = curve.values[peak_idx].max()
     feat_mean = features.mean(axis=0)
     target_mean = targets.mean()
     alpha, *_ = np.linalg.lstsq(features - feat_mean, targets - target_mean, rcond=None)
     return PeakRegressionModel(
-        segment_count=segment_count,
         coefficients=alpha,
         intercept=target_mean - float(feat_mean @ alpha),
     )
@@ -146,7 +164,7 @@ def fit_outcome(fit, *args):
         model = fit(*args)
     except Exception as exc:  # noqa: BLE001 - compared against the reference
         return type(exc), str(exc)
-    return model.segment_count, model.coefficients.tobytes(), np.float64(model.intercept).tobytes()
+    return model.coefficients.tobytes(), np.float64(model.intercept).tobytes()
 
 
 def mixed_history(seed, days, start=datetime.date(2025, 1, 1)):
@@ -178,16 +196,18 @@ PEAK_LAYOUTS = [
 @pytest.mark.parametrize("segment_count", [1, 2, 3, 4])
 @pytest.mark.parametrize("layout", PEAK_LAYOUTS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fit_matches_the_per_day_reference(seed, layout, segment_count):
+def test_fit_matches_the_per_day_reference(seed, layout, segment_count, monkeypatch):
+    monkeypatch.setattr(objective, "SEGMENT_COUNT", segment_count)
     pricing = make_pricing(peak_windows=layout)
     for days in (120, 9, segment_count + 1):
         history = mixed_history(seed, days)
-        expected = fit_outcome(reference_fit_peak_regression, history, pricing, segment_count)
-        assert fit_outcome(fit_peak_regression, history, pricing, segment_count) == expected
+        expected = fit_outcome(reference_fit_peak_regression, history, pricing)
+        assert fit_outcome(fit_peak_regression, history, pricing) == expected
 
 
 @pytest.mark.parametrize("segment_count", [1, 2, 3, 4])
-def test_fit_errors_match_the_per_day_reference(segment_count):
+def test_fit_errors_match_the_per_day_reference(segment_count, monkeypatch):
+    monkeypatch.setattr(objective, "SEGMENT_COUNT", segment_count)
     history = mixed_history(4, 10)
     cases = [
         ([], make_pricing()),
@@ -198,63 +218,37 @@ def test_fit_errors_match_the_per_day_reference(segment_count):
         (history, make_pricing(peak_windows=((1, 48),))),  # no off-peak slot
     ]
     for days, pricing in cases:
-        expected = fit_outcome(reference_fit_peak_regression, days, pricing, segment_count)
-        assert fit_outcome(fit_peak_regression, days, pricing, segment_count) == expected
-
-
-BAD_SEGMENT_COUNTS = [0, -1, 1.5, float("nan"), float("inf"), "2", None]
-
-
-@pytest.mark.parametrize("count", BAD_SEGMENT_COUNTS)
-def test_segment_count_must_be_a_whole_number(count):
-    pricing = make_pricing(peak_windows=(PEAK,))
-    days = [curve_with(m, 2.0 * m, pricing) for m in (0.2, 0.5, 0.8, 1.1)]
-    with pytest.raises(ParameterError, match="segment_count must be a whole number >= 1"):
-        fit_peak_regression(days, pricing, count)
-    with pytest.raises(ParameterError, match="segment_count must be a whole number >= 1"):
-        off_peak_segment_means(days[0], pricing, count)
-
-
-def test_whole_float_segment_counts_act_as_ints():
-    pricing = make_pricing(peak_windows=(PEAK,))
-    history = mixed_history(7, 12)
-    expected = fit_outcome(fit_peak_regression, history, pricing, 2)
-    for count in (2.0, np.float64(2.0), np.int64(2)):
-        assert fit_outcome(fit_peak_regression, history, pricing, count) == expected
-        npt.assert_array_equal(
-            off_peak_segment_means(history[0].curve, pricing, count),
-            off_peak_segment_means(history[0].curve, pricing, 2),
-        )
-    assert type(fit_peak_regression(history, pricing, np.float64(2.0)).segment_count) is int
+        expected = fit_outcome(reference_fit_peak_regression, days, pricing)
+        assert fit_outcome(fit_peak_regression, days, pricing) == expected
 
 
 def test_evaluate_polynomial_hand_oracle():
-    model = PeakRegressionModel(
-        segment_count=2, coefficients=np.array([0.5, -1.5]), intercept=0.3
-    )
+    model = PeakRegressionModel(coefficients=np.array([0.5, -1.5]), intercept=0.3)
     m1, m2 = 0.8, 1.4
     oracle = 0.5 * m1 - 1.5 * m2 + 0.3
     assert model.evaluate([m1, m2]) == pytest.approx(oracle, rel=1e-12)
     with pytest.raises(FormatError):
         model.evaluate([1.0])
     with pytest.raises(FormatError, match=r"coefficients need shape \(2,\)"):
-        PeakRegressionModel(segment_count=2, coefficients=np.ones((2, 1)), intercept=0.0)
+        PeakRegressionModel(coefficients=np.ones((2, 1)), intercept=0.0)
 
 
 # ---------------------------------------------------------------- offline build
 
 
 def make_model(pricing, slope=2.0, intercept=1.0):
+    """Flat off-peak days: both 19-slot segment means equal the off-peak level
+    m, so the fit splits the slope over them and caps at ``slope * m + intercept``."""
     days = [curve_with(m, slope * m + intercept, pricing) for m in (0.2, 0.6, 1.0, 1.5)]
-    return fit_peak_regression(days, pricing, segment_count=1)
+    return fit_peak_regression(days, pricing)
 
 
 def test_uncapped_peak_slots_follow_prediction():
     pricing = make_pricing(peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=1)
-    rich_day = curve_with(2.0, 1.0, pricing)  # off-peak mean 2.0 >= l_min
-    curve = build_objective(predicted, pricing, model, l_min=1.0, history=[rich_day])
+    rich_day = curve_with(2.0, 1.0, pricing)  # segment means sum 4.0 >= L_MIN_KW
+    curve = build_objective(predicted, pricing, model, history=[rich_day])
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], predicted.values[mask])
     assert all(p == "predicted" for p in curve.provenance)
@@ -264,8 +258,7 @@ def test_flat_prices_keep_off_peak_shape():
     pricing = make_pricing(peak_price=0.2, off_price=0.2, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=2)
-    curve = build_objective(predicted, pricing, model, l_min=0.001,
-                            history=[curve_with(1.0, 1.0, pricing)])
+    curve = build_objective(predicted, pricing, model, history=[curve_with(1.5, 1.0, pricing)])
     npt.assert_allclose(curve.values, predicted.values, rtol=1e-12)
 
 
@@ -273,8 +266,7 @@ def test_energy_conserved_when_cap_unbound():
     pricing = make_pricing(peak_price=0.31, off_price=0.08, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=3)
-    curve = build_objective(predicted, pricing, model, l_min=0.001,
-                            history=[curve_with(1.2, 0.8, pricing)])
+    curve = build_objective(predicted, pricing, model, history=[curve_with(1.2, 0.8, pricing)])
     assert curve.energy_kwh() == pytest.approx(predicted.energy_kwh(), rel=1e-9)
 
 
@@ -282,8 +274,8 @@ def test_capped_peak_slots_match_hand_evaluated_rule():
     pricing = make_pricing(peak_windows=(PEAK,))
     model = make_model(pricing, slope=2.0, intercept=1.0)
     predicted = bumpy_prediction(seed=4)
-    prev = curve_with(0.3, 4.0, pricing)  # off-peak mean 0.3 < l_min
-    curve = build_objective(predicted, pricing, model, l_min=1.0, history=[prev])
+    prev = curve_with(0.3, 4.0, pricing)  # segment means sum 0.6 < L_MIN_KW
+    curve = build_objective(predicted, pricing, model, history=[prev])
     cap = 2.0 * 0.3 + 1.0  # hand evaluation of the fitted rule
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], cap, rtol=1e-6)
@@ -297,11 +289,11 @@ def test_no_history_disables_cap():
     pricing = make_pricing(peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=5)
-    curve = build_objective(predicted, pricing, model, l_min=50.0, history=[])
+    curve = build_objective(predicted, pricing, model, history=[])
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], predicted.values[mask])
     # online too: a realized prefix gives the cap nothing to condition on
-    online = update_online(predicted, pricing, model, 50.0, [], np.zeros(30))
+    online = update_online(predicted, pricing, model, [], np.zeros(30))
     assert "capped" not in online.provenance
     npt.assert_array_equal(online.values[mask], predicted.values[mask])
 
@@ -314,8 +306,7 @@ def test_off_peak_reshaping_tracks_inverse_price():
     pricing = PricingSignal(prices=prices, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = LoadCurve(np.ones(48))
-    curve = build_objective(predicted, pricing, model, l_min=0.001,
-                            history=[curve_with(1.0, 1.0, pricing)])
+    curve = build_objective(predicted, pricing, model, history=[curve_with(1.5, 1.0, pricing)])
     # flat prediction: ratio of objective values equals inverse price ratio
     assert curve.values[0] / curve.values[20] == pytest.approx(0.10 / 0.05, rel=1e-9)
 
@@ -329,27 +320,27 @@ def test_price_monotonicity():
     model = make_model(pricing_low)
     predicted = bumpy_prediction(seed=6)
     history = [curve_with(1.5, 1.0, pricing_low)]
-    low = build_objective(predicted, pricing_low, model, l_min=0.001, history=history)
-    high = build_objective(predicted, pricing_high, model, l_min=0.001, history=history)
+    low = build_objective(predicted, pricing_low, model, history=history)
+    high = build_objective(predicted, pricing_high, model, history=history)
     assert high.values[5] <= low.values[5] + 1e-12
-
-
-def test_l_min_must_be_positive():
-    pricing = make_pricing(peak_windows=(PEAK,))
-    model = make_model(pricing)
-    with pytest.raises(ParameterError):
-        build_objective(bumpy_prediction(), pricing, model, l_min=0.0)
-    with pytest.raises(ParameterError):
-        build_objective(bumpy_prediction(), pricing, model, l_min=-1.0)
 
 
 def test_objective_curve_validation():
     with pytest.raises(ParameterError):
-        ObjectiveCurve(values=np.full(48, -1.0), mode="offline", provenance=("predicted",) * 48)
+        ObjectiveCurve(values=np.full(48, -1.0), provenance=("predicted",) * 48)
     with pytest.raises(FormatError):
-        ObjectiveCurve(values=np.ones(48), mode="offline", provenance=("mystery",) * 48)
-    with pytest.raises(ParameterError):
-        ObjectiveCurve(values=np.ones(48), mode="sometime", provenance=("predicted",) * 48)
+        ObjectiveCurve(values=np.ones(48), provenance=("mystery",) * 48)
+
+
+def test_mode_follows_the_provenance():
+    _, inputs = offline_fixture()
+    assert build_objective(*inputs).mode == "offline"
+    assert update_online(*inputs, []).mode == "offline"
+    realized = inputs[0].values[:1]
+    assert update_online(*inputs, realized).mode == "online"
+    flags = ("realized",) + ("predicted",) * 47
+    assert ObjectiveCurve(values=np.ones(48), provenance=flags).mode == "online"
+    assert ObjectiveCurve(values=np.ones(48), provenance=("capped",) * 48).mode == "offline"
 
 
 # ---------------------------------------------------------------- online updates
@@ -363,9 +354,9 @@ def offline_fixture(flat=True, seed=7):
         pricing = make_pricing(peak_price=0.3, off_price=0.1, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=seed)
-    history = [curve_with(1.5, 1.0, pricing)]
-    curve = build_objective(predicted, pricing, model, l_min=0.001, history=history)
-    return curve, (predicted, pricing, model, 0.001, history)
+    history = [curve_with(1.5, 1.0, pricing)]  # segment means sum 3.0 >= L_MIN_KW
+    curve = build_objective(predicted, pricing, model, history=history)
+    return curve, (predicted, pricing, model, history)
 
 
 def test_update_at_slot_one_reproduces_offline():
@@ -373,7 +364,7 @@ def test_update_at_slot_one_reproduces_offline():
     online = update_online(*inputs, [])
     npt.assert_array_equal(online.values, offline.values)
     assert online.provenance == offline.provenance
-    assert online.mode == "online"
+    assert online.mode == offline.mode == "offline"
 
 
 def test_update_zero_correction_under_flat_prices():
@@ -411,10 +402,10 @@ def test_update_reevaluates_cap_from_realized_prefix():
     model = make_model(pricing, slope=2.0, intercept=1.0)
     predicted = LoadCurve(np.full(48, 1.0))
     prev = curve_with(1.5, 1.0, pricing)  # rich off-peak: cap off at build time
-    offline = build_objective(predicted, pricing, model, l_min=1.0, history=[prev])
+    offline = build_objective(predicted, pricing, model, history=[prev])
     assert "capped" not in offline.provenance
     # day realizes almost nothing: conditioning means collapse, cap kicks in
-    online = update_online(predicted, pricing, model, 1.0, [prev], np.zeros(30))
+    online = update_online(predicted, pricing, model, [prev], np.zeros(30))
     peak_idx = np.flatnonzero(pricing.peak_mask())
     assert all(online.provenance[i] == "capped" for i in peak_idx)
     # cap value recomputed from the overlaid conditioning curve
@@ -472,7 +463,7 @@ def reference_update_online(current, realized_so_far, pricing, slot_now):
         raise TemporalConsistencyError("realized data must cover slots 1..slot_now-1")
     if realized.size and (not np.all(np.isfinite(realized)) or np.any(realized < 0)):
         raise FormatError("realized values must be finite and >= 0")
-    model, l_min = current.model, current.l_min
+    model, l_min = current.model, L_MIN_KW
 
     first_index = slot_now - 1
     predicted = current.predicted
@@ -485,13 +476,13 @@ def reference_update_online(current, realized_so_far, pricing, slot_now):
     if condition_base is not None:
         cond_values = condition_base.values.copy()
         cond_values[:first_index] = realized
-        condition_means = off_peak_segment_means(cond_values, pricing, model.segment_count)
+        condition_means = off_peak_segment_means(cond_values, pricing)
 
     values, provenance = reference_compose(
         predicted.values, pricing, model, l_min, condition_means,
         first_index=first_index, budget_kwh=budget, frozen=realized,
     )
-    return ObjectiveCurve(values=values, mode="online", provenance=tuple(provenance))
+    return ObjectiveCurve(values=values, provenance=tuple(provenance))
 
 
 # case: (flat prices, cap binds, prediction zero off-peak)
@@ -505,25 +496,30 @@ REFERENCE_CASES = {
 
 
 def reference_inputs(flat, capped, zero_off_peak, seed):
-    """Seeded day-ahead inputs: predicted, pricing, model, l_min, history."""
+    """Seeded day-ahead inputs: predicted, pricing, model, history.
+
+    The cap binds or not through the conditioning curve: the last history
+    day's off-peak level, and the predicted level the realized prefix
+    overlays on it, sit on the matching side of ``L_MIN_KW``.
+    """
     rng = np.random.default_rng(seed)
     if flat:
         pricing = make_pricing(peak_price=0.2, off_price=0.2, peak_windows=(PEAK,))
     else:
         pricing = make_pricing(peak_price=0.31, off_price=0.08, peak_windows=(PEAK,))
     start = datetime.date(2025, 3, 1)
+    days = rng.uniform(0.1, 2.0, (8, 48))
+    days[-1, ~pricing.peak_mask()] = 0.3 if capped else 1.5  # means sum 0.6 or 3.0
     history = [
-        DailyRecord(start + datetime.timedelta(days=d), LoadCurve(rng.uniform(0.1, 2.0, 48)))
-        for d in range(8)
+        DailyRecord(start + datetime.timedelta(days=d), LoadCurve(days[d])) for d in range(8)
     ]
     model = fit_peak_regression(history, pricing)
-    predicted = bumpy_prediction(seed=seed)
+    predicted = bumpy_prediction(seed=seed, base=0.1 if capped else 1.2)
     if zero_off_peak:
         values = np.zeros(48)
         values[pricing.peak_mask()] = 6.0  # far above any cap the model gives
         predicted = LoadCurve(values)
-    l_min = 50.0 if capped else 0.001
-    return predicted, pricing, model, l_min, history
+    return predicted, pricing, model, history
 
 
 @pytest.mark.parametrize("prefix", [0, 1, 12, 30, 47])
@@ -531,17 +527,15 @@ def reference_inputs(flat, capped, zero_off_peak, seed):
 def test_update_matches_the_reference_refresh(case, prefix):
     flat, capped, zero_off_peak = REFERENCE_CASES[case]
     inputs = reference_inputs(flat, capped, zero_off_peak, seed=prefix)
-    predicted, pricing, model, l_min, history = inputs
+    predicted, pricing, model, history = inputs
     noise = np.random.default_rng(100 + prefix).normal(0.0, 0.3, prefix)
     realized = np.maximum(predicted.values[:prefix] + noise, 0.0)
-    current = SimpleNamespace(
-        predicted=predicted, model=model, l_min=l_min, condition_base=history[-1].curve
-    )
+    current = SimpleNamespace(predicted=predicted, model=model, condition_base=history[-1].curve)
     want = reference_update_online(current, realized, pricing, slot_now=prefix + 1)
     got = update_online(*inputs, realized)
     npt.assert_array_equal(got.values, want.values)
     assert got.provenance == want.provenance
-    assert got.mode == "online"
+    assert got.mode == ("online" if prefix else "offline")
     if prefix == 0:  # the day-ahead curve is the refresh with no prefix
         offline = build_objective(*inputs)
         npt.assert_array_equal(offline.values, want.values)

@@ -43,11 +43,7 @@ from conftest import make_fixed, make_pricing, make_shiftable
 
 def make_objective(values) -> ObjectiveCurve:
     values = np.asarray(values, dtype=float)
-    return ObjectiveCurve(
-        values=values,
-        mode="offline",
-        provenance=("predicted",) * 48,
-    )
+    return ObjectiveCurve(values=values, provenance=("predicted",) * 48)
 
 
 def make_instance(

@@ -274,6 +274,33 @@ def test_run_params_validation():
     assert type(whole.max_epochs) is int and type(whole.history_window_days) is int
 
 
+def test_history_window_covers_the_peak_regression():
+    # a 2-day window leaves the 2-segment peak regression one day short on
+    # every household-day; 3 days is the shortest window that runs
+    with pytest.raises(ParameterError, match="history_window_days must be a whole number >= 3"):
+        RunParams(history_window_days=2)
+    household = Household(
+        id="h1",
+        appliances=(make_shiftable(id="wash", power=1.0, duration=3, preferred=38),),
+        pv=None,
+        history=flat_history(10),
+    )
+    params = RunParams(max_epochs=3, history_window_days=3)
+    result = run_day(household, datetime.date(2025, 5, 11), make_pricing(), params=params)
+    assert result.after.energy_kwh() == pytest.approx(result.before.energy_kwh(), rel=1e-12)
+
+
+def test_tariff_without_an_off_peak_slot_per_segment_is_rejected():
+    household = Household(
+        id="h1", appliances=(make_fixed(),), pv=None, history=flat_history(10)
+    )
+    pricing = make_pricing(peak_windows=((1, 47),))  # 47 peak slots, 1 off-peak
+    message = r"^h1 2025-05-11: the tariff has 1 off-peak slot.*the peak regression needs 2"
+    with pytest.raises(ParameterError, match=message) as info:
+        run_day(household, datetime.date(2025, 5, 11), pricing, params=FAST)
+    assert "segment_count" not in str(info.value)
+
+
 # ---------------------------------------------------------------- weekly fits
 
 
@@ -447,29 +474,30 @@ def shuffled(records, rng):
 
 
 def shuffle_histories(fleet, seed):
-    """``fleet`` with every load and PV history in a seeded random order."""
+    """``fleet`` built from every load and PV history in a seeded random
+    order, and whether some history was given out of day order."""
     rng = np.random.default_rng(seed)
-    households = []
+    households, disordered = [], False
     for household in fleet.households:
         pv = household.pv
         if pv is not None:
             pv = dataclasses.replace(pv, history=shuffled(pv.history, rng))
-        households.append(
-            dataclasses.replace(household, history=shuffled(household.history, rng), pv=pv)
-        )
-    return dataclasses.replace(fleet, households=tuple(households))
+        history = shuffled(household.history, rng)
+        disordered |= [r.day for r in history] != sorted(r.day for r in history)
+        households.append(dataclasses.replace(household, history=history, pv=pv))
+    return dataclasses.replace(fleet, households=tuple(households)), disordered
 
 
 @pytest.mark.parametrize("mode", ["offline", "online"])
 def test_results_do_not_depend_on_record_order(mode):
     # Saturday .. Monday: two weeks, so two anchors per household
     fleet = small_fleet(history_days=17, simulated_days=3, mode=mode)
-    mixed = shuffle_histories(fleet, seed=8)
+    mixed, disordered = shuffle_histories(fleet, seed=8)
     assert all(h.pv is not None for h in mixed.households)
-    assert any(
-        [r.day for r in h.history] != sorted(r.day for r in h.history)
-        for h in mixed.households
-    )
+    assert disordered
+    # the households hold what they were given sorted by day again
+    for h, m in zip(fleet.households, mixed.households):
+        assert m.history == h.history and m.pv.history == h.pv.history
     simulate._fit_network.cache_clear()
     expected = run_fleet(fleet, FAST, seed=4)
     simulate._fit_network.cache_clear()
@@ -499,14 +527,14 @@ def run_day_error(household, day, params):
         ([0, 1, 2, 3, 4, 6, 7, 8, 9], datetime.date(2025, 5, 11), 30,
          "h9 2025-05-11: history days not consecutive: 2025-05-05 -> 2025-05-07"),
         (range(10), datetime.date(2025, 5, 14), 30, "h9 2025-05-14: history ends 2025-05-10"),
-        # Sunday the 11th is missing: the 2 days before Wednesday the 14th
+        # Sunday the 11th is missing: the 3 days before Thursday the 15th
         # are whole, the days before the week's anchor (Monday) end early
-        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12], datetime.date(2025, 5, 14), 2,
-         "h9 2025-05-14: history ends 2025-05-10, cannot forecast 2025-05-12"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13], datetime.date(2025, 5, 15), 3,
+         "h9 2025-05-15: history ends 2025-05-10, cannot forecast 2025-05-12"),
     ],
 )
 def test_history_errors_do_not_depend_on_record_order(keep, day, window, error):
-    records = flat_history(13)
+    records = flat_history(14)
     kept = tuple(records[i] for i in keep)
     household = Household(id="h9", appliances=(make_fixed(),), pv=None, history=kept)
     params = RunParams(max_epochs=10, history_window_days=window)

@@ -114,6 +114,23 @@ def test_non_finite_recipe_values_are_rejected(field, value):
         small_recipe(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "3", None])
+@pytest.mark.parametrize("field", ["household_count", "history_days", "simulated_days"])
+def test_recipe_counts_must_be_whole_numbers(field, value):
+    with pytest.raises(ParameterError, match=rf"^{field} must be a whole number >= "):
+        small_recipe(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, least", [("household_count", 1), ("history_days", 5), ("simulated_days", 1)]
+)
+def test_recipe_counts_have_minimums_and_take_whole_floats(field, least):
+    with pytest.raises(ParameterError, match=rf"^{field} must be a whole number >= {least}, "):
+        small_recipe(**{field: least - 1})
+    recipe = small_recipe(**{field: float(least + 1)})
+    assert type(getattr(recipe, field)) is int and getattr(recipe, field) == least + 1
+
+
 def test_recipe_survives_dict_round_trip():
     recipe = small_recipe(peak_windows=((20, 24), (35, 44)))
     doc = recipe_to_dict(recipe, seed=13)
