@@ -25,7 +25,6 @@ from .core import (
     total_curve,
 )
 from .errors import (
-    ConfigError,
     DatasetTooSmallError,
     DegenerateRegressionError,
     FeasibilityError,
@@ -78,7 +77,6 @@ __all__ = [
     "ApplianceInstance",
     "ApplianceSpec",
     "AutocorrelationResult",
-    "ConfigError",
     "ConsumptionBreakdown",
     "DailyRecord",
     "DatasetTooSmallError",

@@ -142,8 +142,8 @@ def read_history_csv(path) -> tuple[DailyRecord, ...]:
     """Read stacked daily curves, streaming the rows once without holding them all.
 
     Each row is checked as it arrives; a date is parsed only when its text
-    changes.  The first malformed row, day or CSV syntax error raises a
-    :class:`FormatError` naming ``file:line``.
+    changes.  The first malformed row, day, repeated day or CSV syntax error
+    raises a :class:`FormatError` naming ``file:line``.
     """
     records = []
     day_text = day = None
@@ -167,6 +167,8 @@ def read_history_csv(path) -> tuple[DailyRecord, ...]:
             day = row_day
             values = []
         if slot != len(values) + 1:
+            if slot == 1 and len(values) == SLOT_COUNT:
+                _fail(path, line, f"day {day} repeats")
             _fail(path, line, f"expected slot {len(values) + 1} for {day}, got {slot}")
         values.append(value)
     if day is None:
@@ -395,7 +397,8 @@ def _load_manifest(root: Path) -> dict:
     for key in ("format_version", "mode", "days", "pricing", "households"):
         if key not in doc:
             _fail(path, None, f"manifest is missing {key!r}")
-    if doc["format_version"] != BUNDLE_FORMAT_VERSION:
+    # bool is an int and 1.0 == 1, so compare the JSON type too
+    if type(doc["format_version"]) is not int or doc["format_version"] != BUNDLE_FORMAT_VERSION:
         _fail(path, None, f"unsupported format_version {doc['format_version']!r}")
     if not isinstance(doc["households"], list) or not doc["households"]:
         _fail(path, None, "manifest lists no households")

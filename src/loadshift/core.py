@@ -74,12 +74,16 @@ class DailyRecord:
 
 
 def _day_sorted(history, owner: str) -> tuple[DailyRecord, ...]:
-    """``history`` sorted by day; FormatError naming ``owner`` for a non-``DailyRecord``."""
+    """``history`` sorted by day; FormatError naming ``owner`` for a non-record or repeated day."""
     records = tuple(history)
     for rec in records:
         if not isinstance(rec, DailyRecord):
             raise FormatError(f"{owner} history holds a {type(rec).__name__}, not a DailyRecord")
-    return tuple(sorted(records, key=lambda rec: rec.day))
+    records = tuple(sorted(records, key=lambda rec: rec.day))
+    for before, after in zip(records, records[1:]):
+        if before.day == after.day:
+            raise FormatError(f"{owner} history repeats day {after.day}")
+    return records
 
 
 def _whole_number(value, least: int, name: str) -> int:

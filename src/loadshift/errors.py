@@ -2,8 +2,9 @@
 
 Everything raised on purpose derives from :class:`LoadshiftError`, so callers
 can catch one base type at the CLI boundary.  Structural problems (malformed
-files, wrong array shapes) and domain problems (bad parameter values,
-infeasible schedules) are kept on separate branches.
+files, wrong array shapes) and domain problems (bad parameter values, an
+unknown mode or archetype, infeasible schedules) are kept on separate
+branches.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ class FormatError(LoadshiftError, ValueError):
 
 
 class ParameterError(LoadshiftError, ValueError):
-    """A value is outside its documented domain (negative power, a fractional slot count, ...)."""
-
-
-class ConfigError(LoadshiftError, ValueError):
-    """A configuration object references something unknown (archetype, mode)."""
+    """A value is outside its documented domain (negative power, an unknown mode, ...)."""
 
 
 class FeasibilityError(LoadshiftError):

@@ -7,6 +7,9 @@ usage looks before any price signal exists.  History curves combine a
 morning/evening ambient shape with those sampled runs and are scaled to a
 daily energy target; PV generation is a daylight bell capped at the panel
 rating, zero at night.
+
+The calendar, tariff and PV sizing are module constants, not recipe fields:
+the archetypes' preferred starts are chosen inside ``PEAK_WINDOW``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -29,8 +33,18 @@ from .core import (
     PvSystem,
     _whole_number,
 )
-from .errors import ConfigError, ParameterError
-from .simulate import FleetConfig, derive_seed
+from .errors import ParameterError
+from .simulate import MODES, FleetConfig, derive_seed
+
+START_DAY = datetime.date(2025, 1, 1)  # the first history day
+PEAK_WINDOW = (35, 44)  # inclusive slots, 17:00-22:00
+PEAK_PRICE = 0.30
+OFF_PEAK_PRICE = 0.10
+PV_PEAK_KW = 1.0  # panel rating
+BATTERY_CAPACITY_KWH = 4.0
+BATTERY_SOC_KWH = 2.0  # charge at the start of each day
+CHARGE_RATE_KW = 1.5
+CHARGE_EFFICIENCY = 0.9
 
 
 @dataclass(frozen=True)
@@ -46,8 +60,8 @@ class Archetype:
     daily_use_probability: float
 
 
-# shiftable preferred starts lie inside the default 35-44 evening peak;
-# windows leave room to escape it in at least one direction
+# shiftable preferred starts lie inside PEAK_WINDOW; windows leave room to
+# escape it in at least one direction
 ARCHETYPES: dict[str, Archetype] = {
     "air_conditioner": Archetype("shiftable", 1.5, 6, (26, 48), 35, 10, 0.75),
     "dishwasher": Archetype("shiftable", 1.0, 3, (20, 48), 37, 10, 0.85),
@@ -67,63 +81,60 @@ DEFAULT_MIX = {
 }
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a JSON-safe float; ParameterError naming ``name`` unless a real number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SyntheticRecipe:
-    """Everything the generator needs besides the seed."""
+    """What a fleet varies besides the seed; checked before any household is generated."""
 
     household_count: int = 50
     appliance_mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
     daily_energy_kwh: float = 16.0
     history_days: int = 364
     simulated_days: int = 1
-    start_day: datetime.date = datetime.date(2025, 1, 1)
-    peak_windows: tuple[tuple[int, int], ...] = ((35, 44),)
-    peak_price: float = 0.30
-    off_peak_price: float = 0.10
     mode: str = "offline"
     pv_fraction: float = 1.0
-    pv_peak_kw: float = 1.0
-    battery_capacity_kwh: float = 4.0
-    battery_soc_kwh: float = 2.0
-    charge_rate_kw: float = 1.5
-    charge_efficiency: float = 0.9
 
     def __post_init__(self):
         for name, least in (("household_count", 1), ("history_days", 5), ("simulated_days", 1)):
             object.__setattr__(self, name, _whole_number(getattr(self, name), least, name))
-        mix = dict(self.appliance_mix)
-        for name, probability in mix.items():
+        if not isinstance(self.appliance_mix, Mapping):
+            raise ParameterError(f"appliance_mix must be a mapping, got {self.appliance_mix!r}")
+        mix = {}
+        for name, probability in self.appliance_mix.items():
             if name not in ARCHETYPES:
-                raise ConfigError(
-                    f"unknown archetype {name!r}; known: {', '.join(sorted(ARCHETYPES))}"
-                )
-            if not 0.0 <= probability <= 1.0:
+                known = ", ".join(sorted(ARCHETYPES))
+                raise ParameterError(f"appliance_mix: unknown archetype {name!r}; known: {known}")
+            mix[name] = _real(probability, f"appliance_mix[{name!r}]")
+            if not 0.0 <= mix[name] <= 1.0:
                 raise ParameterError(f"inclusion probability for {name} must be in [0, 1]")
         object.__setattr__(self, "appliance_mix", mix)
-        if not (np.isfinite(self.daily_energy_kwh) and self.daily_energy_kwh > 0):
+        for name in ("daily_energy_kwh", "pv_fraction"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not 0.0 < self.daily_energy_kwh < np.inf:
             raise ParameterError("daily_energy_kwh must be finite and > 0")
+        if self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.pv_fraction <= 1.0:
             raise ParameterError("pv_fraction must be in [0, 1]")
-        if not (np.isfinite(self.pv_peak_kw) and self.pv_peak_kw >= 0):
-            raise ParameterError("pv_peak_kw must be finite and >= 0")
 
     def pricing(self) -> PricingSignal:
-        prices = np.full(SLOT_COUNT, self.off_peak_price)
-        for start, end in self.peak_windows:
-            prices[start - 1 : end] = self.peak_price
-        return PricingSignal(prices=prices, peak_windows=self.peak_windows)
+        prices = np.full(SLOT_COUNT, OFF_PEAK_PRICE)
+        prices[PEAK_WINDOW[0] - 1 : PEAK_WINDOW[1]] = PEAK_PRICE
+        return PricingSignal(prices=prices, peak_windows=(PEAK_WINDOW,))
 
     def simulation_days(self) -> tuple[datetime.date, ...]:
-        first = self.start_day + datetime.timedelta(days=self.history_days)
+        first = START_DAY + datetime.timedelta(days=self.history_days)
         return tuple(first + datetime.timedelta(days=i) for i in range(self.simulated_days))
 
 
 def recipe_to_dict(recipe: SyntheticRecipe, seed: int) -> dict:
-    doc = dataclasses.asdict(recipe)
-    doc["start_day"] = recipe.start_day.isoformat()
-    doc["peak_windows"] = [list(w) for w in recipe.peak_windows]
-    doc["seed"] = int(seed)
-    return doc
+    return {**dataclasses.asdict(recipe), "seed": int(seed)}
 
 
 def _appliance_from(name: str, archetype: Archetype, power_scale: float) -> ApplianceSpec:
@@ -153,12 +164,11 @@ _SHAPE = _ambient_shape()
 _SHAPE_ENERGY = float(_SHAPE.sum() * SLOT_HOURS)
 
 
-def _habit_start(rng, archetype: Archetype, peak_windows) -> int:
-    """Sample a historical start: mostly clear of the peaks, sometimes not."""
+def _habit_start(rng, archetype: Archetype) -> int:
+    """Sample a historical start: mostly ending before the peak, sometimes not."""
     lo = archetype.window[0]
     hi = archetype.window[1] - archetype.duration_slots + 1
-    first_peak = min(start for start, _ in peak_windows) if peak_windows else None
-    early_hi = min(hi, first_peak - archetype.duration_slots) if first_peak else hi
+    early_hi = min(hi, PEAK_WINDOW[0] - archetype.duration_slots)
     if early_hi >= lo and rng.random() < 0.9:
         return int(rng.integers(lo, early_hi + 1))
     return int(rng.integers(lo, hi + 1))
@@ -178,7 +188,7 @@ def _history_day(rng, specs, recipe, day_index: int) -> LoadCurve:
         if spec.kind == "fixed":
             start = spec.preferred_start
         else:
-            start = _habit_start(rng, archetype, recipe.peak_windows)
+            start = _habit_start(rng, archetype)
         runs[start - 1 : start - 1 + spec.duration_slots] += spec.power_profile
     run_energy = float(runs.sum() * SLOT_HOURS)
 
@@ -190,14 +200,14 @@ def _history_day(rng, specs, recipe, day_index: int) -> LoadCurve:
     return LoadCurve(np.maximum(ambient + runs, 0.0))
 
 
-def _pv_day(rng, peak_kw: float) -> LoadCurve:
+def _pv_day(rng) -> LoadCurve:
     gen = np.zeros(SLOT_COUNT)
     daylight = np.arange(14, 39)  # 07:00 through 19:30
     x = (daylight - 13) / 26.0
     bell = np.sin(np.pi * x) ** 2
     weather = rng.uniform(0.5, 1.0)
     texture = 1.0 - 0.2 * rng.uniform(size=daylight.size)
-    gen[daylight] = peak_kw * weather * bell * texture
+    gen[daylight] = PV_PEAK_KW * weather * bell * texture
     return LoadCurve(gen)
 
 
@@ -210,43 +220,30 @@ def generate_fleet(recipe: SyntheticRecipe, seed: int = 0) -> FleetConfig:
 
         specs = []
         for name, archetype in ARCHETYPES.items():
-            probability = recipe.appliance_mix.get(name, 0.0)
-            include = rng.random() < probability
-            if include:
+            if rng.random() < recipe.appliance_mix.get(name, 0.0):
                 scale = float(rng.uniform(0.85, 1.15))
                 specs.append(_appliance_from(name, archetype, scale))
         if not specs:
-            raise ConfigError(
-                "appliance mix produced an empty household; raise the probabilities"
-            )
+            raise ParameterError("appliance_mix left a household empty; raise the probabilities")
 
         # habitual behaviour continues through the simulation span (minus its
         # last day), so every simulated day can train on data ending the day
         # before it; each day still sees only its own past
         covered = recipe.history_days + recipe.simulated_days - 1
+        days = [START_DAY + datetime.timedelta(days=d) for d in range(covered)]
         history = tuple(
-            DailyRecord(
-                day=recipe.start_day + datetime.timedelta(days=d),
-                curve=_history_day(rng, specs, recipe, d),
-            )
-            for d in range(covered)
+            DailyRecord(day, _history_day(rng, specs, recipe, d)) for d, day in enumerate(days)
         )
 
         pv = None
         if rng.random() < recipe.pv_fraction:
-            pv_history = tuple(
-                DailyRecord(
-                    day=recipe.start_day + datetime.timedelta(days=d),
-                    curve=_pv_day(rng, recipe.pv_peak_kw),
-                )
-                for d in range(covered)
-            )
+            pv_history = tuple(DailyRecord(day, _pv_day(rng)) for day in days)
             pv = PvSystem(
                 generation=np.zeros(SLOT_COUNT),
-                battery_capacity=recipe.battery_capacity_kwh,
-                battery_soc=recipe.battery_soc_kwh,
-                charge_rate=recipe.charge_rate_kw,
-                charge_efficiency=recipe.charge_efficiency,
+                battery_capacity=BATTERY_CAPACITY_KWH,
+                battery_soc=BATTERY_SOC_KWH,
+                charge_rate=CHARGE_RATE_KW,
+                charge_efficiency=CHARGE_EFFICIENCY,
                 history=pv_history,
             )
 

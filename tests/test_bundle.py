@@ -152,6 +152,8 @@ def reference_read_history_csv(path):
             values = []
             day_line = line
         if slot != len(values) + 1:
+            if slot == 1 and len(values) == 48:
+                _fail(path, line, f"day {day} repeats")
             _fail(path, line, f"expected slot {len(values) + 1} for {day}, got {slot}")
         values.append(value)
     flush(day_line + len(values))
@@ -417,6 +419,33 @@ def test_manifest_version_gate(tmp_path):
     (root / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=r"format_version 99"):
         load_bundle(root)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2], ids=["true", "1.0", "string", "2"])
+def test_manifest_version_must_be_the_integer_1(tmp_path, version):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    doc = json.loads((root / "manifest.json").read_text())
+    doc["format_version"] = version
+    (root / "manifest.json").write_text(json.dumps(doc))
+    message = rf"unsupported format_version {re.escape(repr(version))}$"
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
+    problems = lint_bundle(root)
+    assert len(problems) == 1 and re.search(message, problems[0]), problems
+
+
+def test_repeated_history_day_is_named_on_load_and_lint(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    history = root / "households" / "h002" / "history.csv"
+    lines = history.read_text().splitlines()
+    # header, then 48 rows a day: the fourth day, 2025-01-04, is rows 146-193
+    lines[193:193] = lines[145:193]
+    history.write_text("\n".join(lines) + "\n")
+    message = rf"{re.escape(str(history))}:194: day 2025-01-04 repeats"
+    with pytest.raises(FormatError, match=message):
+        load_bundle(root)
+    problems = lint_bundle(root)
+    assert len(problems) == 1 and re.match(message, problems[0]), problems
 
 
 def test_manifest_bad_json_cites_line(tmp_path):

@@ -379,3 +379,15 @@ def test_histories_are_held_sorted_by_day():
         Household(id="h1", appliances=(make_shiftable(),), history=(records[0], bare))
     with pytest.raises(FormatError, match="pv history holds a LoadCurve"):
         PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=(bare,))
+
+
+def test_histories_reject_a_repeated_day():
+    records = [
+        DailyRecord(day=datetime.date(2025, 3, d), curve=LoadCurve(np.full(48, float(d))))
+        for d in (1, 2, 3)
+    ]
+    repeated = records + [records[1]]
+    with pytest.raises(FormatError, match=r"^household h1 history repeats day 2025-03-02$"):
+        Household(id="h1", appliances=(make_shiftable(),), history=repeated)
+    with pytest.raises(FormatError, match=r"^pv history repeats day 2025-03-02$"):
+        PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=repeated)

@@ -7,10 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from loadshift.errors import ConfigError, ParameterError
+from loadshift.errors import ParameterError
 from loadshift.synth import (
     ARCHETYPES,
+    OFF_PEAK_PRICE,
+    PEAK_PRICE,
+    PEAK_WINDOW,
+    PV_PEAK_KW,
+    START_DAY,
     SyntheticRecipe,
+    _habit_start,
     generate_fleet,
     recipe_to_dict,
 )
@@ -65,14 +71,14 @@ def test_households_are_seed_stable_regardless_of_count():
 
 
 def test_pv_traces_stay_inside_the_panel_rating():
-    fleet = generate_fleet(small_recipe(pv_peak_kw=0.8), seed=5)
+    fleet = generate_fleet(small_recipe(), seed=5)
     night = np.r_[0:14, 39:48]  # external slots 1-14 and 40-48
     for household in fleet.households:
         assert household.pv is not None
         for record in household.pv.history:
             values = record.curve.values
             assert np.all(values >= 0.0)
-            assert np.all(values <= 0.8 + 1e-12)
+            assert np.all(values <= PV_PEAK_KW + 1e-12)
             assert np.all(values[night] == 0.0)
             assert values.max() > 0.0  # some sun every day
 
@@ -91,8 +97,13 @@ def test_fleet_daily_energy_matches_the_target():
 
 
 def test_unknown_archetype_is_rejected():
-    with pytest.raises(ConfigError, match=r"unknown archetype 'sauna'"):
+    with pytest.raises(ParameterError, match=r"^appliance_mix: unknown archetype 'sauna'"):
         small_recipe(appliance_mix={"sauna": 1.0})
+
+
+def test_empty_household_is_rejected():
+    with pytest.raises(ParameterError, match=r"^appliance_mix left a household empty"):
+        generate_fleet(small_recipe(appliance_mix={"iron": 0.0}))
 
 
 def test_bad_probability_is_rejected():
@@ -105,8 +116,6 @@ def test_bad_probability_is_rejected():
     [
         ("daily_energy_kwh", float("nan")),
         ("daily_energy_kwh", float("inf")),
-        ("pv_peak_kw", float("nan")),
-        ("pv_peak_kw", float("inf")),
     ],
 )
 def test_non_finite_recipe_values_are_rejected(field, value):
@@ -131,32 +140,48 @@ def test_recipe_counts_have_minimums_and_take_whole_floats(field, least):
     assert type(getattr(recipe, field)) is int and getattr(recipe, field) == least + 1
 
 
+def test_recipe_holds_only_the_fields_callers_vary():
+    assert [f.name for f in dataclasses.fields(SyntheticRecipe)] == [
+        "household_count",
+        "appliance_mix",
+        "daily_energy_kwh",
+        "history_days",
+        "simulated_days",
+        "mode",
+        "pv_fraction",
+    ]
+
+
 def test_recipe_survives_dict_round_trip():
-    recipe = small_recipe(peak_windows=((20, 24), (35, 44)))
+    recipe = small_recipe(
+        appliance_mix={"refrigerator": 1, "iron": np.float32(0.5)},
+        daily_energy_kwh=np.float32(12.5),
+        mode="online",
+    )
     doc = recipe_to_dict(recipe, seed=13)
+    assert doc == {**dataclasses.asdict(recipe), "seed": 13}
     names = {f.name for f in dataclasses.fields(SyntheticRecipe)}
     assert set(doc) == names | {"seed"}
     assert doc["seed"] == 13
-    assert doc["start_day"] == recipe.start_day.isoformat()
-    assert doc["peak_windows"] == [[20, 24], [35, 44]]
-    for name in names - {"start_day", "peak_windows"}:
+    for name in names:
         assert doc[name] == getattr(recipe, name), name
-    json.dumps(doc)  # the recipe is written into the bundle manifest
+    assert json.loads(json.dumps(doc)) == doc  # the recipe is written into the bundle manifest
 
 
 def test_pricing_marks_the_peak_slots():
-    recipe = small_recipe(peak_windows=((35, 44),), peak_price=0.4, off_peak_price=0.08)
-    pricing = recipe.pricing()
+    pricing = small_recipe().pricing()
     mask = pricing.peak_mask()
-    assert np.all(pricing.prices[mask] == 0.4)
-    assert np.all(pricing.prices[~mask] == 0.08)
+    assert pricing.peak_windows == (PEAK_WINDOW,) == ((35, 44),)
+    assert np.array_equal(np.flatnonzero(mask) + 1, np.arange(35, 45))
+    assert np.all(pricing.prices[mask] == PEAK_PRICE)
+    assert np.all(pricing.prices[~mask] == OFF_PEAK_PRICE)
     assert mask.sum() == 10
 
 
 def test_simulation_days_follow_the_history():
     recipe = small_recipe(history_days=10, simulated_days=3)
     days = recipe.simulation_days()
-    assert days[0] == recipe.start_day + datetime.timedelta(days=10)
+    assert days[0] == START_DAY + datetime.timedelta(days=10)
     assert len(days) == 3
     assert days[2] - days[0] == datetime.timedelta(days=2)
 
@@ -167,10 +192,43 @@ def test_shiftable_archetypes_prefer_the_evening_peak():
         if archetype.kind != "shiftable":
             continue
         end = archetype.preferred_start + archetype.duration_slots - 1
-        assert 35 <= archetype.preferred_start <= 44, name
+        assert PEAK_WINDOW[0] <= archetype.preferred_start <= PEAK_WINDOW[1], name
         assert end <= 46, name  # run must not dangle past the day
 
     fleet = generate_fleet(small_recipe(), seed=0)
     for household in fleet.households:
         kinds = {s.id for s in household.appliances}
         assert "refrigerator" in kinds  # mix includes it with probability 1
+
+
+def test_habitual_runs_mostly_avoid_the_peak():
+    # history predates the price signal: most sampled runs end before the peak
+    rng = np.random.default_rng(2025)
+    for name, archetype in ARCHETYPES.items():
+        if archetype.kind != "shiftable":
+            continue
+        starts = np.array([_habit_start(rng, archetype) for _ in range(4000)])
+        ends = starts + archetype.duration_slots - 1
+        assert starts.min() >= archetype.window[0] and ends.max() <= archetype.window[1], name
+        touches = (starts <= PEAK_WINDOW[1]) & (ends >= PEAK_WINDOW[0])
+        assert 0.0 < touches.mean() < 0.10, name
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("daily_energy_kwh", "16"),
+        ("daily_energy_kwh", None),
+        ("pv_fraction", "0.5"),
+        ("pv_fraction", True),
+        ("appliance_mix", {"refrigerator": "0.5"}),
+        ("appliance_mix", {"refrigerator": None}),
+        ("appliance_mix", None),
+        ("mode", "sometime"),
+        ("mode", None),
+    ],
+)
+def test_recipe_fields_are_checked_before_any_household(field, value):
+    # the recipe itself refuses, so generate_fleet never starts on it
+    with pytest.raises(ParameterError, match=rf"^{field}\b"):
+        small_recipe(**{field: value})
