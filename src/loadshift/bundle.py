@@ -314,6 +314,19 @@ def save_bundle(config: FleetConfig, path) -> Path:
             raise FormatError(
                 f"household id {household.id!r} cannot name a bundle directory"
             )
+    manifest = {
+        "format_version": BUNDLE_FORMAT_VERSION,
+        "mode": config.mode,
+        "days": [day.isoformat() for day in config.days],
+        "pricing": "pricing.csv",
+        "recipe": config.recipe,
+        "households": [_manifest_entry(h) for h in config.households],
+    }
+    # serialised before any file is written, so a refused manifest leaves nothing behind
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"manifest cannot be written as JSON: {exc}") from exc
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     write_pricing_csv(config.pricing, root / "pricing.csv")
@@ -324,17 +337,7 @@ def save_bundle(config: FleetConfig, path) -> Path:
         write_history_csv(household.history, base / "history.csv")
         if household.pv is not None:
             write_history_csv(household.pv.history, base / "pv_history.csv")
-    manifest = {
-        "format_version": BUNDLE_FORMAT_VERSION,
-        "mode": config.mode,
-        "days": [day.isoformat() for day in config.days],
-        "pricing": "pricing.csv",
-        "recipe": config.recipe,
-        "households": [_manifest_entry(h) for h in config.households],
-    }
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (root / "manifest.json").write_text(text, encoding="utf-8")
     return root
 
 
@@ -495,11 +498,10 @@ def lint_bundle(path) -> tuple[str, ...]:
     seen = set()
     for entry in doc["households"]:
         hid = entry.get("id") if isinstance(entry, dict) else None
-        if not isinstance(hid, str):
-            hid = None
-        if hid in seen:
-            problems.append(f"{manifest_path}: duplicate household id {hid!r}")
-        seen.add(hid)
+        if isinstance(hid, str):  # a missing or non-string id is reported by the load below
+            if hid in seen:
+                problems.append(f"{manifest_path}: duplicate household id {hid!r}")
+            seen.add(hid)
         try:
             _load_household(root, entry, manifest_path)
         except LoadshiftError as exc:

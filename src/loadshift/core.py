@@ -322,6 +322,14 @@ class Household:
         ids = [a.id for a in appliances]
         if len(set(ids)) != len(ids):
             raise ParameterError(f"household {self.id}: duplicate appliance ids")
+        seen = set()
+        for inst in expand_instances(appliances):
+            if inst.instance_id in seen:
+                raise ParameterError(
+                    f"household {self.id}: appliance instance id {inst.instance_id!r} "
+                    "repeats after expansion"
+                )
+            seen.add(inst.instance_id)
         object.__setattr__(self, "appliances", appliances)
         object.__setattr__(self, "history", _day_sorted(self.history, f"household {self.id}"))
 

@@ -3,7 +3,8 @@
 The scheduler picks one start per shiftable appliance run to minimize the
 squared deviation of the grid-facing curve from the objective; ties go to
 the least total displacement from the preferred starts.  Small problems are
-solved exactly by enumeration; larger ones by seeded local search.
+solved exactly by enumeration; larger ones by seeded local search, whose
+moves score one appliance's starts directly and return a local optimum.
 Enumeration screens each candidate with per-start and pairwise terms, built
 once per round, and scores exactly only those within a rigorous rounding
 bound of the best, so in bounded memory it returns what scoring every
@@ -411,37 +412,54 @@ def _exact_totals(space: _CandidateSpace, picked: list[np.ndarray | int]) -> np.
     return np.einsum("ij,ij->i", curve, curve)
 
 
-def _enumerate_exact(
-    space: _CandidateSpace, rows: list[np.ndarray] | None = None
-) -> tuple[tuple[int, ...], tuple[float, int, tuple[int, ...]], int]:
-    """Exhaustive search over a start product; returns (choice, key, evaluations).
+def _least_key(
+    space: _CandidateSpace, picked: list[np.ndarray | int]
+) -> tuple[tuple[int, ...], tuple[float, int, tuple[int, ...]]]:
+    """The least-key candidate of ``picked`` (as for ``_exact_totals``): its rows and key.
 
-    ``rows`` restricts instance i to the ascending row indices ``rows[i]``
-    (default: all of its rows); ``choice`` holds full row indices, ``key``
-    is the winner's (total cost, total |shift|, start tuple by id) and
-    ``evaluations`` counts every candidate of the product.
+    Candidates are scored exactly by one ``_exact_totals`` call and listed in
+    ascending row order of the product, so, since starts rise with the row
+    index, the first least-shift candidate among the least totals has the
+    least start tuple.  The key is (total cost, total |shift|, start tuple).
+    """
+    totals = _exact_totals(space, picked)
+    ties = np.flatnonzero(totals == totals.min())
+    rows = [np.broadcast_to(row, totals.shape)[ties] for row in picked]
+    shift = sum((space.shift_abs[i][r] for i, r in enumerate(rows)), np.zeros(ties.size, dtype=int))
+    first = int(np.argmin(shift))
+    choice = tuple(int(r[first]) for r in rows)
+    starts = tuple(int(space.starts[i][row]) for i, row in enumerate(choice))
+    return choice, (float(totals[ties[first]]), int(shift[first]), starts)
+
+
+def _enumerate_exact(
+    space: _CandidateSpace,
+) -> tuple[tuple[int, ...], tuple[float, int, tuple[int, ...]], int]:
+    """Exhaustive search over the space's start product; returns (choice, key, evaluations).
+
+    ``choice`` holds the winner's row per instance, ``key`` is its (total
+    cost, total |shift|, start tuple by id) and ``evaluations`` counts every
+    candidate of the product.
 
     Candidates are screened in blocks of at most ``_SCREEN_ROWS``, in
     row-major order of the product: the leading instances' rows are gathered
     for a run of prefixes and the trailing instances, whose product may fill
     a block, are broadcast.  Each candidate's screened total adds the
     space's ``unary`` and ``pairs`` terms of its rows, a few additions in
-    place of a pass over every slot (an instance held at one row joins the
-    others' unary terms, and terms shared by every candidate are left out).
-    A candidate screened more than ``space.tol`` above the least screened
-    total so far scores exactly above another candidate, so it cannot win
-    and is dropped.  A block's survivors are scored by ``_exact_totals`` in
-    chunks of at most ``_BLOCK_ROWS``; it gives each the arithmetic of
-    scoring it alone, whatever the block, the chunk or the subset, so exact
-    float ties stay exact.  Ties on the total go to the least total |shift|,
-    then to the least start tuple, which no order of the chunks changes.
-    Every candidate that ties the least total survives the screen, so the
-    choice and its key are those of scoring every candidate exactly.
+    place of a pass over every slot (terms shared by every candidate are
+    left out).  A candidate screened more than ``space.tol`` above the least
+    screened total so far scores exactly above another candidate, so it
+    cannot win and is dropped.  A block's survivors go to ``_least_key`` in
+    chunks of at most ``_BLOCK_ROWS``; ``_exact_totals`` gives each the
+    arithmetic of scoring it alone, whatever the block, the chunk or the
+    subset, so exact float ties stay exact.  Ties on the total go to the
+    least total |shift|, then to the least start tuple, which no order of the
+    chunks changes.  Every candidate that ties the least total survives the
+    screen, so the choice and its key are those of scoring every candidate
+    exactly.
     """
     k = len(space.starts)
-    if rows is None:
-        rows = [np.arange(s.size) for s in space.starts]
-    sizes = [r.size for r in rows]
+    sizes = [s.size for s in space.starts]
     # instances split..k-1 are broadcast inside a block (inner rows per
     # prefix); the prefixes over instances 0..split-1 are walked in groups
     split, inner = max(k - 1, 0), sizes[-1] if k else 1
@@ -451,18 +469,14 @@ def _enumerate_exact(
     group = max(1, _SCREEN_ROWS // inner)
     prefixes = math.prod(sizes[:split])
 
-    # screen terms, indexed by stacked row: the pair terms with the instances
-    # held at one row join the unary terms of the rest
-    moving = [i for i in range(k) if sizes[i] > 1]
-    held = [space.offsets[i] + rows[i][0] for i in range(k) if sizes[i] == 1]
-    unary = space.unary + space.pairs[held].sum(axis=0) if held else space.unary
-    lead = [i for i in moving if i < split]
-    tail = [i for i in moving if i >= split]
-    stacked = {i: space.offsets[i] + rows[i] for i in moving}
-    for i in tail:  # a broadcast instance's rows lie along its own axis
+    # screen terms are indexed by stacked row; a broadcast instance's rows
+    # lie along its own axis
+    stacked = [space.offsets[i] + np.arange(sizes[i]) for i in range(k)]
+    for i in range(split, k):
         stacked[i] = stacked[i].reshape((1,) * (i - split + 1) + (-1,) + (1,) * (k - 1 - i))
+    tail = range(split, k)
     # the part of the screen over the broadcast instances alone, once per call
-    tail_screened = sum(unary[stacked[i]] for i in tail) + sum(
+    tail_screened = sum(space.unary[stacked[i]] for i in tail) + sum(
         space.pairs[stacked[i], stacked[j]] for i, j in itertools.combinations(tail, 2)
     )
 
@@ -474,14 +488,14 @@ def _enumerate_exact(
         hi = min(lo + group, prefixes)
         evaluations += (hi - lo) * inner
         picks = np.unravel_index(np.arange(lo, hi), sizes[:split]) if split else ()
-        lead_rows = {i: stacked[i][picks[i]].reshape((-1,) + (1,) * (k - split)) for i in lead}
+        lead = [stacked[i][picks[i]].reshape((-1,) + (1,) * (k - split)) for i in range(split)]
         # terms over the prefixes first, then each broadcast instance's axis
         # joins, so that few additions run over the whole block
-        screened = sum(unary[lead_rows[i]] for i in lead) + sum(
-            space.pairs[lead_rows[i], lead_rows[j]] for i, j in itertools.combinations(lead, 2)
+        screened = sum(space.unary[rows] for rows in lead) + sum(
+            space.pairs[a, b] for a, b in itertools.combinations(lead, 2)
         )
         for j in tail:
-            screened = screened + sum(space.pairs[lead_rows[i], stacked[j]] for i in lead)
+            screened = screened + sum(space.pairs[rows, stacked[j]] for rows in lead)
         screened = np.reshape(screened + tail_screened, -1)
         least_screened = min(least_screened, float(screened.min()))
         survivors = np.flatnonzero(screened <= least_screened + space.tol)
@@ -489,30 +503,7 @@ def _enumerate_exact(
         for first in range(0, survivors.size, _BLOCK_ROWS):
             flat = survivors[first : first + _BLOCK_ROWS] + lo * inner
             # (np.unravel_index rejects the empty shape of a problem with no instances)
-            pos = np.unravel_index(flat, sizes) if k else ()
-            picked = [rows[i][pos[i]] if sizes[i] > 1 else rows[i][0] for i in range(k)]
-            totals = _exact_totals(space, picked)
-
-            least = totals.min()
-            if best_key is not None and least > best_key[0]:
-                continue
-            ties = np.flatnonzero(totals == least)
-            # starts rise with the row index, so among the least shifts the
-            # first tie is the least start tuple; held instances add the same
-            # shift to every tie
-            shift = sum(
-                (space.shift_abs[i][picked[i][ties]] for i in moving),
-                np.zeros(ties.size, dtype=int),
-            )
-            winner = int(flat[ties[np.argmin(shift)]])
-            choice = (
-                tuple(int(r[p]) for r, p in zip(rows, np.unravel_index(winner, sizes))) if k else ()
-            )
-            key = (
-                float(least),
-                sum(int(space.shift_abs[i][c]) for i, c in enumerate(choice)),
-                tuple(int(space.starts[i][c]) for i, c in enumerate(choice)),
-            )
+            choice, key = _least_key(space, list(np.unravel_index(flat, sizes)) if k else [])
             if best_key is None or key < best_key:
                 best_key, best_choice = key, choice
     return best_choice, best_key, evaluations
@@ -521,11 +512,11 @@ def _enumerate_exact(
 def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
     """Multi-restart hill descent over single-appliance moves.
 
-    One move of instance i is one ``_enumerate_exact`` call over all of its
-    rows with every other instance held at its current row; the instance
-    moves when the winner differs from its current row.  Keys are distinct,
-    so that is the candidate with the strictly lowest key.  Each tried row
-    other than the current one counts as an evaluation.
+    A descent's starting key and each move are one ``_least_key`` call: a
+    move of instance i scores every start of i exactly, with every other
+    instance held at its current row, and takes the least key.  Keys are
+    distinct, so the instance moves only to a strictly lower key.  Each
+    tried row other than the current one counts as an evaluation.
     """
     rng = np.random.default_rng(0)
     k = len(space.starts)
@@ -534,17 +525,14 @@ def _local_search(space: _CandidateSpace) -> tuple[tuple[int, ...], int]:
 
     def polish(choice: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
         nonlocal evaluations
-        _, key, _ = _enumerate_exact(space, [np.array([row]) for row in choice])
+        _, key = _least_key(space, list(choice))
         for _ in range(_MAX_PASSES):
             improved = False
             for i in range(k):
-                rows = [np.array([row]) for row in choice]
-                rows[i] = every_row[i]
-                winner, key, evals = _enumerate_exact(space, rows)
-                evaluations += evals - 1
-                if winner != choice:
-                    choice = winner
-                    improved = True
+                moved, key = _least_key(space, [*choice[:i], every_row[i], *choice[i + 1 :]])
+                evaluations += every_row[i].size - 1
+                improved |= moved != choice
+                choice = moved
             if not improved:
                 break
         return choice, key
@@ -574,16 +562,17 @@ def solve(
     tuple.  Fixed instances are pinned at their preferred starts; shiftable
     ones are optimized over their feasible start sets, exhaustively when the
     product of set sizes stays within ``_EXACT_LIMIT``, otherwise by local
-    search whose moves score one instance's rows at a time.  Both rank candidates
-    through ``_enumerate_exact``, which screens in fixed-size blocks and
-    scores the survivors in fixed-size chunks, with bounded memory, giving
-    each candidate it scores exactly the same arithmetic as when scored
-    alone.  With a PV system, sourcing flags are arbitrated against each
-    intermediate schedule and start optimization repeats until the flags
-    reach a fixed point (or ``_PV_ITERATION_CAP`` rounds); the best
-    self-consistent schedule wins.  The result holds the starts, the flags
-    and their cost; ``pv_arbitrate`` of the scheduled shiftable demand gives
-    the battery trajectory behind the flags.
+    search, which returns a local optimum.  ``_enumerate_exact`` screens the
+    whole product in fixed-size blocks and scores the survivors in
+    fixed-size chunks, with bounded memory; a local-search move scores every
+    start of one instance with the others held.  Both give each candidate
+    they score exactly the same arithmetic as when scored alone.  With a PV
+    system, sourcing flags are arbitrated against each intermediate schedule
+    and start optimization repeats until the flags reach a fixed point (or
+    ``_PV_ITERATION_CAP`` rounds); the best self-consistent schedule wins.
+    The result holds the starts, the flags and their cost; ``pv_arbitrate``
+    of the scheduled shiftable demand gives the battery trajectory behind
+    the flags.
 
     Args:
         instances: all appliance instances (fixed and shiftable).

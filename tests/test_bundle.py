@@ -551,6 +551,51 @@ def test_lint_flags_duplicate_household_ids(tmp_path):
     assert any("duplicate household id 'h001'" in p for p in problems)
 
 
+def test_lint_leaves_entries_without_a_string_id_out_of_the_duplicate_check(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["households"][0]["id"]
+    doc["households"][1]["id"] = 7
+    manifest.write_text(json.dumps(doc))
+    entry = doc["households"][0]
+    assert lint_bundle(root) == (
+        f"{manifest}: bad household entry: {entry!r}",
+        f"{manifest}: household id must be a string, got 7",
+    )
+
+
+def test_bundle_with_colliding_instance_ids_is_refused(tmp_path):
+    # an appliance with count 2 expands to <id>#1 and <id>#2; a row named
+    # <id>#1 beside it collides
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    path = root / "households" / "h001" / "appliances.csv"
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    name = rows[1][0]
+    rows[1][-1] = "2"
+    rows.append([f"{name}#1", *rows[1][1:-1], "1"])
+    with path.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    message = (
+        f"{root / 'manifest.json'}: household h001: household h001: "
+        f"appliance instance id '{name}#1' repeats after expansion"
+    )
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_bundle(root)
+    assert lint_bundle(root) == (message,)
+
+
+def test_save_bundle_refuses_an_unserialisable_recipe_before_writing(tmp_path):
+    fleet = tiny_fleet()
+    fleet = dataclasses.replace(fleet, recipe={**fleet.recipe, "daily_energy_kwh": np.float32(1.0)})
+    out = tmp_path / "bundle"
+    out.mkdir()
+    with pytest.raises(FormatError, match="manifest cannot be written as JSON: .*float32"):
+        save_bundle(fleet, out)
+    assert list(out.iterdir()) == []
+
+
 def test_lint_on_clean_bundle_is_quiet(tmp_path):
     root = save_bundle(tiny_fleet(), tmp_path / "bundle")
     assert lint_bundle(root) == ()

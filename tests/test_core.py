@@ -363,6 +363,17 @@ def test_household_validation():
         DailyRecord(day="2025-03-01", curve=LoadCurve(np.ones(48)))
 
 
+def test_household_rejects_instance_ids_that_collide_after_expansion():
+    # "a" with count 2 expands to a#1 and a#2, beside an appliance named a#1
+    appliances = (make_shiftable(id="a", count=2), make_shiftable(id="a#1"))
+    message = r"^household h1: appliance instance id 'a#1' repeats after expansion$"
+    with pytest.raises(ParameterError, match=message):
+        Household(id="h1", appliances=appliances)
+    appliances = (make_shiftable(id="a", count=2), make_shiftable(id="a#3"))
+    house = Household(id="h1", appliances=appliances)
+    assert [i.instance_id for i in house.instances()] == ["a#1", "a#2", "a#3"]
+
+
 def test_histories_are_held_sorted_by_day():
     records = [
         DailyRecord(day=datetime.date(2025, 3, d), curve=LoadCurve(np.full(48, float(d))))

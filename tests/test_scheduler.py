@@ -534,6 +534,34 @@ def test_enumerate_exact_matches_prefix_loop_reference(monkeypatch, screen_rows,
         assert (choice, key) == prefix_loop_reference(space)
         assert evaluations == int(np.prod([len(s) for s in sets.values()]))
 
+    # not_before at one instance's last start leaves it that start alone,
+    # beside the instances still feasible then, some with several starts
+    rng = np.random.default_rng(53)
+    checked = 0
+    while checked < 6:
+        instances, objective = random_problem(rng, n_appliances=4, with_fixed=False)
+        not_before = feasible_starts(instances[int(rng.integers(4))])[-1]
+        sets = {}
+        for inst in instances:
+            try:
+                sets[inst.instance_id] = feasible_starts(inst, not_before)
+            except InfeasibleApplianceError:
+                continue
+        sizes = sorted(len(s) for s in sets.values())
+        if len(sizes) < 2 or sizes[0] != 1 or sizes[-1] == 1:
+            continue
+        space = scheduler._CandidateSpace(
+            sorted((i for i in instances if i.instance_id in sets), key=lambda i: i.instance_id),
+            rng.uniform(-1.0, 0.0, 48),
+            rng.uniform(size=48) < 0.2,
+            not_before,
+            sets,
+        )
+        choice, key, evaluations = scheduler._enumerate_exact(space)
+        assert (choice, key) == prefix_loop_reference(space)
+        assert evaluations == int(np.prod(sizes))
+        checked += 1
+
 
 def candidate_space(instances, residual, flags=None, not_before=1):
     """The candidate space of ``instances`` over all of their feasible starts."""
@@ -836,23 +864,26 @@ def test_solve_pricing_required_with_pv():
 # ---------------------------------------------------------------- solve: local search
 
 
-def spy_enumerate_exact(monkeypatch):
-    """Record each ``_enumerate_exact`` call as (rows, choice, key), in order."""
+def spy_least_key(monkeypatch):
+    """Record each ``_least_key`` call as (picked, choice, key), in order.
+
+    In local search that is each descent start (every entry of ``picked``
+    one row) and each move (one instance's entry holds all of its rows)."""
     calls = []
-    enumerate_exact = scheduler._enumerate_exact
+    least_key = scheduler._least_key
 
-    def spy(space, rows=None):
-        choice, key, evaluations = enumerate_exact(space, rows)
-        calls.append((rows, choice, key))
-        return choice, key, evaluations
+    def spy(space, picked):
+        choice, key = least_key(space, picked)
+        calls.append((picked, choice, key))
+        return choice, key
 
-    monkeypatch.setattr(scheduler, "_enumerate_exact", spy)
+    monkeypatch.setattr(scheduler, "_least_key", spy)
     return calls
 
 
 def test_solve_switches_to_local_search_beyond_threshold(monkeypatch):
     monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
-    calls = spy_enumerate_exact(monkeypatch)
+    calls = spy_least_key(monkeypatch)
     rng = np.random.default_rng(5)
     instances, objective = random_problem(rng, n_appliances=3)
     result = solve(instances, objective)
@@ -860,7 +891,7 @@ def test_solve_switches_to_local_search_beyond_threshold(monkeypatch):
     assert validate_assignment(instances, result.assignment) == ()
     # non-increasing descent: a move scores one instance's rows with the rest
     # held, from the choice the call before it won
-    moves = [n for n, (rows, _, _) in enumerate(calls) if any(r.size > 1 for r in rows)]
+    moves = [n for n, (picked, _, _) in enumerate(calls) if any(np.ndim(r) for r in picked)]
     assert moves and moves[0] > 0
     assert all(calls[n][2][0] <= calls[n - 1][2][0] for n in moves)
 
@@ -883,7 +914,7 @@ def test_solve_local_search_finds_exact_optimum_here(monkeypatch):
 
 def test_solve_is_deterministic(monkeypatch):
     monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 10)
-    calls = spy_enumerate_exact(monkeypatch)
+    calls = spy_least_key(monkeypatch)
     rng = np.random.default_rng(41)
     instances, objective = random_problem(rng, n_appliances=4)
     first = solve(instances, objective)
@@ -918,7 +949,7 @@ def local_search_reference(space, restarts=3, max_passes=60):
     Returns (choice, trace, evaluations, moves): ``trace`` holds the winning
     descent's start cost and its cost after each move, and ``moves`` the
     (choice, key) after each descent start and each tried move, in the order
-    ``_local_search`` scores them with ``_enumerate_exact``."""
+    ``_local_search`` scores them with ``_least_key``."""
     rng = np.random.default_rng(0)
     k = len(space.starts)
     evaluations = 0
@@ -999,12 +1030,31 @@ def test_local_search_matches_single_move_reference(monkeypatch, screen_rows, bl
         flags = rng.uniform(size=48) < 0.2
         rng.uniform(0.1, 0.5)  # left unused, so the trials after this one stay as written
         space = scheduler._CandidateSpace(instances, -objective.values, flags, not_before, sets)
-        calls = spy_enumerate_exact(monkeypatch)
+        calls = spy_least_key(monkeypatch)
         choice, evaluations = scheduler._local_search(space)
         ref_choice, ref_trace, ref_evaluations, ref_moves = local_search_reference(space)
         assert choice == ref_choice
         assert evaluations == ref_evaluations
         assert [(choice, key) for _, choice, key in calls] == ref_moves and len(ref_trace) > 1
+
+
+def test_local_search_never_enumerates_a_start_product(monkeypatch):
+    # a move scores one appliance's starts directly, so local search runs
+    # with the exhaustive scorer gone
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("local search enumerated a start product")
+
+    monkeypatch.setattr(scheduler, "_enumerate_exact", no_enumeration)
+    monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 1)
+    rng = np.random.default_rng(47)
+    for trial in range(3):
+        instances, objective = local_search_problem(rng, trial)
+        space = candidate_space(instances, -objective.values)
+        ref_choice, _, ref_evaluations, _ = local_search_reference(space)
+        assert scheduler._local_search(space) == (ref_choice, ref_evaluations)
+        result = solve(instances, objective)
+        assert result.mode == "local_search"
+        assert result.assignment.starts == space.starts_mapping(ref_choice)
 
 
 # ---------------------------------------------------------------- solve: pv
