@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 from pathlib import Path
 
@@ -138,7 +139,72 @@ def _day_record(path, line, day, values) -> DailyRecord:
         raise FormatError(f"{path}: day {day}: {exc}") from exc
 
 
-def read_history_csv(path) -> tuple[DailyRecord, ...]:
+# What ``write_history_csv`` writes, gated so that ``np.loadtxt`` reads it as
+# the row walk does: loadtxt would drop "#" tails and blank lines, end lines
+# only at "\n", parse "inf" and "nan", and take fields past csv's size limit.
+_CANONICAL_HEADER = b"date,slot,value_kw\n"
+_CANONICAL_BYTES = b"0123456789+-.eE,\n"
+_CANONICAL_LINE_MAX = 64
+# the date column is one character wider than an ISO date, so a longer text is seen, not cut
+_CANONICAL_ROW = np.dtype([("date", "U11"), ("slot", "U3"), ("value_kw", "f8")])
+_CANONICAL_SLOTS = np.array([str(slot) for slot in range(1, SLOT_COUNT + 1)])
+
+
+def _read_canonical_history(path) -> tuple[DailyRecord, ...] | None:
+    """The records of a history file in ``write_history_csv``'s form, or None.
+
+    The file is parsed by one ``np.loadtxt`` call and checked as whole
+    arrays.  Records are returned only when the row walk would return the
+    same days and bit-equal curves; any other file, valid or not, gives None.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    body = data[len(_CANONICAL_HEADER):]
+    if (
+        not data.startswith(_CANONICAL_HEADER)
+        or not body.endswith(b"\n")
+        or body.translate(None, _CANONICAL_BYTES)
+    ):
+        return None
+    # each line's length plus its "\n": none blank, none near csv's field size limit
+    widths = np.diff(np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
+    if widths.min() < 2 or widths.max() > _CANONICAL_LINE_MAX + 1:
+        return None
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body.decode("ascii")),
+            dtype=_CANONICAL_ROW, delimiter=",", comments=None, ndmin=1,
+        )
+    except ValueError:
+        return None
+    if len(rows) % SLOT_COUNT:
+        return None
+    dates = rows["date"].reshape(-1, SLOT_COUNT)
+    values = rows["value_kw"].reshape(-1, SLOT_COUNT)
+    if not (
+        (rows["slot"].reshape(-1, SLOT_COUNT) == _CANONICAL_SLOTS).all()
+        and (dates == dates[:, :1]).all()
+        and values.min() >= 0
+        and values.max() < np.inf
+    ):
+        return None
+    days = []
+    for text in dates[:, 0].tolist():
+        if len(text) != 10:
+            return None
+        try:
+            day = datetime.date.fromisoformat(text)
+        except ValueError:
+            return None
+        if days and day <= days[-1]:
+            return None
+        days.append(day)
+    return tuple(DailyRecord(day=day, curve=LoadCurve(curve)) for day, curve in zip(days, values))
+
+
+def _walk_history_rows(path) -> tuple[DailyRecord, ...]:
     """Read stacked daily curves, streaming the rows once without holding them all.
 
     Each row is checked as it arrives; a date is parsed only when its text
@@ -175,6 +241,18 @@ def read_history_csv(path) -> tuple[DailyRecord, ...]:
         _fail(path, 2, "history holds no days")
     records.append(_day_record(path, line + 1, day, values))
     return tuple(records)
+
+
+def read_history_csv(path) -> tuple[DailyRecord, ...]:
+    """Read stacked daily curves: ``date,slot,value_kw``, 48 rows per day, days ascending.
+
+    A file in the form ``write_history_csv`` writes is parsed with numpy's C
+    parser; any other file goes through the row walk, which returns the same
+    records for the canonical form and is the one place that names an error.
+    The first malformed row, day, repeated day or CSV syntax error raises a
+    :class:`FormatError` naming ``file:line``.
+    """
+    return _read_canonical_history(path) or _walk_history_rows(path)
 
 
 # ---------------------------------------------------------------- pricing

@@ -40,14 +40,17 @@ class LoadCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)
         if arr.shape != (SLOT_COUNT,):
             raise FormatError(f"load curve needs {SLOT_COUNT} values, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError("load curve contains non-finite values")
-        if np.any(arr < 0):
-            raise ParameterError("load curve contains negative power")
-        object.__setattr__(self, "values", _readonly(arr))
+        # one test passes every valid curve (a NaN fails both comparisons)
+        if not (arr.min() >= 0 and arr.max() < np.inf):
+            if not np.all(np.isfinite(arr)):
+                raise FormatError("load curve contains non-finite values")
+            if np.any(arr < 0):
+                raise ParameterError("load curve contains negative power")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     def energy_kwh(self) -> float:
         """Total energy under the curve for the day."""
@@ -79,10 +82,12 @@ def _day_sorted(history, owner: str) -> tuple[DailyRecord, ...]:
     for rec in records:
         if not isinstance(rec, DailyRecord):
             raise FormatError(f"{owner} history holds a {type(rec).__name__}, not a DailyRecord")
-    records = tuple(sorted(records, key=lambda rec: rec.day))
-    for before, after in zip(records, records[1:]):
-        if before.day == after.day:
-            raise FormatError(f"{owner} history repeats day {after.day}")
+    # histories mostly arrive sorted: sort only when a day is out of order or repeats
+    if any(before.day >= after.day for before, after in zip(records, records[1:])):
+        records = tuple(sorted(records, key=lambda rec: rec.day))
+        for before, after in zip(records, records[1:]):
+            if before.day == after.day:
+                raise FormatError(f"{owner} history repeats day {after.day}")
     return records
 
 

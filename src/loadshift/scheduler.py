@@ -211,10 +211,12 @@ def pv_arbitrate(
     """
     if not isinstance(shiftable_demand, LoadCurve):
         shiftable_demand = LoadCurve(shiftable_demand)
-    demand = shiftable_demand.values
+    # Python floats and bools: the 48-slot loop runs the same IEEE arithmetic faster
+    demand = shiftable_demand.values.tolist()
+    generation = pv.generation.tolist()
     max_app_duration = _whole_number(max_app_duration, 0, "max_app_duration")
 
-    peak_mask = pricing.peak_mask()
+    peak_mask = pricing.peak_mask().tolist()
     starts = sorted(start for start, _ in pricing.peak_windows)
     # the first peak start after each slot, None when no peak window follows
     following = np.searchsorted(starts, np.arange(1, SLOT_COUNT + 1), side="right")
@@ -237,7 +239,7 @@ def pv_arbitrate(
         if time_ok and soc > demand_kwh:
             flags[idx] = True
             supplied = demand_kwh
-        charged = pv.charge_efficiency * pv.generation[idx] * SLOT_HOURS
+        charged = pv.charge_efficiency * generation[idx] * SLOT_HOURS
         soc = min(max(soc + charged - supplied, 0.0), pv.battery_capacity)
     return PvArbitration(flags=flags, soc=soc_trace)
 

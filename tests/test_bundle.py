@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loadshift import bundle as bundle_module
 from loadshift.bundle import (
     _fail,
     _parse_float,
@@ -242,6 +243,25 @@ MALFORMED_HISTORIES = {
     "wrong header": lambda lines: lines.__setitem__(0, "date,slot,kw"),
     "header only": lambda lines: lines.__delitem__(slice(1, None)),
     "empty file": lambda lines: lines.clear(),
+    # np.loadtxt reads these unlike the row walk: each must leave the numpy path
+    "comment tail": lambda lines: lines.__setitem__(30, lines[30] + "#x"),
+    "comment row": lambda lines: lines.insert(40, "#2025-03-01,40,1.0"),
+    "blank row after the header": lambda lines: lines.insert(1, ""),
+    "blank last row": lambda lines: lines.append(""),
+    "overlong date starting a day": lambda lines: _set_field(lines, 97, 0, "2025-03-030"),
+    "overlong date inside a day": lambda lines: _set_field(lines, 70, 0, "2025-03-0200"),
+    "date with a text tail": lambda lines: _set_field(lines, 49, 0, "2025-03-02xyz"),
+    "vertical tab after a value": lambda lines: lines.__setitem__(30, lines[30] + "\v"),
+    "form feed after a value": lambda lines: lines.__setitem__(30, lines[30] + "\f"),
+    "file separator after a value": lambda lines: lines.__setitem__(30, lines[30] + "\x1c"),
+    "lone CR inside a value": lambda lines: _set_field(lines, 30, 2, "1.\r5"),
+    "overflowing value": lambda lines: _set_field(lines, 60, 2, "1e999"),
+    "negative subnormal value": lambda lines: _set_field(lines, 60, 2, "-1e-320"),
+    "NUL in a value": lambda lines: lines.__setitem__(30, lines[30] + "\0"),
+    "byte order mark": lambda lines: lines.__setitem__(0, "\ufeff" + lines[0]),
+    "finite value over the field limit": lambda lines: _set_field(
+        lines, 29, 2, "0." + "0" * 199_998
+    ),
 }
 
 
@@ -266,6 +286,15 @@ VALID_VARIANTS = {
     "quoted fields": lambda text: text.replace("2025-03-01,5,", '"2025-03-01","5",'),
     "compact date text": lambda text: text.replace("2025-03-02,30,", "20250302,30,"),
     "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+    # line breaks for str.splitlines that np.loadtxt does not break at
+    "vertical tab line break": lambda text: text.replace("\n", "\v", 7),
+    "form feed line break": lambda text: text.replace("\n", "\f", 7),
+    "file separator line break": lambda text: text.replace("\n", "\x1c", 7),
+    "group separator line break": lambda text: text.replace("\n", "\x1d", 7),
+    "record separator line break": lambda text: text.replace("\n", "\x1e", 7),
+    "lone CR line break": lambda text: text.replace("\n", "\r", 7),
+    "quoted header": lambda text: text.replace("date,slot,value_kw", '"date","slot",value_kw'),
+    "quoted value": lambda text: re.sub(r"^(2025-03-03,9,)(.*)$", r'\1"\2"', text, flags=re.M),
 }
 
 
@@ -280,6 +309,110 @@ def test_history_valid_variants_load_like_the_reference(tmp_path, case):
     path.write_bytes(changed.encode())
     got = read_history_csv(path)
     assert len(got) == 3
+    assert_same_records(got, reference_read_history_csv(path))
+
+
+# valid number texts other than repr's, in the form the numpy path reads; a "#"
+# ends the new text, and the rest of the old value after it is cut
+NUMPY_PATH_VARIANTS = {
+    "negative zero": lambda text: text.replace("2025-03-01,2,", "2025-03-01,2,-0.0#"),
+    "signed value": lambda text: text.replace("2025-03-01,3,", "2025-03-01,3,+"),
+    "capital exponent": lambda text: text.replace("2025-03-02,4,", "2025-03-02,4,1E-2#"),
+    "bare fraction": lambda text: text.replace("2025-03-02,5,", "2025-03-02,5,.5#"),
+    "trailing point": lambda text: text.replace("2025-03-02,6,", "2025-03-02,6,5.#"),
+    "leading zeros": lambda text: text.replace("2025-03-03,7,", "2025-03-03,7,007"),
+    "subnormal value": lambda text: text.replace("2025-03-03,8,", "2025-03-03,8,1e-320#"),
+    "many digits": lambda text: text.replace(
+        "2025-03-03,9,", "2025-03-03,9,0.1234567890123456789012345678901234567890123#"
+    ),
+}
+
+
+def spy_row_walk(monkeypatch):
+    """Record each path that reaches the row walk."""
+    walked = []
+    real = bundle_module._walk_history_rows
+
+    def spy(path):
+        walked.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(bundle_module, "_walk_history_rows", spy)
+    return walked
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_PATH_VARIANTS))
+def test_numpy_path_variants_load_like_the_reference(tmp_path, monkeypatch, case):
+    text = "".join(line + "\n" for line in _history_lines())
+    changed = re.sub(r"#[^\n]*", "", NUMPY_PATH_VARIANTS[case](text))
+    assert changed != text
+    path = tmp_path / "history.csv"
+    path.write_bytes(changed.encode())
+    walked = spy_row_walk(monkeypatch)
+    got = read_history_csv(path)
+    assert walked == []
+    want = reference_read_history_csv(path)
+    assert_same_records(got, want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.curve.values.view(np.uint64), b.curve.values.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "case", [f"malformed: {c}" for c in sorted(MALFORMED_HISTORIES)]
+    + [f"valid: {c}" for c in sorted(VALID_VARIANTS)]
+)
+def test_every_variant_reaches_the_row_walk(tmp_path, monkeypatch, case):
+    kind, name = case.split(": ", 1)
+    lines = _history_lines()
+    if kind == "malformed":
+        MALFORMED_HISTORIES[name](lines)
+        text = "".join(line + "\n" for line in lines)
+    else:
+        text = VALID_VARIANTS[name]("".join(line + "\n" for line in lines))
+    path = tmp_path / "history.csv"
+    path.write_bytes(text.encode())
+    walked = spy_row_walk(monkeypatch)
+    try:
+        read_history_csv(path)
+    except FormatError:
+        pass
+    assert walked == [path]
+
+
+def test_saved_histories_never_reach_the_row_walk(tmp_path, monkeypatch):
+    fleet = tiny_fleet(seed=5)
+    root = save_bundle(fleet, tmp_path / "bundle")
+    walked = spy_row_walk(monkeypatch)
+    back = load_bundle(root)
+    assert lint_bundle(root) == ()
+    assert walked == []
+    for a, b in zip(fleet.households, back.households):
+        assert_same_records(b.history, a.history)
+        assert_same_records(b.pv.history, a.pv.history)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_repr_floats_read_back_bit_for_bit(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    days = 9
+    bits = rng.integers(0, 2**63, size=days * 48, dtype=np.uint64)  # sign bit clear
+    values = bits.view(np.float64).copy()
+    values[~np.isfinite(values)] = 1.0
+    values[rng.integers(len(values), size=24)] = rng.uniform(0.0, 5.0, 24)
+    values[:8] = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 0.1 + 0.2,
+                  sys.float_info.max, np.nextafter(sys.float_info.max, 0.0)]
+    start = datetime.date(2024, 2, 27)  # crosses a leap day
+    records = tuple(
+        DailyRecord(day=start + datetime.timedelta(days=d), curve=LoadCurve(values[d * 48:(d + 1) * 48]))
+        for d in range(days)
+    )
+    path = write_history_csv(records, tmp_path / "history.csv")
+    walked = spy_row_walk(monkeypatch)
+    got = read_history_csv(path)
+    assert walked == []
+    assert [r.day for r in got] == [r.day for r in records]
+    read = np.concatenate([r.curve.values for r in got])
+    assert np.array_equal(read.view(np.uint64), values.view(np.uint64))
     assert_same_records(got, reference_read_history_csv(path))
 
 

@@ -46,6 +46,26 @@ def test_load_curve_validation():
         curve.values[0] = 2.0  # read-only
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_curve_reports_non_finite_before_negative(bad):
+    values = np.full(48, -0.5)
+    values[7] = bad
+    with pytest.raises(FormatError, match="non-finite"):
+        LoadCurve(values)
+    with pytest.raises(FormatError, match="non-finite"):
+        LoadCurve(values[::-1].tolist())
+
+
+def test_load_curve_keeps_its_own_copy_and_negative_zero():
+    values = np.zeros(48)
+    values[3] = -0.0
+    curve = LoadCurve(values)
+    values[0] = 9.0
+    assert curve.values[0] == 0.0
+    assert np.signbit(curve.values[3]) and not np.signbit(curve.values[4])
+    assert curve.values.dtype == float and not curve.values.flags.writeable
+
+
 def test_curve_energy():
     # 1 kW for 48 half-hour slots is 24 kWh
     assert LoadCurve(np.ones(48)).energy_kwh() == pytest.approx(24.0)
@@ -385,6 +405,10 @@ def test_histories_are_held_sorted_by_day():
         assert isinstance(history, tuple)
         assert [r.day.day for r in history] == [1, 2, 3]
         assert {id(r) for r in history} == {id(r) for r in records}
+    ordered = tuple(sorted(records, key=lambda r: r.day))
+    backwards = PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=ordered[::-1])
+    assert backwards.history == ordered
+    assert Household(id="h1", appliances=(make_shiftable(),), history=ordered).history == ordered
     bare = LoadCurve(np.ones(48))
     with pytest.raises(FormatError, match="household h1 history holds a LoadCurve"):
         Household(id="h1", appliances=(make_shiftable(),), history=(records[0], bare))
@@ -397,8 +421,9 @@ def test_histories_reject_a_repeated_day():
         DailyRecord(day=datetime.date(2025, 3, d), curve=LoadCurve(np.full(48, float(d))))
         for d in (1, 2, 3)
     ]
-    repeated = records + [records[1]]
-    with pytest.raises(FormatError, match=r"^household h1 history repeats day 2025-03-02$"):
-        Household(id="h1", appliances=(make_shiftable(),), history=repeated)
-    with pytest.raises(FormatError, match=r"^pv history repeats day 2025-03-02$"):
-        PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=repeated)
+    # a repeat out of order, and one in otherwise sorted history
+    for repeated in (records + [records[1]], records[:2] + records[1:]):
+        with pytest.raises(FormatError, match=r"^household h1 history repeats day 2025-03-02$"):
+            Household(id="h1", appliances=(make_shiftable(),), history=repeated)
+        with pytest.raises(FormatError, match=r"^pv history repeats day 2025-03-02$"):
+            PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=repeated)

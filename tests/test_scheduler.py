@@ -231,6 +231,56 @@ def test_pv_arbitrate_energy_conservation():
         assert_soc_recurrence(pv, demand, result)
 
 
+def pv_arbitrate_on_arrays(pv, demand, pricing, max_app_duration):
+    """The slot loop reading numpy arrays and scalars; the reference for ``pv_arbitrate``."""
+    peak_mask = pricing.peak_mask()
+    starts = sorted(start for start, _ in pricing.peak_windows)
+    flags = np.zeros(48, dtype=bool)
+    soc_trace = np.empty(48)
+    soc = pv.battery_soc
+    for idx in range(48):
+        slot = idx + 1
+        next_start = next((s for s in starts if s > slot), None)
+        soc_trace[idx] = soc
+        if peak_mask[idx] or next_start is None:
+            time_ok = True
+        else:
+            recharge_slots = (pv.battery_capacity - soc) / pv.charge_rate / 0.5
+            time_ok = (next_start - slot) - recharge_slots > max_app_duration
+        demand_kwh = demand[idx] * 0.5
+        supplied = 0.0
+        if time_ok and soc > demand_kwh:
+            flags[idx] = True
+            supplied = demand_kwh
+        charged = pv.charge_efficiency * pv.generation[idx] * 0.5
+        soc = min(max(soc + charged - supplied, 0.0), pv.battery_capacity)
+    return flags, soc_trace
+
+
+def test_pv_arbitrate_matches_the_array_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    window_sets = (((35, 44),), ((8, 12), (35, 44)), ((1, 4), (20, 22), (45, 48)), ())
+    for trial in range(300):
+        capacity = float(rng.uniform(0.5, 6.0))
+        soc = capacity if trial % 3 == 0 else float(rng.uniform(0, capacity))  # full battery
+        pv = PvSystem(
+            generation=rng.uniform(0, 2, 48) * (rng.random(48) < 0.6),
+            battery_capacity=capacity,
+            battery_soc=soc,
+            charge_rate=float(rng.uniform(0.2, 3.0)),
+            charge_efficiency=float(rng.uniform(0.5, 1.0)),
+        )
+        demand = rng.uniform(0, 3, 48) * (rng.random(48) < 0.5)
+        if trial % 5 == 0:
+            demand = np.zeros(48)
+        pricing = make_pricing(peak_windows=window_sets[trial % len(window_sets)])
+        duration = int(rng.integers(0, 8))
+        result = pv_arbitrate(pv, demand, pricing, max_app_duration=duration)
+        flags, soc_trace = pv_arbitrate_on_arrays(pv, demand, pricing, duration)
+        npt.assert_array_equal(result.flags, flags)
+        assert np.array_equal(result.soc.view(np.uint64), soc_trace.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "demand, max_app_duration, error",
     [
