@@ -7,7 +7,9 @@ peak/off-peak behaviour whenever yesterday's off-peak usage was low: its
 ``objective.L_MIN_KW`` (2.0 kW).  The
 mid-day refresh rebuilds the curve from the same day-ahead inputs plus the
 consumption realized so far: elapsed slots take their realized values, and
-the cap is conditioned on yesterday's curve with that prefix overlaid.
+the cap is conditioned on yesterday's curve with that prefix overlaid.  The
+regression reads the whole history; the builders read only yesterday's
+curve, ``previous_day``.
 """
 
 import numpy as np
@@ -39,7 +41,8 @@ model = fit_peak_regression(history, pricing)
 print(f"peak regression: intercept {model.intercept:.3f}, coeffs {np.round(model.coefficients, 3)}")
 
 predicted = LoadCurve(values=history[-1].values)  # stand-in for a forecast
-objective = build_objective(predicted, pricing, model, history=history)
+previous_day = history[-1]
+objective = build_objective(predicted, pricing, model, previous_day=previous_day)
 
 print(f"predicted energy {predicted.energy_kwh():.2f} kWh, objective {objective.energy_kwh():.2f} kWh")
 print(f"provenance flags in use: {sorted(set(objective.provenance))}")
@@ -51,7 +54,7 @@ print(f"off-peak mean:   predicted {predicted.values[off].mean():.2f} kW -> obje
 
 # mid-day refresh: the morning ran 20% hotter than forecast; slot 25 is next
 realized = predicted.values[:24] * 1.2
-updated = update_online(predicted, pricing, model, history, realized)
+updated = update_online(predicted, pricing, model, previous_day, realized)
 print(f"\nafter online update at slot 25 (morning +20%):")
 print(f"  frozen prefix matches telemetry: {np.array_equal(updated.values[:24], realized)}")
 print(f"  remaining budget shrank: {objective.values[24:].sum():.2f} -> {updated.values[24:].sum():.2f} kW summed")

@@ -87,14 +87,6 @@ HIDDEN_UNITS = 10
 AUTOCORRELATION_LAGS = 20  # r(1) .. r(20) of the residuals
 
 
-def _check_consecutive_days(records: Sequence[DailyRecord]) -> None:
-    """TemporalConsistencyError at the first gap in the records' days."""
-    days = [rec.day for rec in records]
-    for prev, nxt in zip(days, days[1:]):
-        if nxt != prev + _ONE_DAY:
-            raise TemporalConsistencyError(f"history days not consecutive: {prev} -> {nxt}")
-
-
 def hourly_series_from_history(records: Sequence[DailyRecord]) -> SeriesDataset:
     """Collapse dated half-hour curves into one contiguous hourly series with
     lag ``FORECAST_LAG``.
@@ -106,7 +98,9 @@ def hourly_series_from_history(records: Sequence[DailyRecord]) -> SeriesDataset:
     """
     if not records:
         raise DatasetTooSmallError("history is empty")
-    _check_consecutive_days(records)
+    for prev, nxt in zip(records, records[1:]):
+        if nxt.day != prev.day + _ONE_DAY:
+            raise TemporalConsistencyError(f"history days not consecutive: {prev.day} -> {nxt.day}")
     hourly = np.concatenate([rec.curve.values for rec in records]).reshape(-1, 2).mean(axis=1)
     return SeriesDataset(values=hourly, lag=FORECAST_LAG)
 

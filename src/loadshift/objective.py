@@ -7,7 +7,8 @@ permitted level given by a peak/off-peak regression.  Offline mode builds the
 day-ahead curve.  Online mode rebuilds it every half hour from the same
 day-ahead inputs plus the realized prefix: elapsed slots take their realized
 values, the rest share the remaining energy budget, and the cap is
-conditioned on the last history day with that prefix overlaid.  One builder
+conditioned on the previous day with that prefix overlaid.  A builder
+takes that day's curve, ``previous_day``, and no other history.  One builder
 serves both modes; the day-ahead curve is the case of an empty prefix, and a
 curve's mode follows from its provenance: ``"online"`` once a slot is
 realized.
@@ -189,7 +190,7 @@ def _build(
     predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
-    history: Sequence[LoadCurve | DailyRecord],
+    previous_day: LoadCurve | None,
     realized: Sequence[float],
 ) -> ObjectiveCurve:
     """The one objective builder: a realized prefix, then the rebuilt slots.
@@ -198,8 +199,8 @@ def _build(
     share the remaining energy budget (predicted total minus realized
     energy): peak slots take the cap (when the condition binds) or the
     prediction; off-peak slots split what is left proportionally to
-    prediction/price.  The cap condition reads only the last history day,
-    with the realized prefix overlaid; with no history it never binds.  The
+    prediction/price.  The cap condition reads ``previous_day`` with the
+    realized prefix overlaid; with no previous day it never binds.  The
     day-ahead curve is the case of an empty prefix.
     """
     realized = np.asarray(realized, dtype=float)
@@ -222,9 +223,8 @@ def _build(
     peak_mask = pricing.peak_mask()
     peak_future = peak_mask & future
     cap = None
-    if history:
-        last = history[-1]
-        condition = (last.curve if isinstance(last, DailyRecord) else last).values.copy()
+    if previous_day is not None:
+        condition = previous_day.values.copy()
         condition[:first_index] = realized
         condition_means = off_peak_segment_means(condition, pricing)
         if float(condition_means.sum()) < L_MIN_KW:
@@ -254,7 +254,7 @@ def build_objective(
     predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
-    history: Sequence[LoadCurve | DailyRecord] = (),
+    previous_day: LoadCurve | None = None,
 ) -> ObjectiveCurve:
     """Day-ahead objective curve from a forecast, prices and the regression.
 
@@ -268,31 +268,30 @@ def build_objective(
         predicted: the day-ahead forecast.
         pricing: tariff with declared peak windows.
         model: fitted peak regression (evaluated at the conditioning means).
-        history: recent daily curves; the last one conditions the cap. With
-            no history the cap branch is disabled.
+        previous_day: the day before's consumption, which conditions the
+            cap.  With no previous day the cap branch is disabled.
     """
-    return _build(predicted, pricing, model, history, ())
+    return _build(predicted, pricing, model, previous_day, ())
 
 
 def update_online(
     predicted: LoadCurve,
     pricing: PricingSignal,
     model: PeakRegressionModel,
-    history: Sequence[LoadCurve | DailyRecord],
+    previous_day: LoadCurve | None,
     realized_so_far: Sequence[float],
 ) -> ObjectiveCurve:
     """Half-hourly objective refresh: freeze the past, rebuild the future.
 
-    The curve is rebuilt from the day-ahead inputs of :func:`build_objective`
-    plus the realized prefix.  Slots ``1 .. len(realized_so_far)`` take their
-    realized values; the later slots are rebuilt with the remaining energy
-    budget (predicted total minus realized energy) and ``pricing``.  The cap
-    is conditioned on the last history day with the realized prefix
-    overlaid; with no history it stays off.  With an empty prefix the curve
-    is the day-ahead one, mode ``"offline"`` included.
+    Slots ``1 .. len(realized_so_far)`` take their realized values; the later
+    slots are rebuilt from the inputs of :func:`build_objective` with the
+    remaining energy budget (predicted total minus realized energy), and the
+    cap is conditioned on ``previous_day`` with the realized prefix overlaid.
+    With an empty prefix the curve is the day-ahead one, mode ``"offline"``
+    included.
 
     Args:
-        predicted, pricing, model, history: as for :func:`build_objective`.
+        predicted, pricing, model, previous_day: as for :func:`build_objective`.
         realized_so_far: consumption of the elapsed slots, 0 to 47 values;
             the slot about to begin is ``len(realized_so_far) + 1``.
 
@@ -300,4 +299,4 @@ def update_online(
         FormatError: realized data not a 1-D array of fewer than 48 finite
             values >= 0.
     """
-    return _build(predicted, pricing, model, history, realized_so_far)
+    return _build(predicted, pricing, model, previous_day, realized_so_far)

@@ -570,8 +570,9 @@ def solve(
     start of one instance with the others held.  Both give each candidate
     they score exactly the same arithmetic as when scored alone.  With a PV
     system, sourcing flags are arbitrated against each intermediate schedule
-    and start optimization repeats until the flags reach a fixed point (or
-    ``_PV_ITERATION_CAP`` rounds); the best self-consistent schedule wins.
+    and start optimization repeats until the flags repeat a state it has
+    optimized for, after which it would only repeat candidates (or until
+    ``_PV_ITERATION_CAP`` rounds); the first best self-consistent schedule wins.
     The result holds the starts, the flags and their cost; ``pv_arbitrate``
     of the scheduled shiftable demand gives the battery trajectory behind
     the flags.
@@ -645,10 +646,12 @@ def solve(
 
     evaluations = 0
     flags = arbitrated(preferred_starts(shiftable))
+    optimized_for: set[bytes] = set()
     best: tuple[float, ScheduleAssignment] | None = None
-    for _ in range(_PV_ITERATION_CAP if pv is not None else 1):
+    for _ in range(_PV_ITERATION_CAP):
         starts, evals = optimize(flags)
         evaluations += evals
+        optimized_for.add(flags.tobytes())
         new_flags = arbitrated(starts)
         candidate = ScheduleAssignment({**preferred_starts(fixed), **starts}, new_flags)
         cost = evaluate_cost(
@@ -656,7 +659,7 @@ def solve(
         )
         if best is None or cost < best[0]:
             best = (cost, candidate)
-        if pv is None or np.array_equal(new_flags, flags):
+        if new_flags.tobytes() in optimized_for:  # at once without PV: flags stay zero
             break
         flags = new_flags
 

@@ -17,11 +17,12 @@ days run in order, so a day whose fits are cached builds no series of the
 training window.  A result or an error never depends on what the cache
 holds, so ``run_day`` stays a pure function of (household, day).
 
-A ``Household`` and its ``PvSystem`` hold their histories sorted by day, so
-every window is a slice of one: the ``history_window_days`` days before the
-simulated day feed the peak regression and the objective, the last of them
-the prediction input, and the days before the week's anchor feed the fit.
-A window must end the day before its target day and may not skip a day.
+A ``Household`` and its ``PvSystem`` hold their histories sorted by day,
+without repeats, so every window is a slice of one, checked from its ends:
+the ``history_window_days`` days before the simulated day feed the peak
+regression, the last of them the prediction input and the cap condition,
+and the days before the week's anchor feed the fit.  A window must end the
+day before its target day and may not skip a day.
 ``RunParams`` sets the window; the model's shape is fixed by the constants
 of ``forecast`` and ``objective`` that it lists.
 """
@@ -58,7 +59,6 @@ from .errors import (
 from .forecast import (
     NarNetwork,
     TrainingConfig,
-    _check_consecutive_days,
     fit_series,
     hourly_series_from_history,
     predict_day,
@@ -167,22 +167,25 @@ class DayResult:
 
 
 _record_day = operator.attrgetter("day")
+_ONE_DAY = datetime.timedelta(days=1)
 
 
 def _usable_history(
     ordered: tuple[DailyRecord, ...], day: datetime.date, window_days: int
 ) -> tuple[DailyRecord, ...]:
-    """The last ``window_days`` records before ``day`` of a day-sorted history."""
+    """The last ``window_days`` records before ``day`` of a day-sorted history
+    without repeats, so they skip no day iff their ends are ``len - 1`` days apart."""
     past = ordered[: bisect.bisect_left(ordered, day, key=_record_day)]
     if len(past) < MIN_HISTORY_DAYS:
         raise DatasetTooSmallError(
             f"needs at least {MIN_HISTORY_DAYS} history days before {day}, found {len(past)}"
         )
     past = past[-window_days:]
-    if past[-1].day != day - datetime.timedelta(days=1):
-        raise TemporalConsistencyError(
-            f"history ends {past[-1].day}, cannot forecast {day}"
-        )
+    if past[-1].day != day - _ONE_DAY:
+        raise TemporalConsistencyError(f"history ends {past[-1].day}, cannot forecast {day}")
+    if (past[-1].day - past[0].day).days != len(past) - 1:
+        gap = next((a.day, b.day) for a, b in zip(past, past[1:]) if b.day - a.day != _ONE_DAY)
+        raise TemporalConsistencyError("history days not consecutive: %s -> %s" % gap)
     return past
 
 
@@ -194,7 +197,7 @@ def _week_anchor(ordered: tuple[DailyRecord, ...], day: datetime.date) -> dateti
     ``MIN_HISTORY_DAYS`` history days before it, as ``_usable_history`` checks.
     """
     monday = day - datetime.timedelta(days=day.weekday())
-    return max(monday, ordered[MIN_HISTORY_DAYS - 1].day + datetime.timedelta(days=1))
+    return max(monday, ordered[MIN_HISTORY_DAYS - 1].day + _ONE_DAY)
 
 
 # two entries: a household's load and PV forecasters; a NarNetwork is
@@ -219,16 +222,14 @@ def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
     with seed ``derive_seed(seed, household_id, anchor, kind)``, then
     predicts ``day`` from the hourly series of the day before it, the last
     24 values ``predict_day`` reads.  Both windows, the
-    ``history_window_days`` before ``day`` first and then the anchor's, must
-    be consecutive days, whatever the cache holds.  The fit depends only on
-    the anchor's window and seed, so the cache that lets the week's later
-    days reuse it never changes a result.
+    ``history_window_days`` before ``day`` first and then the anchor's, are
+    checked before the cache is looked up.  The fit depends only on the
+    anchor's window and seed, so the cache that lets the week's later days
+    reuse it never changes a result.
     """
     window = _usable_history(ordered, day, params.history_window_days)
-    _check_consecutive_days(window)
     anchor = _week_anchor(ordered, day)
     fit_window = _usable_history(ordered, anchor, params.history_window_days)
-    _check_consecutive_days(fit_window)
     network = _fit_network(
         fit_window,
         params.max_epochs,
@@ -250,7 +251,7 @@ def run_day(
 
     The forecasts come from the networks of ``day``'s week, fitted on the
     history before the week's anchor day (see ``_forecast_curve``); the
-    peak regression and the objective use the history before ``day``.
+    peak regression uses the history before ``day``, the cap its last day.
     Running the same household's days of one week in a row fits each
     network once; any order gives the same results.
 
@@ -278,12 +279,13 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     history = _usable_history(household.history, day, params.history_window_days)
     predicted = _forecast_curve(household.history, day, params, seed, household.id, "load")
     model = fit_peak_regression(history, pricing)
-    objective = build_objective(predicted, pricing, model, history=history)
+    objective = build_objective(predicted, pricing, model, history[-1].curve)
 
     pv = household.pv
     if pv is not None and pv.history:
         generation = _forecast_curve(pv.history, day, params, seed, household.id, "pv")
-        pv = dataclasses.replace(pv, generation=generation.values)
+        # solve and pv_arbitrate read no PV history
+        pv = dataclasses.replace(pv, generation=generation.values, history=())
 
     result = solve(instances, objective, pricing=pricing, pv=pv)
     assignment = result.assignment
@@ -291,7 +293,7 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     if mode == "online" and shiftable:
         assignment, objective = _replay_online(
             instances, shiftable, fixed, assignment, objective,
-            predicted, model, history, pricing, pv, seed, household.id, day,
+            predicted, model, history[-1].curve, pricing, pv, seed, household.id, day,
         )
 
     parts = split_consumption(instances, assignment.starts, assignment.pv_flags)
@@ -309,14 +311,14 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
 
 def _replay_online(
     instances, shiftable, fixed, assignment, objective,
-    predicted, model, history, pricing, pv, seed, household_id, day,
+    predicted, model, previous_day, pricing, pv, seed, household_id, day,
 ):
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
 
     Before each re-solve the objective is rebuilt from the day-ahead inputs
-    (forecast, regression ``model`` and ``history``) plus the
-    realized prefix; the cap is conditioned on the last history day with
-    that prefix overlaid.  The returned objective is the last refresh, or
+    (forecast, regression ``model`` and ``previous_day``) plus the realized
+    prefix; the cap is conditioned on ``previous_day`` with that prefix
+    overlaid.  The returned objective is the last refresh, or
     the day-ahead ``objective`` when nothing was left to re-solve.
 
     Runs already started keep their slots; only appliances whose starts lie
@@ -329,7 +331,7 @@ def _replay_online(
     """
     rng = np.random.default_rng(derive_seed(seed, household_id, day, "online"))
     noise = rng.normal(0.0, ONLINE_NOISE_KW, SLOT_COUNT)
-    realized_full = np.maximum(predicted.values + noise, 0.0)
+    realized = np.maximum(predicted.values + noise, 0.0)
 
     starts = dict(assignment.starts)
     current = objective
@@ -337,7 +339,7 @@ def _replay_online(
         open_instances = [i for i in shiftable if starts[i.instance_id] >= slot_now]
         if not open_instances:
             break
-        current = update_online(predicted, pricing, model, history, realized_full[: slot_now - 1])
+        current = update_online(predicted, pricing, model, previous_day, realized[: slot_now - 1])
         committed = [i for i in shiftable if starts[i.instance_id] < slot_now]
         committed_starts = {i.instance_id: starts[i.instance_id] for i in committed}
         baseline = split_consumption(

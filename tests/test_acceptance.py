@@ -309,8 +309,8 @@ def test_8_objective_conserves_predicted_energy():
         history = household.history
         predicted = history[-1].curve  # any plausible day works as a prediction
         model = fit_peak_regression(history, pricing)
-        # no conditioning history keeps the peak cap from ever engaging
-        objective = build_objective(predicted, pricing, model, history=())
+        # no previous day keeps the peak cap from ever engaging
+        objective = build_objective(predicted, pricing, model)
         assert "capped" not in objective.provenance
         rel = abs(objective.energy_kwh() - predicted.energy_kwh()) / predicted.energy_kwh()
         worst = max(worst, rel)

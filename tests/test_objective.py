@@ -248,7 +248,7 @@ def test_uncapped_peak_slots_follow_prediction():
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=1)
     rich_day = curve_with(2.0, 1.0, pricing)  # segment means sum 4.0 >= L_MIN_KW
-    curve = build_objective(predicted, pricing, model, history=[rich_day])
+    curve = build_objective(predicted, pricing, model, previous_day=rich_day)
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], predicted.values[mask])
     assert all(p == "predicted" for p in curve.provenance)
@@ -258,7 +258,7 @@ def test_flat_prices_keep_off_peak_shape():
     pricing = make_pricing(peak_price=0.2, off_price=0.2, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=2)
-    curve = build_objective(predicted, pricing, model, history=[curve_with(1.5, 1.0, pricing)])
+    curve = build_objective(predicted, pricing, model, previous_day=curve_with(1.5, 1.0, pricing))
     npt.assert_allclose(curve.values, predicted.values, rtol=1e-12)
 
 
@@ -266,7 +266,7 @@ def test_energy_conserved_when_cap_unbound():
     pricing = make_pricing(peak_price=0.31, off_price=0.08, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=3)
-    curve = build_objective(predicted, pricing, model, history=[curve_with(1.2, 0.8, pricing)])
+    curve = build_objective(predicted, pricing, model, previous_day=curve_with(1.2, 0.8, pricing))
     assert curve.energy_kwh() == pytest.approx(predicted.energy_kwh(), rel=1e-9)
 
 
@@ -275,7 +275,7 @@ def test_capped_peak_slots_match_hand_evaluated_rule():
     model = make_model(pricing, slope=2.0, intercept=1.0)
     predicted = bumpy_prediction(seed=4)
     prev = curve_with(0.3, 4.0, pricing)  # segment means sum 0.6 < L_MIN_KW
-    curve = build_objective(predicted, pricing, model, history=[prev])
+    curve = build_objective(predicted, pricing, model, previous_day=prev)
     cap = 2.0 * 0.3 + 1.0  # hand evaluation of the fitted rule
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], cap, rtol=1e-6)
@@ -289,11 +289,11 @@ def test_no_history_disables_cap():
     pricing = make_pricing(peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=5)
-    curve = build_objective(predicted, pricing, model, history=[])
+    curve = build_objective(predicted, pricing, model)
     mask = pricing.peak_mask()
     npt.assert_allclose(curve.values[mask], predicted.values[mask])
     # online too: a realized prefix gives the cap nothing to condition on
-    online = update_online(predicted, pricing, model, [], np.zeros(30))
+    online = update_online(predicted, pricing, model, None, np.zeros(30))
     assert "capped" not in online.provenance
     npt.assert_array_equal(online.values[mask], predicted.values[mask])
 
@@ -306,7 +306,7 @@ def test_off_peak_reshaping_tracks_inverse_price():
     pricing = PricingSignal(prices=prices, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = LoadCurve(np.ones(48))
-    curve = build_objective(predicted, pricing, model, history=[curve_with(1.5, 1.0, pricing)])
+    curve = build_objective(predicted, pricing, model, previous_day=curve_with(1.5, 1.0, pricing))
     # flat prediction: ratio of objective values equals inverse price ratio
     assert curve.values[0] / curve.values[20] == pytest.approx(0.10 / 0.05, rel=1e-9)
 
@@ -319,9 +319,9 @@ def test_price_monotonicity():
     pricing_high = PricingSignal(prices=raised, peak_windows=(PEAK,))
     model = make_model(pricing_low)
     predicted = bumpy_prediction(seed=6)
-    history = [curve_with(1.5, 1.0, pricing_low)]
-    low = build_objective(predicted, pricing_low, model, history=history)
-    high = build_objective(predicted, pricing_high, model, history=history)
+    previous_day = curve_with(1.5, 1.0, pricing_low)
+    low = build_objective(predicted, pricing_low, model, previous_day=previous_day)
+    high = build_objective(predicted, pricing_high, model, previous_day=previous_day)
     assert high.values[5] <= low.values[5] + 1e-12
 
 
@@ -347,16 +347,16 @@ def test_mode_follows_the_provenance():
 
 
 def offline_fixture(flat=True, seed=7):
-    """Day-ahead inputs (predicted, pricing, model, history) and their curve."""
+    """Day-ahead inputs (predicted, pricing, model, previous_day) and their curve."""
     if flat:
         pricing = make_pricing(peak_price=0.2, off_price=0.2, peak_windows=(PEAK,))
     else:
         pricing = make_pricing(peak_price=0.3, off_price=0.1, peak_windows=(PEAK,))
     model = make_model(pricing)
     predicted = bumpy_prediction(seed=seed)
-    history = [curve_with(1.5, 1.0, pricing)]  # segment means sum 3.0 >= L_MIN_KW
-    curve = build_objective(predicted, pricing, model, history=history)
-    return curve, (predicted, pricing, model, history)
+    previous_day = curve_with(1.5, 1.0, pricing)  # segment means sum 3.0 >= L_MIN_KW
+    curve = build_objective(predicted, pricing, model, previous_day=previous_day)
+    return curve, (predicted, pricing, model, previous_day)
 
 
 def test_update_at_slot_one_reproduces_offline():
@@ -402,10 +402,10 @@ def test_update_reevaluates_cap_from_realized_prefix():
     model = make_model(pricing, slope=2.0, intercept=1.0)
     predicted = LoadCurve(np.full(48, 1.0))
     prev = curve_with(1.5, 1.0, pricing)  # rich off-peak: cap off at build time
-    offline = build_objective(predicted, pricing, model, history=[prev])
+    offline = build_objective(predicted, pricing, model, previous_day=prev)
     assert "capped" not in offline.provenance
     # day realizes almost nothing: conditioning means collapse, cap kicks in
-    online = update_online(predicted, pricing, model, [prev], np.zeros(30))
+    online = update_online(predicted, pricing, model, prev, np.zeros(30))
     peak_idx = np.flatnonzero(pricing.peak_mask())
     assert all(online.provenance[i] == "capped" for i in peak_idx)
     # cap value recomputed from the overlaid conditioning curve
@@ -496,9 +496,10 @@ REFERENCE_CASES = {
 
 
 def reference_inputs(flat, capped, zero_off_peak, seed):
-    """Seeded day-ahead inputs: predicted, pricing, model, history.
+    """Seeded day-ahead inputs: predicted, pricing, model, previous_day.
 
-    The cap binds or not through the conditioning curve: the last history
+    The model is fitted on 8 history days, the last of which is the previous
+    day.  The cap binds or not through the conditioning curve: the previous
     day's off-peak level, and the predicted level the realized prefix
     overlays on it, sit on the matching side of ``L_MIN_KW``.
     """
@@ -519,7 +520,7 @@ def reference_inputs(flat, capped, zero_off_peak, seed):
         values = np.zeros(48)
         values[pricing.peak_mask()] = 6.0  # far above any cap the model gives
         predicted = LoadCurve(values)
-    return predicted, pricing, model, history
+    return predicted, pricing, model, history[-1].curve
 
 
 @pytest.mark.parametrize("prefix", [0, 1, 12, 30, 47])
@@ -527,10 +528,10 @@ def reference_inputs(flat, capped, zero_off_peak, seed):
 def test_update_matches_the_reference_refresh(case, prefix):
     flat, capped, zero_off_peak = REFERENCE_CASES[case]
     inputs = reference_inputs(flat, capped, zero_off_peak, seed=prefix)
-    predicted, pricing, model, history = inputs
+    predicted, pricing, model, previous_day = inputs
     noise = np.random.default_rng(100 + prefix).normal(0.0, 0.3, prefix)
     realized = np.maximum(predicted.values[:prefix] + noise, 0.0)
-    current = SimpleNamespace(predicted=predicted, model=model, condition_base=history[-1].curve)
+    current = SimpleNamespace(predicted=predicted, model=model, condition_base=previous_day)
     want = reference_update_online(current, realized, pricing, slot_now=prefix + 1)
     got = update_online(*inputs, realized)
     npt.assert_array_equal(got.values, want.values)

@@ -6,6 +6,7 @@ import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -1140,6 +1141,69 @@ def test_solve_with_pv_reaches_consistent_flags():
     npt.assert_array_equal(result.assignment.pv_flags, again.flags)
 
     assert result.cost == evaluate_cost(result.assignment, objective, instances)
+
+
+def test_pv_fixed_point_stops_at_a_repeated_flag_state(monkeypatch):
+    # an arbitration that flips between two flag states: a run inside
+    # state A's slots gets state B, any other run gets A, and the optimum
+    # under either state moves the run into its flagged slots.  The loop
+    # stops once it would optimize for A again, after two rounds, where
+    # running all ``_PV_ITERATION_CAP`` rounds only repeats candidates.
+    state_a = np.zeros(48, dtype=bool)
+    state_a[4:14] = True
+    state_b = np.zeros(48, dtype=bool)
+    state_b[29:39] = True
+
+    def cycling(pv, demand, pricing, max_app_duration):
+        flags = state_b if demand.values[state_a].any() else state_a
+        return SimpleNamespace(flags=flags.copy())
+
+    built = []
+
+    class CountedSpace(scheduler._CandidateSpace):
+        def __init__(self, *args):
+            built.append(args[2].copy())
+            super().__init__(*args)
+
+    monkeypatch.setattr(scheduler, "pv_arbitrate", cycling)
+    monkeypatch.setattr(scheduler, "_CandidateSpace", CountedSpace)
+    instances = expand_instances(
+        [
+            make_shiftable("wash", power=1.0, duration=2, preferred=10),
+            make_fixed("base", power=0.3, duration=48),
+        ]
+    )
+    pricing = make_pricing()
+    pv = PvSystem(generation=np.zeros(48), battery_capacity=4.0)
+    objective = make_objective(np.zeros(48))
+    result = solve(instances, objective, pricing=pricing, pv=pv)
+    assert len(built) == 2
+    npt.assert_array_equal(built[0], state_b)  # the preferred start lies in A
+    npt.assert_array_equal(built[1], state_a)
+
+    # the loop as it ran before: every round, each optimizing by brute force
+    wash, base = instances
+    fixed = {"base": base.preferred_start}
+    flags = cycling(pv, total_curve([wash], {"wash": wash.preferred_start}), pricing, 2).flags
+    best = None
+    for _ in range(scheduler._PV_ITERATION_CAP):
+        start = min(
+            feasible_starts(wash),
+            key=lambda t: (
+                evaluate_cost(ScheduleAssignment({"wash": t, **fixed}, flags), objective, instances),
+                abs(t - wash.preferred_start),
+                t,
+            ),
+        )
+        flags = cycling(pv, total_curve([wash], {"wash": start}), pricing, 2).flags
+        candidate = ScheduleAssignment({"wash": start, **fixed}, flags)
+        cost = evaluate_cost(candidate, objective, instances)
+        if best is None or cost < best[0]:
+            best = (cost, candidate)
+    cost, assignment = best
+    assert result.cost == cost
+    assert result.assignment.starts == assignment.starts
+    npt.assert_array_equal(result.assignment.pv_flags, assignment.pv_flags)
 
 
 def test_solve_big_battery_leaves_only_fixed_load_on_grid():

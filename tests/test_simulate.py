@@ -9,10 +9,18 @@ import numpy.testing as npt
 import pytest
 
 from loadshift import cli, forecast, simulate
-from loadshift.core import DailyRecord, Household, LoadCurve, split_consumption, total_curve
+from loadshift.core import (
+    DailyRecord,
+    Household,
+    LoadCurve,
+    PvSystem,
+    split_consumption,
+    total_curve,
+)
 from loadshift.errors import (
     DatasetTooSmallError,
     InfeasibleProblemError,
+    LoadshiftError,
     ParameterError,
     TemporalConsistencyError,
     TrainingFailedError,
@@ -466,6 +474,36 @@ def test_a_day_with_cached_fits_runs_as_after_a_cache_clear():
     )
 
 
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_a_day_reads_only_its_window_and_its_anchors(mode):
+    # cutting both histories down to the day's window and the week's fit
+    # window changes no byte of the result
+    fleet = small_fleet(household_count=1, history_days=30, simulated_days=3, mode=mode)
+    household = fleet.households[0]
+    params = RunParams(max_epochs=5, history_window_days=10)
+    span = datetime.timedelta(days=params.history_window_days)
+    for day in fleet.days:
+        anchor = simulate._week_anchor(household.history, day)
+
+        def cut(records):
+            return tuple(
+                r for r in records if day - span <= r.day < day or anchor - span <= r.day < anchor
+            )
+
+        trimmed = dataclasses.replace(
+            household,
+            history=cut(household.history),
+            pv=dataclasses.replace(household.pv, history=cut(household.pv.history)),
+        )
+        assert len(trimmed.history) < len(household.history)
+        assert len(trimmed.pv.history) < len(household.pv.history)
+        simulate._fit_network.cache_clear()
+        want = run_day(household, day, fleet.pricing, mode, params, seed=7)
+        simulate._fit_network.cache_clear()
+        got = run_day(trimmed, day, fleet.pricing, mode, params, seed=7)
+        assert day_result_parts(got) == day_result_parts(want)
+
+
 # ---------------------------------------------------------------- record order
 
 
@@ -518,6 +556,22 @@ def run_day_error(household, day, params):
     return type(info.value), str(info.value)
 
 
+def earlier_days_of_the_week(day):
+    return [day - datetime.timedelta(days=d) for d in range(day.weekday(), 0, -1)]
+
+
+def run_day_error_after(household, day, params, warm):
+    """``run_day_error`` on a cleared cache after the ``warm`` days ran,
+    each fitting what it can before it succeeds or fails."""
+    simulate._fit_network.cache_clear()
+    for earlier in warm:
+        try:
+            run_day(household, earlier, make_pricing(), params=params)
+        except LoadshiftError:
+            pass
+    return run_day_error(household, day, params)
+
+
 @pytest.mark.parametrize(
     "keep, day, window, error",
     [
@@ -531,15 +585,42 @@ def run_day_error(household, day, params):
         # are whole, the days before the week's anchor (Monday) end early
         ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13], datetime.date(2025, 5, 15), 3,
          "h9 2025-05-15: history ends 2025-05-10, cannot forecast 2025-05-12"),
+        # Sunday the 25th's 5-day window (Monday the 19th is the anchor):
+        # the 20th is missing, so the gap follows the window's first record
+        ([i for i in range(24) if i != 19], datetime.date(2025, 5, 25), 5,
+         "h9 2025-05-25: history days not consecutive: 2025-05-19 -> 2025-05-21"),
+        # the 23rd is missing, so the gap precedes the window's last record
+        ([i for i in range(24) if i != 22], datetime.date(2025, 5, 25), 5,
+         "h9 2025-05-25: history days not consecutive: 2025-05-22 -> 2025-05-24"),
+        # the 16th is missing: the day's window is whole, the anchor's is not
+        ([i for i in range(24) if i != 15], datetime.date(2025, 5, 25), 5,
+         "h9 2025-05-25: history days not consecutive: 2025-05-15 -> 2025-05-17"),
     ],
 )
 def test_history_errors_do_not_depend_on_record_order(keep, day, window, error):
-    records = flat_history(14)
+    # each case runs with the load history cut to ``keep`` and, beside a
+    # whole load history, with the PV history cut to it; each from a cleared
+    # cache and after the earlier days of the week ran
+    records = flat_history(24)
     kept = tuple(records[i] for i in keep)
-    household = Household(id="h9", appliances=(make_fixed(),), pv=None, history=kept)
+    whole = tuple(r for r in records if r.day < day)
     params = RunParams(max_epochs=10, history_window_days=window)
-    expected = run_day_error(household, day, params)
+    load_gap = Household(id="h9", appliances=(make_fixed(),), pv=None, history=kept)
+    pv_gap = Household(
+        id="h9", appliances=(make_fixed(),), history=whole,
+        pv=PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=kept),
+    )
+    expected = run_day_error_after(load_gap, day, params, warm=())
     assert expected[1].startswith(error)
-    for seed in range(3):
-        mixed = shuffled(kept, np.random.default_rng(seed))
-        assert run_day_error(dataclasses.replace(household, history=mixed), day, params) == expected
+    assert run_day_error_after(pv_gap, day, params, warm=()) == expected
+    warm = earlier_days_of_the_week(day)
+    for household in (load_gap, pv_gap):
+        assert run_day_error_after(household, day, params, warm) == expected
+        for seed in range(3):
+            mixed = shuffled(kept, np.random.default_rng(seed))
+            if household.pv is None:
+                mixed_household = dataclasses.replace(household, history=mixed)
+            else:
+                mixed_pv = dataclasses.replace(household.pv, history=mixed)
+                mixed_household = dataclasses.replace(household, pv=mixed_pv)
+            assert run_day_error(mixed_household, day, params) == expected
