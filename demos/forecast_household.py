@@ -5,10 +5,10 @@ network exactly as ``run_day`` does for the first simulated day.  That
 network serves the day's whole calendar week: it is fitted once, on the
 history window before the week's Monday (the anchor), with the anchor's split
 seed (history window, epoch budget and seed from ``RunParams`` and
-``derive_seed``), and each day of the week is predicted from its own previous
-24 hours.  The demo prints the train, validation and held-out test error,
-checks that the prediction is the one ``run_day`` schedules against, and
-checks the residual autocorrelation diagnostics.
+``derive_seed``), and each day of the week is predicted from the curve of
+the day before it.  The demo prints the train, validation and held-out test
+error, checks that the prediction is the one ``run_day`` schedules against,
+and checks the residual autocorrelation diagnostics.
 """
 
 import datetime
@@ -63,8 +63,9 @@ def main():
         f"held-out test MSE {np.mean(residuals ** 2):.5f}"
     )
 
-    last_day = [r for r in household.history if r.day == day - datetime.timedelta(days=1)]
-    prediction = predict_day(result.network, hourly_series_from_history(last_day))
+    # the day before ``day``: its curve is the prediction's input
+    (last_day,) = [r for r in household.history if r.day == day - datetime.timedelta(days=1)]
+    prediction = predict_day(result.network, last_day.curve)
     print(f"predicted next-day energy: {prediction.energy_kwh():.2f} kWh")
     peak_slot = int(np.argmax(prediction.values)) + 1
     print(f"predicted peak: {prediction.values.max():.2f} kW at slot {peak_slot}")

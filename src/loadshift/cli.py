@@ -18,7 +18,7 @@ from pathlib import Path
 from .bundle import lint_bundle, load_bundle, save_bundle
 from .errors import FeasibilityError, FormatError, LoadshiftError
 from .metrics import compute_metrics, write_report
-from .simulate import FleetConfig, RunParams, run_fleet
+from .simulate import MODES, FleetConfig, RunParams, run_fleet
 from .synth import SyntheticRecipe, generate_fleet
 
 RESULTS_FORMAT_VERSION = 1
@@ -140,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=1, help="number of days to simulate")
     p.add_argument("--target-kwh", type=float, default=16.0, dest="target_kwh")
     p.add_argument("--pv-fraction", type=float, default=1.0, dest="pv_fraction")
-    p.add_argument("--mode", choices=("offline", "online"), default="offline")
+    p.add_argument("--mode", choices=MODES, default="offline")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="simulate a bundle and write results + report")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--mode", choices=("offline", "online"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="override the bundle's mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--days", default=None,

@@ -377,11 +377,10 @@ def total_curve(
 
 @dataclass(frozen=True, eq=False)
 class ConsumptionBreakdown:
-    """Scheduled consumption, in total and by supply source."""
+    """Scheduled consumption, in total and drawn from the grid."""
 
     total: LoadCurve
     grid: LoadCurve
-    pv: LoadCurve
 
 
 def split_consumption(
@@ -389,7 +388,7 @@ def split_consumption(
     starts: Mapping[str, int],
     pv_flags: np.ndarray | None = None,
 ) -> ConsumptionBreakdown:
-    """Split placed consumption into grid and PV/battery components.
+    """Placed consumption in total and the part drawn from the grid.
 
     In a flagged slot the PV/battery supplies the shiftable demand; fixed
     demand always comes from the grid.
@@ -398,15 +397,12 @@ def split_consumption(
     shiftable = total_curve([i for i in instances if i.kind == "shiftable"], starts)
     total = fixed + shiftable
     if pv_flags is None:
-        pv_values = np.zeros(SLOT_COUNT)
-    else:
-        flags = np.asarray(pv_flags, dtype=bool)
-        if flags.shape != (SLOT_COUNT,):
-            raise FormatError(f"pv_flags needs {SLOT_COUNT} entries")
-        pv_values = np.where(flags, shiftable.values, 0.0)
-    pv = LoadCurve(pv_values)
-    grid = LoadCurve(total.values - pv.values)
-    return ConsumptionBreakdown(total=total, grid=grid, pv=pv)
+        return ConsumptionBreakdown(total=total, grid=total)
+    flags = np.asarray(pv_flags, dtype=bool)
+    if flags.shape != (SLOT_COUNT,):
+        raise FormatError(f"pv_flags needs {SLOT_COUNT} entries")
+    grid = LoadCurve(total.values - np.where(flags, shiftable.values, 0.0))
+    return ConsumptionBreakdown(total=total, grid=grid)
 
 
 def load_factor(curve: LoadCurve) -> float:

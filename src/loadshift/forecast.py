@@ -4,8 +4,9 @@ One hidden tanh layer maps the last ``lag`` values of an hourly series to the
 next value.  The network code takes its shape from its arrays; the pipeline's
 forecasters all have lag ``FORECAST_LAG`` and ``HIDDEN_UNITS`` hidden units.
 Training is damped Gauss-Newton (Levenberg-Marquardt) on the flattened
-parameter vector; day-ahead curves come from closed-loop multi-step
-prediction, linearly interpolated onto the 48-slot grid.
+parameter vector; a day-ahead curve comes from closed-loop multi-step
+prediction seeded with the previous day's hourly means, linearly
+interpolated onto the 48-slot grid.
 
 Training never forms the (pairs, parameters) Jacobian.  Each epoch builds
 J^T J and J^T r from the network's Kronecker structure (``_NormalEquations``),
@@ -87,6 +88,11 @@ HIDDEN_UNITS = 10
 AUTOCORRELATION_LAGS = 20  # r(1) .. r(20) of the residuals
 
 
+def _hourly_means(values: np.ndarray) -> np.ndarray:
+    """Each hour's mean of its two half-hour slots, for whole days of slots."""
+    return values.reshape(-1, 2).mean(axis=1)
+
+
 def hourly_series_from_history(records: Sequence[DailyRecord]) -> SeriesDataset:
     """Collapse dated half-hour curves into one contiguous hourly series with
     lag ``FORECAST_LAG``.
@@ -101,7 +107,7 @@ def hourly_series_from_history(records: Sequence[DailyRecord]) -> SeriesDataset:
     for prev, nxt in zip(records, records[1:]):
         if nxt.day != prev.day + _ONE_DAY:
             raise TemporalConsistencyError(f"history days not consecutive: {prev.day} -> {nxt.day}")
-    hourly = np.concatenate([rec.curve.values for rec in records]).reshape(-1, 2).mean(axis=1)
+    hourly = _hourly_means(np.concatenate([rec.curve.values for rec in records]))
     return SeriesDataset(values=hourly, lag=FORECAST_LAG)
 
 
@@ -652,28 +658,25 @@ def fit_series(ds: SeriesDataset, cfg: TrainingConfig) -> tuple[TrainingResult, 
 # ---------------------------------------------------------------- prediction
 
 
-def predict_day(net: NarNetwork, history: SeriesDataset) -> LoadCurve:
+def predict_day(net: NarNetwork, previous_day: LoadCurve) -> LoadCurve:
     """Closed-loop forecast of the next day as a 48-slot curve.
 
-    The last ``input_size`` history values seed the lag window; each
-    prediction is fed back until 24 hours are covered.  Negative hourly
-    outputs are cut off at zero; the hourly values sit at their interval
-    midpoints and are linearly interpolated to the 48 half-hour slot
-    midpoints (ends clamped).
+    The last ``input_size`` hourly means of ``previous_day`` (each hour the
+    mean of its two half-hour slots, as in ``hourly_series_from_history``)
+    seed the lag window; each prediction is fed back until 24 hours are
+    covered.  Negative hourly outputs are cut off at zero; the hourly values
+    sit at their interval midpoints and are linearly interpolated to the 48
+    half-hour slot midpoints (ends clamped).
 
     Raises:
-        DatasetTooSmallError: fewer history values than the lag window.
-        TemporalConsistencyError: the history does not cover whole days, so
-            it does not end at midnight.
+        DatasetTooSmallError: the net's lag window is longer than one day's
+            24 hours.
     """
-    if history.sample_count < net.input_size:
-        raise DatasetTooSmallError(
-            f"need {net.input_size} history values, got {history.sample_count}"
-        )
-    if history.sample_count % 24 != 0:
-        raise TemporalConsistencyError(f"{history.sample_count} hours do not end at midnight")
+    hours = _hourly_means(previous_day.values)
+    if hours.size < net.input_size:
+        raise DatasetTooSmallError(f"need {net.input_size} history values, got {hours.size}")
 
-    window = net.normalize(history.values[-net.input_size :]).copy()
+    window = net.normalize(hours[-net.input_size :])
     preds = np.empty(24)
     layers = _layers(net)
     for k in range(24):

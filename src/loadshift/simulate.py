@@ -10,12 +10,12 @@ appliances that have not started yet are re-solved against it.
 Each household's load and PV forecasters are fitted once per calendar week,
 on the history window before the week's anchor day (its Monday, or later
 when the history starts later), and every day of the week is predicted by
-that network from its own previous 24 hours, the hourly series of the day
-before it.  A two-entry cache keyed by the anchor window's records, epoch
-budget, seed and fit function keeps the week's fits while one household's
-days run in order, so a day whose fits are cached builds no series of the
-training window.  A result or an error never depends on what the cache
-holds, so ``run_day`` stays a pure function of (household, day).
+that network from the curve of the day before it.  A two-entry cache keyed
+by the anchor window's records, epoch budget, seed and fit function keeps
+the week's fits while one household's days run in order, so a day whose
+fits are cached builds no hourly series.  A result or an error never
+depends on what the cache holds, so ``run_day`` stays a pure function of
+(household, day).
 
 A ``Household`` and its ``PvSystem`` hold their histories sorted by day,
 without repeats, so every window is a slice of one, checked from its ends:
@@ -214,20 +214,19 @@ def _fit_network(window: tuple[DailyRecord, ...], max_epochs: int, seed: int, fi
     return result.network
 
 
-def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
+def _forecast_curve(ordered, window, day, params: RunParams, seed, household_id, kind):
     """Day-ahead curve for ``day`` from the forecaster of its week.
 
-    ``ordered`` is the series' day-sorted history.  The network is fitted on
-    the ``history_window_days`` before the week's anchor (``_week_anchor``)
-    with seed ``derive_seed(seed, household_id, anchor, kind)``, then
-    predicts ``day`` from the hourly series of the day before it, the last
-    24 values ``predict_day`` reads.  Both windows, the
-    ``history_window_days`` before ``day`` first and then the anchor's, are
+    ``ordered`` is the series' day-sorted history and ``window`` its checked
+    ``history_window_days`` before ``day`` (``_usable_history``).  The
+    network is fitted on the ``history_window_days`` before the week's
+    anchor (``_week_anchor``) with seed
+    ``derive_seed(seed, household_id, anchor, kind)``, then predicts ``day``
+    from ``window[-1].curve``, the day before it.  The anchor's window is
     checked before the cache is looked up.  The fit depends only on the
     anchor's window and seed, so the cache that lets the week's later days
     reuse it never changes a result.
     """
-    window = _usable_history(ordered, day, params.history_window_days)
     anchor = _week_anchor(ordered, day)
     fit_window = _usable_history(ordered, anchor, params.history_window_days)
     network = _fit_network(
@@ -236,7 +235,7 @@ def _forecast_curve(ordered, day, params: RunParams, seed, household_id, kind):
         derive_seed(seed, household_id, anchor, kind),
         fit_series,
     )
-    return predict_day(network, hourly_series_from_history(window[-1:]))
+    return predict_day(network, window[-1].curve)
 
 
 def run_day(
@@ -277,13 +276,14 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     before = total_curve(instances, preferred_starts(instances))
 
     history = _usable_history(household.history, day, params.history_window_days)
-    predicted = _forecast_curve(household.history, day, params, seed, household.id, "load")
+    predicted = _forecast_curve(household.history, history, day, params, seed, household.id, "load")
     model = fit_peak_regression(history, pricing)
     objective = build_objective(predicted, pricing, model, history[-1].curve)
 
     pv = household.pv
     if pv is not None and pv.history:
-        generation = _forecast_curve(pv.history, day, params, seed, household.id, "pv")
+        pv_window = _usable_history(pv.history, day, params.history_window_days)
+        generation = _forecast_curve(pv.history, pv_window, day, params, seed, household.id, "pv")
         # solve and pv_arbitrate read no PV history
         pv = dataclasses.replace(pv, generation=generation.values, history=())
 

@@ -7,7 +7,7 @@ import pytest
 
 from loadshift import cli
 from loadshift.errors import InfeasibleProblemError
-from loadshift.simulate import RunParams
+from loadshift.simulate import MODES, RunParams
 
 
 def generate(tmp_path, *extra):
@@ -103,6 +103,15 @@ def test_train_is_an_invalid_choice(capsys):
         a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert list(subparsers.choices) == ["generate", "run", "validate"]
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_mode_choices_are_the_simulation_modes(command):
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    mode = next(a for a in subparsers.choices[command]._actions if a.dest == "mode")
+    assert tuple(mode.choices) == MODES
 
 
 def test_validation_failure_exits_2(tmp_path, capsys):

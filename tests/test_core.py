@@ -249,12 +249,13 @@ def test_split_consumption_sources():
     flags = np.zeros(48, dtype=bool)
     flags[9] = True  # PV covers slot 10
     parts = split_consumption(instances, preferred_starts(instances), flags)
-    npt.assert_allclose(parts.total.values, parts.grid.values + parts.pv.values)
     placed = total_curve(instances, preferred_starts(instances))
     npt.assert_allclose(parts.total.values, placed.values)
-    assert parts.pv.values[9] == 2.0  # shiftable demand only
+    off_grid = parts.total.values - parts.grid.values
+    assert off_grid[9] == 2.0  # shiftable demand only
     assert parts.grid.values[9] == 0.5  # fixed stays on the grid
-    assert parts.pv.values[10] == 0.0
+    assert off_grid[10] == 0.0
+    npt.assert_array_equal(np.delete(off_grid, 9), 0.0)  # only the flagged slot
 
 
 # ---------------------------------------------------------------- load factor

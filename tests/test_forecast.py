@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -667,10 +668,14 @@ def test_fit_series_beats_persistence_baseline():
 # ---------------------------------------------------------------- prediction
 
 
+def day_of(hourly):
+    """A one-day curve whose hourly means are exactly ``hourly``."""
+    return LoadCurve(np.repeat(np.asarray(hourly, dtype=float), 2))
+
+
 def test_predict_day_constant_net():
     net = NarNetwork(w_in=np.zeros((2, 3)), b_in=np.zeros(2), w_out=np.zeros(2), b_out=1.5)
-    history = make_series(np.ones(24), lag=3)
-    curve = predict_day(net, history)
+    curve = predict_day(net, day_of(np.ones(24)))
     npt.assert_allclose(curve.values, 1.5)
 
 
@@ -679,10 +684,10 @@ def test_predict_day_matches_analytic_ar1_recursion():
     net = NarNetwork(
         w_in=np.array([[1e-6]]), b_in=np.zeros(1), w_out=np.array([0.8e6]), b_out=0.0
     )
-    history = make_series(ar1_series(48, phi=0.8, y0=1.0), lag=1)
-    curve = predict_day(net, history)
+    hourly_history = ar1_series(24, phi=0.8, y0=1.0)
+    curve = predict_day(net, day_of(hourly_history))
 
-    last = history.values[-1]
+    last = hourly_history[-1]
     hourly = np.array([last * 0.8 ** (k + 1) for k in range(24)])
     hour_centers = np.arange(24) + 0.5
     slot_centers = (np.arange(48) + 0.5) * 0.5
@@ -701,26 +706,73 @@ def test_predict_day_interpolation_pattern():
     assert interp[47] == hourly[23]  # clamped end
     assert interp[1] == pytest.approx(0.75 * hourly[0] + 0.25 * hourly[1])
     assert interp[2] == pytest.approx(0.25 * hourly[0] + 0.75 * hourly[1])
-    curve = predict_day(net, make_series(np.ones(24), lag=2))
+    curve = predict_day(net, day_of(np.ones(24)))
     assert curve.values.shape == (48,)
 
 
 def test_predict_day_clamps_negative():
     net = NarNetwork(w_in=np.zeros((1, 2)), b_in=np.zeros(1), w_out=np.zeros(1), b_out=-2.0)
-    curve = predict_day(net, make_series(np.ones(24), lag=2))
+    curve = predict_day(net, day_of(np.ones(24)))
     npt.assert_array_equal(curve.values, np.zeros(48))
 
 
 def test_predict_day_requires_enough_history():
-    net = initialize_network(input_size=24, hidden_size=3, seed=0)
-    with pytest.raises(DatasetTooSmallError):
-        predict_day(net, make_series(np.ones(12), lag=24))
+    # one day holds 24 hourly means, one fewer than a lag-25 window
+    net = initialize_network(input_size=25, hidden_size=3, seed=0)
+    with pytest.raises(DatasetTooSmallError, match="need 25 history values, got 24"):
+        predict_day(net, day_of(np.ones(24)))
 
 
-def test_predict_day_requires_day_alignment():
-    net = initialize_network(input_size=4, hidden_size=3, seed=0)
-    with pytest.raises(TemporalConsistencyError):
-        predict_day(net, make_series(np.ones(30), lag=4))  # ends mid-day
+# The series-based closed loop that the one-day one replaced: it took an
+# hourly ``SeriesDataset`` and checked its length and midnight alignment.
+# Kept as the reference the one-day loop must match bit for bit.
+def reference_predict_day(net, history):
+    if history.sample_count < net.input_size:
+        raise DatasetTooSmallError(
+            f"need {net.input_size} history values, got {history.sample_count}"
+        )
+    if history.sample_count % 24 != 0:
+        raise TemporalConsistencyError(f"{history.sample_count} hours do not end at midnight")
+    window = net.normalize(history.values[-net.input_size :]).copy()
+    preds = np.empty(24)
+    layers = forecast._layers(net)
+    for k in range(24):
+        preds[k] = forecast._forward_normalized(*layers, window[None, :])[0]
+        window[:-1] = window[1:]
+        window[-1] = preds[k]
+    hourly = np.maximum(net.denormalize(preds), 0.0)
+    slot_centers = (np.arange(48) + 0.5) * 0.5
+    return LoadCurve(np.interp(slot_centers, np.arange(24) + 0.5, hourly))
+
+
+def seeded_net(lag, seed):
+    """A lag-``lag`` forecaster with seeded weights, biases and bounds."""
+    rng = np.random.default_rng(seed)
+    net = initialize_network(input_size=lag, hidden_size=HIDDEN_UNITS, seed=seed)
+    net = with_params(net, rng.normal(0.0, 0.6, net.parameter_count))
+    low = float(rng.uniform(0.0, 0.5))
+    return replace(net, norm_min=low, norm_max=low + float(rng.uniform(1.0, 4.0)))
+
+
+@pytest.mark.parametrize("lag", [1, 4, 24])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_predict_day_matches_the_series_reference(lag, seed):
+    net = seeded_net(lag, seed)
+    rng = np.random.default_rng(100 + seed)
+    days = [rng.uniform(0.0, 3.0, 48), np.zeros(48)]
+    start = datetime.date(2025, 3, 1)
+    for values in days:
+        records = [
+            DailyRecord(day=start, curve=LoadCurve(rng.uniform(0.0, 3.0, 48))),
+            DailyRecord(day=start + datetime.timedelta(days=1), curve=LoadCurve(values)),
+        ]
+        got = predict_day(net, records[-1].curve)
+        # what the pipeline passed before: the previous day's one-day series
+        one_day = reference_predict_day(net, hourly_series_from_history(records[-1:]))
+        assert got.values.tobytes() == one_day.values.tobytes()
+        # the reference reads only the last hours of a longer series too
+        two_days = reference_predict_day(net, hourly_series_from_history(records))
+        assert got.values.tobytes() == two_days.values.tobytes()
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -406,12 +406,14 @@ def test_a_week_whose_history_starts_late_anchors_on_a_later_day(monkeypatch):
             max_epochs=FAST.max_epochs, rng_seed=derive_seed(1, "h1", wednesday, "load")
         ),
     )
+    # each day is predicted from the curve of the day before it
     npt.assert_array_equal(
-        first.predicted.values, forecast.predict_day(result.network, series).values
+        first.predicted.values,
+        forecast.predict_day(result.network, household.history[2].curve).values,
     )
-    thursday_input = forecast.hourly_series_from_history(household.history)
     npt.assert_array_equal(
-        second.predicted.values, forecast.predict_day(result.network, thursday_input).values
+        second.predicted.values,
+        forecast.predict_day(result.network, household.history[-1].curve).values,
     )
 
 
