@@ -64,9 +64,8 @@ print(f"  peak {after.values.max():.2f} kW, bill {bill(after, pricing):.2f}, "
 # same problem with 1 kW PV and a 4 kWh battery arbitrating the peak
 gen = np.zeros(48)
 gen[16:38] = 1.0 * np.sin(np.linspace(0, np.pi, 22)) ** 2
-pv = PvSystem(generation=gen, battery_capacity=4.0, battery_soc=2.0,
-              charge_rate=1.5, charge_efficiency=0.9)
-result_pv = solve(instances, objective, pricing=pricing, pv=pv)
+pv = PvSystem(battery_capacity=4.0, battery_soc=2.0, charge_rate=1.5, charge_efficiency=0.9)
+result_pv = solve(instances, objective, pricing=pricing, pv=pv, generation=gen)
 split = split_consumption(instances, result_pv.assignment.starts,
                           result_pv.assignment.pv_flags)
 pv_slots = np.flatnonzero(result_pv.assignment.pv_flags) + 1
@@ -76,5 +75,5 @@ print(f"  grid bill {bill(split.grid, pricing):.2f} "
 # the battery trajectory behind the flags: arbitrate the scheduled shiftable demand
 movable = [i for i in instances if i.kind == "shiftable"]
 demand = total_curve(movable, result_pv.assignment.starts)
-soc = pv_arbitrate(pv, demand, pricing, max(i.duration_slots for i in movable)).soc
+soc = pv_arbitrate(pv, gen, demand, pricing, max(i.duration_slots for i in movable)).soc
 print(f"  battery SoC start {soc[0]:.2f} kWh, min {soc.min():.2f}, end {soc[-1]:.2f}")

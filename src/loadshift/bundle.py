@@ -392,6 +392,11 @@ def save_bundle(config: FleetConfig, path) -> Path:
             raise FormatError(
                 f"household id {household.id!r} cannot name a bundle directory"
             )
+        # load_bundle refuses a history file that holds no day
+        if not household.history:
+            raise FormatError(f"household {household.id}: history holds no days")
+        if household.pv is not None and not household.pv.history:
+            raise FormatError(f"household {household.id}: pv history holds no days")
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "mode": config.mode,
@@ -516,9 +521,7 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
         }
         pv_history = read_history_csv(generation_path)
         try:
-            pv = PvSystem(
-                generation=np.zeros(SLOT_COUNT), history=pv_history, **numbers
-            )
+            pv = PvSystem(history=pv_history, **numbers)
         except LoadshiftError as exc:
             raise FormatError(f"{manifest_path}: household {hid}: {exc}") from exc
 

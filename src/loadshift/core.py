@@ -263,20 +263,18 @@ class PricingSignal:
 
 @dataclass(frozen=True, eq=False)
 class PvSystem:
-    """Rooftop PV with a battery in line.
+    """Rooftop PV with a battery in line: the battery and its generation history.
 
     Args:
-        generation: per-slot generation forecast for the day (kW, >= 0).
         battery_capacity: usable battery capacity (kWh).
         battery_soc: charge held at the start of the day (kWh), in
             [0, capacity].  ``pv_arbitrate`` derives the per-slot trajectory.
         charge_rate: charging power used to estimate time-to-full (kW).
         charge_efficiency: fraction of generated energy that reaches the
             battery, in (0, 1].
-        history: dated generation curves, held sorted by day, to forecast ``generation``.
+        history: dated generation curves, held sorted by day, that the PV forecast reads.
     """
 
-    generation: np.ndarray
     battery_capacity: float
     battery_soc: float = 0.0
     charge_rate: float = 1.0
@@ -284,13 +282,6 @@ class PvSystem:
     history: tuple[DailyRecord, ...] = ()
 
     def __post_init__(self):
-        gen = np.asarray(self.generation, dtype=float)
-        if gen.shape != (SLOT_COUNT,):
-            raise FormatError(f"generation needs {SLOT_COUNT} values, got shape {gen.shape}")
-        if not np.all(np.isfinite(gen)) or np.any(gen < 0):
-            raise ParameterError("generation must be finite and >= 0")
-        object.__setattr__(self, "generation", _readonly(gen))
-
         if not (np.isfinite(self.battery_capacity) and self.battery_capacity > 0):
             raise ParameterError("battery capacity must be > 0")
         object.__setattr__(self, "battery_capacity", float(self.battery_capacity))

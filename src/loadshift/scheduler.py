@@ -57,14 +57,10 @@ class ScheduleAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "starts", dict(self.starts))
-        flags = self.pv_flags
-        if flags is None:
-            flags = np.zeros(SLOT_COUNT, dtype=bool)
-        else:
-            flags = np.asarray(flags, dtype=bool)
-            if flags.shape != (SLOT_COUNT,):
-                raise FormatError(f"pv_flags needs {SLOT_COUNT} entries")
-        flags = flags.copy()
+        flags = np.zeros(SLOT_COUNT) if self.pv_flags is None else self.pv_flags
+        flags = np.array(flags, dtype=bool)
+        if flags.shape != (SLOT_COUNT,):
+            raise FormatError(f"pv_flags needs {SLOT_COUNT} entries")
         flags.setflags(write=False)
         object.__setattr__(self, "pv_flags", flags)
 
@@ -189,6 +185,7 @@ class PvArbitration:
 
 def pv_arbitrate(
     pv: PvSystem,
+    generation: LoadCurve | np.ndarray,
     shiftable_demand: LoadCurve | np.ndarray,
     pricing: PricingSignal,
     max_app_duration: int,
@@ -200,20 +197,23 @@ def pv_arbitrate(
     peak window, no peak window remains today, or the battery can recharge
     before the next peak starts with at least ``max_app_duration`` slots to
     spare (recharge time = (capacity - soc)/charge_rate).  The state of
-    charge then evolves as
-    ``soc' = clamp(soc + eff*gen*0.5h - supplied, 0, capacity)``.
+    charge then evolves as ``soc' = clamp(soc + eff*gen*0.5h - supplied, 0,
+    capacity)``, where ``gen`` is the slot's ``generation`` (kW).
 
     Infeasible PV never raises; it simply yields all-zero flags.
 
     Raises:
-        FormatError, ParameterError: ``shiftable_demand`` is not a valid
-            ``LoadCurve``, or ``max_app_duration`` is not a whole number >= 0.
+        FormatError, ParameterError: ``generation`` or ``shiftable_demand``
+            is not a valid ``LoadCurve``, or ``max_app_duration`` is not a
+            whole number >= 0.
     """
+    if not isinstance(generation, LoadCurve):
+        generation = LoadCurve(generation)
     if not isinstance(shiftable_demand, LoadCurve):
         shiftable_demand = LoadCurve(shiftable_demand)
     # Python floats and bools: the 48-slot loop runs the same IEEE arithmetic faster
     demand = shiftable_demand.values.tolist()
-    generation = pv.generation.tolist()
+    generation = generation.values.tolist()
     max_app_duration = _whole_number(max_app_duration, 0, "max_app_duration")
 
     peak_mask = pricing.peak_mask().tolist()
@@ -554,6 +554,7 @@ def solve(
     objective: ObjectiveCurve,
     pricing: PricingSignal | None = None,
     pv: PvSystem | None = None,
+    generation: LoadCurve | np.ndarray | None = None,
     baseline: np.ndarray | None = None,
     not_before: int = 1,
 ) -> SolveResult:
@@ -582,6 +583,7 @@ def solve(
         objective: the curve to track.
         pricing: required when ``pv`` is given (peak windows drive timing).
         pv: optional PV/battery system.
+        generation: the day's PV generation (kW per slot), exactly with ``pv``.
         baseline: committed grid load added to every candidate curve.
         not_before: earliest permitted start (intra-day re-solves); deviation
             is likewise evaluated on slots >= this.
@@ -589,8 +591,10 @@ def solve(
     Raises:
         InfeasibleProblemError: any instance has no feasible start.
         ParameterError: ``not_before`` is not a whole slot number in
-            1..SLOT_COUNT, or ``pv`` is given without ``pricing``.
+            1..SLOT_COUNT, or ``pv`` is given without ``pricing`` or
+            ``generation``, or ``generation`` without ``pv``.
         FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
+        FormatError, ParameterError: ``generation`` is not a valid ``LoadCurve``.
 
     Every argument is checked before any search.
     """
@@ -600,6 +604,8 @@ def solve(
         raise ParameterError(f"not_before must be <= {SLOT_COUNT}, got {not_before}")
     if pv is not None and pricing is None:
         raise ParameterError("pricing is required for PV arbitration")
+    if (pv is None) != (generation is None):
+        raise ParameterError("pv and generation must be given together")
 
     fixed = [i for i in instances if i.kind == "fixed"]
     shiftable = sorted(
@@ -642,7 +648,7 @@ def solve(
         if pv is None:
             return np.zeros(SLOT_COUNT, dtype=bool)
         demand = total_curve(shiftable, starts)
-        return pv_arbitrate(pv, demand, pricing, max_duration).flags
+        return pv_arbitrate(pv, generation, demand, pricing, max_duration).flags
 
     evaluations = 0
     flags = arbitrated(preferred_starts(shiftable))

@@ -10,7 +10,8 @@ appliances that have not started yet are re-solved against it.
 Each household's load and PV forecasters are fitted once per calendar week,
 on the history window before the week's anchor day (its Monday, or later
 when the history starts later), and every day of the week is predicted by
-that network from the curve of the day before it.  A two-entry cache keyed
+that network from the curve of the day before it, the PV one giving the
+generation ``solve`` and ``pv_arbitrate`` take.  A two-entry cache keyed
 by the anchor window's records, epoch budget, seed and fit function keeps
 the week's fits while one household's days run in order, so a day whose
 fits are cached builds no hourly series.  A result or an error never
@@ -30,7 +31,6 @@ of ``forecast`` and ``objective`` that it lists.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import datetime
 import functools
 import hashlib
@@ -281,19 +281,18 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
     objective = build_objective(predicted, pricing, model, history[-1].curve)
 
     pv = household.pv
-    if pv is not None and pv.history:
+    generation = None
+    if pv is not None:
         pv_window = _usable_history(pv.history, day, params.history_window_days)
         generation = _forecast_curve(pv.history, pv_window, day, params, seed, household.id, "pv")
-        # solve and pv_arbitrate read no PV history
-        pv = dataclasses.replace(pv, generation=generation.values, history=())
 
-    result = solve(instances, objective, pricing=pricing, pv=pv)
+    result = solve(instances, objective, pricing=pricing, pv=pv, generation=generation)
     assignment = result.assignment
 
     if mode == "online" and shiftable:
         assignment, objective = _replay_online(
-            instances, shiftable, fixed, assignment, objective,
-            predicted, model, history[-1].curve, pricing, pv, seed, household.id, day,
+            instances, shiftable, fixed, assignment, objective, predicted, model,
+            history[-1].curve, pricing, pv, generation, seed, household.id, day,
         )
 
     parts = split_consumption(instances, assignment.starts, assignment.pv_flags)
@@ -310,8 +309,8 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
 
 
 def _replay_online(
-    instances, shiftable, fixed, assignment, objective,
-    predicted, model, previous_day, pricing, pv, seed, household_id, day,
+    instances, shiftable, fixed, assignment, objective, predicted, model,
+    previous_day, pricing, pv, generation, seed, household_id, day,
 ):
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
 
@@ -325,9 +324,9 @@ def _replay_online(
     ahead are reconsidered.  The re-solves see no PV: committed runs add
     their grid share under the day-ahead flags as a baseline, and open runs
     are costed as drawn entirely from the grid.  The final schedule then
-    gets one fresh PV arbitration of its whole shiftable demand, which
-    re-decides every slot, elapsed ones included, so the reported flags and
-    curves follow the executed demand.
+    gets one fresh PV arbitration of its whole shiftable demand against
+    ``generation``, which re-decides every slot, elapsed ones included, so
+    the reported flags and curves follow the executed demand.
     """
     rng = np.random.default_rng(derive_seed(seed, household_id, day, "online"))
     noise = rng.normal(0.0, ONLINE_NOISE_KW, SLOT_COUNT)
@@ -353,8 +352,8 @@ def _replay_online(
 
     flags = None
     if pv is not None:
-        max_duration = max((i.duration_slots for i in shiftable), default=0)
-        flags = pv_arbitrate(pv, total_curve(shiftable, starts), pricing, max_duration).flags
+        longest = max(i.duration_slots for i in shiftable)
+        flags = pv_arbitrate(pv, generation, total_curve(shiftable, starts), pricing, longest).flags
     return ScheduleAssignment(starts=starts, pv_flags=flags), current
 
 

@@ -239,7 +239,6 @@ def generate_fleet(recipe: SyntheticRecipe, seed: int = 0) -> FleetConfig:
         if rng.random() < recipe.pv_fraction:
             pv_history = tuple(DailyRecord(day, _pv_day(rng)) for day in days)
             pv = PvSystem(
-                generation=np.zeros(SLOT_COUNT),
                 battery_capacity=BATTERY_CAPACITY_KWH,
                 battery_soc=BATTERY_SOC_KWH,
                 charge_rate=CHARGE_RATE_KW,

@@ -729,6 +729,24 @@ def test_save_bundle_refuses_an_unserialisable_recipe_before_writing(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("emptied", ["history", "pv history"])
+def test_save_bundle_refuses_an_empty_history_before_writing(tmp_path, emptied):
+    # load_bundle and lint_bundle refuse a history file that holds no day,
+    # so save_bundle does not write one
+    fleet = tiny_fleet()
+    first = fleet.households[0]
+    if emptied == "history":
+        first = dataclasses.replace(first, history=())
+    else:
+        first = dataclasses.replace(first, pv=dataclasses.replace(first.pv, history=()))
+    fleet = dataclasses.replace(fleet, households=(first, *fleet.households[1:]))
+    out = tmp_path / "bundle"
+    out.mkdir()
+    with pytest.raises(FormatError, match=f"^household h001: {emptied} holds no days$"):
+        save_bundle(fleet, out)
+    assert list(out.iterdir()) == []
+
+
 def test_lint_on_clean_bundle_is_quiet(tmp_path):
     root = save_bundle(tiny_fleet(), tmp_path / "bundle")
     assert lint_bundle(root) == ()

@@ -356,18 +356,15 @@ def test_pricing_peak_mask():
 
 
 def test_pv_system_validation():
-    gen = np.zeros(48)
     with pytest.raises(ParameterError):
-        PvSystem(generation=gen, battery_capacity=2.0, battery_soc=2.5)
+        PvSystem(battery_capacity=2.0, battery_soc=2.5)
     with pytest.raises(ParameterError):
-        PvSystem(generation=np.full(48, -0.1), battery_capacity=2.0)
+        PvSystem(battery_capacity=2.0, charge_efficiency=1.5)
     with pytest.raises(ParameterError):
-        PvSystem(generation=gen, battery_capacity=2.0, charge_efficiency=1.5)
-    with pytest.raises(ParameterError):
-        PvSystem(generation=gen, battery_capacity=2.0, battery_soc=-0.1)
+        PvSystem(battery_capacity=2.0, battery_soc=-0.1)
     with pytest.raises(FormatError, match="scalar"):
-        PvSystem(generation=gen, battery_capacity=2.0, battery_soc=np.full(48, 1.0))
-    pv = PvSystem(generation=gen, battery_capacity=2.0, battery_soc=np.float64(1))
+        PvSystem(battery_capacity=2.0, battery_soc=np.full(48, 1.0))
+    pv = PvSystem(battery_capacity=2.0, battery_soc=np.float64(1))
     assert pv.battery_soc == 1.0 and type(pv.battery_soc) is float
 
 
@@ -401,20 +398,20 @@ def test_histories_are_held_sorted_by_day():
         for d in (3, 1, 2)
     ]
     house = Household(id="h1", appliances=(make_shiftable(),), history=records)
-    pv = PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=iter(records))
+    pv = PvSystem(battery_capacity=2.0, history=iter(records))
     for history in (house.history, pv.history):
         assert isinstance(history, tuple)
         assert [r.day.day for r in history] == [1, 2, 3]
         assert {id(r) for r in history} == {id(r) for r in records}
     ordered = tuple(sorted(records, key=lambda r: r.day))
-    backwards = PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=ordered[::-1])
+    backwards = PvSystem(battery_capacity=2.0, history=ordered[::-1])
     assert backwards.history == ordered
     assert Household(id="h1", appliances=(make_shiftable(),), history=ordered).history == ordered
     bare = LoadCurve(np.ones(48))
     with pytest.raises(FormatError, match="household h1 history holds a LoadCurve"):
         Household(id="h1", appliances=(make_shiftable(),), history=(records[0], bare))
     with pytest.raises(FormatError, match="pv history holds a LoadCurve"):
-        PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=(bare,))
+        PvSystem(battery_capacity=2.0, history=(bare,))
 
 
 def test_histories_reject_a_repeated_day():
@@ -427,4 +424,4 @@ def test_histories_reject_a_repeated_day():
         with pytest.raises(FormatError, match=r"^household h1 history repeats day 2025-03-02$"):
             Household(id="h1", appliances=(make_shiftable(),), history=repeated)
         with pytest.raises(FormatError, match=r"^pv history repeats day 2025-03-02$"):
-            PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=repeated)
+            PvSystem(battery_capacity=2.0, history=repeated)

@@ -130,28 +130,23 @@ def test_feasible_starts_names_binding_constraint():
 # ---------------------------------------------------------------- pv_arbitrate
 
 
-def assert_soc_recurrence(pv, demand, result):
+def assert_soc_recurrence(pv, gen, demand, result):
     """The battery delivers a flagged slot's whole demand and nothing else:
     ``soc[h+1] == clip(soc[h] + eff*gen[h]*0.5 - flags[h]*demand[h]*0.5, 0, cap)``."""
     soc = result.soc
     assert soc[0] == pv.battery_soc
-    step = soc[:-1] + pv.charge_efficiency * pv.generation[:-1] * 0.5
+    step = soc[:-1] + pv.charge_efficiency * gen[:-1] * 0.5
     step = step - (result.flags * demand * 0.5)[:-1]
     npt.assert_array_equal(soc[1:], np.clip(step, 0.0, pv.battery_capacity))
 
 
 def test_pv_arbitrate_hand_simulation():
     # full 2 kWh battery, no sun, flat 0.2 kW shiftable demand, peak at 35-44
-    pv = PvSystem(
-        generation=np.zeros(48),
-        battery_capacity=2.0,
-        battery_soc=2.0,
-        charge_rate=1.0,
-        charge_efficiency=1.0,
-    )
+    pv = PvSystem(battery_capacity=2.0, battery_soc=2.0, charge_rate=1.0, charge_efficiency=1.0)
+    gen = np.zeros(48)
     pricing = make_pricing()
     demand = np.full(48, 0.2)
-    result = pv_arbitrate(pv, demand, pricing, max_app_duration=4)
+    result = pv_arbitrate(pv, gen, demand, pricing, max_app_duration=4)
 
     # supplies 0.1 kWh per slot until only 0.1 kWh remains (strict > demand),
     # which happens entering slot 20; the time condition holds well past that
@@ -160,23 +155,18 @@ def test_pv_arbitrate_hand_simulation():
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[:20], 2.0 - 0.1 * np.arange(20))
     npt.assert_allclose(result.soc[20:], 0.1)
-    assert_soc_recurrence(pv, demand, result)
+    assert_soc_recurrence(pv, gen, demand, result)
     assert (result.flags * demand * 0.5).sum() == pytest.approx(1.9)
 
 
 def test_pv_arbitrate_waits_to_recharge_before_peak():
     # slow charger: recharge takes 8*(2 - soc) slots, so even a tiny drain
     # eventually eats the margin required before the 35-44 peak
-    pv = PvSystem(
-        generation=np.zeros(48),
-        battery_capacity=2.0,
-        battery_soc=2.0,
-        charge_rate=0.25,
-        charge_efficiency=1.0,
-    )
+    pv = PvSystem(battery_capacity=2.0, battery_soc=2.0, charge_rate=0.25, charge_efficiency=1.0)
+    gen = np.zeros(48)
     pricing = make_pricing()
     demand = np.full(48, 0.05)
-    result = pv_arbitrate(pv, demand, pricing, max_app_duration=6)
+    result = pv_arbitrate(pv, gen, demand, pricing, max_app_duration=6)
 
     # drain 0.025 kWh/slot: at slot h the margin is (35-h) - 0.2*(h-1) slots,
     # which drops to max_app_duration entering slot 25; supply resumes inside
@@ -185,31 +175,27 @@ def test_pv_arbitrate_waits_to_recharge_before_peak():
     expected[24:34] = False
     npt.assert_array_equal(result.flags, expected)
     npt.assert_allclose(result.soc[24:34], 2.0 - 0.025 * 24)
-    assert_soc_recurrence(pv, demand, result)
+    assert_soc_recurrence(pv, gen, demand, result)
     assert (result.flags * demand * 0.5).sum() <= pv.battery_soc + 1e-9
 
 
 def test_pv_arbitrate_empty_battery_never_raises():
-    pv = PvSystem(generation=np.zeros(48), battery_capacity=1.0, battery_soc=0.0)
+    pv = PvSystem(battery_capacity=1.0, battery_soc=0.0)
+    gen = np.zeros(48)
     demand = np.full(48, 1.0)
-    result = pv_arbitrate(pv, demand, make_pricing(), max_app_duration=2)
+    result = pv_arbitrate(pv, gen, demand, make_pricing(), max_app_duration=2)
     assert not result.flags.any()
-    assert_soc_recurrence(pv, demand, result)
+    assert_soc_recurrence(pv, gen, demand, result)
     npt.assert_allclose(result.soc, 0.0)
 
 
 def test_pv_arbitrate_charging_trajectory():
-    pv = PvSystem(
-        generation=np.full(48, 1.0),
-        battery_capacity=10.0,
-        battery_soc=0.0,
-        charge_rate=2.0,
-        charge_efficiency=0.9,
-    )
+    pv = PvSystem(battery_capacity=10.0, battery_soc=0.0, charge_rate=2.0, charge_efficiency=0.9)
+    gen = np.full(48, 1.0)
     demand = np.zeros(48)
-    result = pv_arbitrate(pv, demand, make_pricing(), max_app_duration=2)
+    result = pv_arbitrate(pv, gen, demand, make_pricing(), max_app_duration=2)
     npt.assert_allclose(result.soc, np.minimum(0.45 * np.arange(48), 10.0))
-    assert_soc_recurrence(pv, demand, result)
+    assert_soc_recurrence(pv, gen, demand, result)
 
 
 def test_pv_arbitrate_energy_conservation():
@@ -217,22 +203,22 @@ def test_pv_arbitrate_energy_conservation():
     pricing = make_pricing()
     for _ in range(20):
         capacity = float(rng.uniform(0.5, 6.0))
+        gen = rng.uniform(0, 2, 48)
         pv = PvSystem(
-            generation=rng.uniform(0, 2, 48),
             battery_capacity=capacity,
             battery_soc=float(rng.uniform(0, capacity)),
             charge_rate=float(rng.uniform(0.2, 3.0)),
             charge_efficiency=float(rng.uniform(0.5, 1.0)),
         )
         demand = rng.uniform(0, 3, 48)
-        result = pv_arbitrate(pv, demand, pricing, max_app_duration=int(rng.integers(1, 8)))
-        available = pv.battery_soc + pv.charge_efficiency * pv.generation.sum() * 0.5
+        result = pv_arbitrate(pv, gen, demand, pricing, max_app_duration=int(rng.integers(1, 8)))
+        available = pv.battery_soc + pv.charge_efficiency * gen.sum() * 0.5
         assert (result.flags * demand * 0.5).sum() <= available + 1e-9
         assert (result.soc >= -1e-12).all() and (result.soc <= capacity + 1e-12).all()
-        assert_soc_recurrence(pv, demand, result)
+        assert_soc_recurrence(pv, gen, demand, result)
 
 
-def pv_arbitrate_on_arrays(pv, demand, pricing, max_app_duration):
+def pv_arbitrate_on_arrays(pv, gen, demand, pricing, max_app_duration):
     """The slot loop reading numpy arrays and scalars; the reference for ``pv_arbitrate``."""
     peak_mask = pricing.peak_mask()
     starts = sorted(start for start, _ in pricing.peak_windows)
@@ -253,7 +239,7 @@ def pv_arbitrate_on_arrays(pv, demand, pricing, max_app_duration):
         if time_ok and soc > demand_kwh:
             flags[idx] = True
             supplied = demand_kwh
-        charged = pv.charge_efficiency * pv.generation[idx] * 0.5
+        charged = pv.charge_efficiency * gen[idx] * 0.5
         soc = min(max(soc + charged - supplied, 0.0), pv.battery_capacity)
     return flags, soc_trace
 
@@ -264,8 +250,8 @@ def test_pv_arbitrate_matches_the_array_loop_bit_for_bit():
     for trial in range(300):
         capacity = float(rng.uniform(0.5, 6.0))
         soc = capacity if trial % 3 == 0 else float(rng.uniform(0, capacity))  # full battery
+        gen = rng.uniform(0, 2, 48) * (rng.random(48) < 0.6)
         pv = PvSystem(
-            generation=rng.uniform(0, 2, 48) * (rng.random(48) < 0.6),
             battery_capacity=capacity,
             battery_soc=soc,
             charge_rate=float(rng.uniform(0.2, 3.0)),
@@ -276,8 +262,8 @@ def test_pv_arbitrate_matches_the_array_loop_bit_for_bit():
             demand = np.zeros(48)
         pricing = make_pricing(peak_windows=window_sets[trial % len(window_sets)])
         duration = int(rng.integers(0, 8))
-        result = pv_arbitrate(pv, demand, pricing, max_app_duration=duration)
-        flags, soc_trace = pv_arbitrate_on_arrays(pv, demand, pricing, duration)
+        result = pv_arbitrate(pv, gen, demand, pricing, max_app_duration=duration)
+        flags, soc_trace = pv_arbitrate_on_arrays(pv, gen, demand, pricing, duration)
         npt.assert_array_equal(result.flags, flags)
         assert np.array_equal(result.soc.view(np.uint64), soc_trace.view(np.uint64))
 
@@ -304,9 +290,24 @@ def test_pv_arbitrate_matches_the_array_loop_bit_for_bit():
     ],
 )
 def test_pv_arbitrate_rejects_malformed_input(demand, max_app_duration, error):
-    pv = PvSystem(generation=np.ones(48), battery_capacity=4.0, battery_soc=4.0)
+    pv = PvSystem(battery_capacity=4.0, battery_soc=4.0)
     with pytest.raises(error):
-        pv_arbitrate(pv, demand, make_pricing(), max_app_duration)
+        pv_arbitrate(pv, np.ones(48), demand, make_pricing(), max_app_duration)
+
+
+BAD_GENERATION = [
+    (np.full(47, 1.0), FormatError, "load curve needs 48 values"),
+    (np.where(np.arange(48) == 10, np.nan, 1.0), FormatError, "non-finite"),
+    (np.full(48, -0.1), ParameterError, "negative power"),
+]
+BAD_GENERATION_IDS = ["short-generation", "nan-generation", "negative-generation"]
+
+
+@pytest.mark.parametrize("gen, error, message", BAD_GENERATION, ids=BAD_GENERATION_IDS)
+def test_pv_arbitrate_rejects_malformed_generation(gen, error, message):
+    pv = PvSystem(battery_capacity=4.0, battery_soc=4.0)
+    with pytest.raises(error, match=message):
+        pv_arbitrate(pv, gen, np.full(48, 0.5), make_pricing(), 2)
 
 
 # ---------------------------------------------------------------- evaluate_cost
@@ -907,9 +908,9 @@ def test_solve_not_before_clips_starts_and_deviation():
 
 def test_solve_pricing_required_with_pv():
     inst = make_instance("a", duration=2, preferred=10)
-    pv = PvSystem(generation=np.zeros(48), battery_capacity=1.0)
+    pv = PvSystem(battery_capacity=1.0)
     with pytest.raises(ParameterError, match="pricing"):
-        solve([inst], make_objective(np.zeros(48)), pv=pv)
+        solve([inst], make_objective(np.zeros(48)), pv=pv, generation=np.zeros(48))
 
 
 # ---------------------------------------------------------------- solve: local search
@@ -1121,23 +1122,17 @@ def peaked_pv_problem():
     pricing = make_pricing()
     gen = np.zeros(48)
     gen[16:32] = 1.5  # sun from 08:00 to 16:00
-    pv = PvSystem(
-        generation=gen,
-        battery_capacity=4.0,
-        battery_soc=1.0,
-        charge_rate=1.5,
-        charge_efficiency=0.9,
-    )
+    pv = PvSystem(battery_capacity=4.0, battery_soc=1.0, charge_rate=1.5, charge_efficiency=0.9)
     objective = make_objective(np.full(48, 0.5))
-    return instances, objective, pricing, pv
+    return instances, objective, pricing, pv, gen
 
 
 def test_solve_with_pv_reaches_consistent_flags():
-    instances, objective, pricing, pv = peaked_pv_problem()
-    result = solve(instances, objective, pricing=pricing, pv=pv)
+    instances, objective, pricing, pv, gen = peaked_pv_problem()
+    result = solve(instances, objective, pricing=pricing, pv=pv, generation=gen)
     shiftable = [i for i in instances if i.kind == "shiftable"]
     demand = total_curve(shiftable, result.assignment.starts)
-    again = pv_arbitrate(pv, demand, pricing, max_app_duration=3)
+    again = pv_arbitrate(pv, gen, demand, pricing, max_app_duration=3)
     npt.assert_array_equal(result.assignment.pv_flags, again.flags)
 
     assert result.cost == evaluate_cost(result.assignment, objective, instances)
@@ -1154,7 +1149,7 @@ def test_pv_fixed_point_stops_at_a_repeated_flag_state(monkeypatch):
     state_b = np.zeros(48, dtype=bool)
     state_b[29:39] = True
 
-    def cycling(pv, demand, pricing, max_app_duration):
+    def cycling(pv, gen, demand, pricing, max_app_duration):
         flags = state_b if demand.values[state_a].any() else state_a
         return SimpleNamespace(flags=flags.copy())
 
@@ -1174,9 +1169,10 @@ def test_pv_fixed_point_stops_at_a_repeated_flag_state(monkeypatch):
         ]
     )
     pricing = make_pricing()
-    pv = PvSystem(generation=np.zeros(48), battery_capacity=4.0)
+    pv = PvSystem(battery_capacity=4.0)
+    gen = np.zeros(48)
     objective = make_objective(np.zeros(48))
-    result = solve(instances, objective, pricing=pricing, pv=pv)
+    result = solve(instances, objective, pricing=pricing, pv=pv, generation=gen)
     assert len(built) == 2
     npt.assert_array_equal(built[0], state_b)  # the preferred start lies in A
     npt.assert_array_equal(built[1], state_a)
@@ -1184,7 +1180,7 @@ def test_pv_fixed_point_stops_at_a_repeated_flag_state(monkeypatch):
     # the loop as it ran before: every round, each optimizing by brute force
     wash, base = instances
     fixed = {"base": base.preferred_start}
-    flags = cycling(pv, total_curve([wash], {"wash": wash.preferred_start}), pricing, 2).flags
+    flags = cycling(pv, gen, total_curve([wash], {"wash": wash.preferred_start}), pricing, 2).flags
     best = None
     for _ in range(scheduler._PV_ITERATION_CAP):
         start = min(
@@ -1195,7 +1191,7 @@ def test_pv_fixed_point_stops_at_a_repeated_flag_state(monkeypatch):
                 t,
             ),
         )
-        flags = cycling(pv, total_curve([wash], {"wash": start}), pricing, 2).flags
+        flags = cycling(pv, gen, total_curve([wash], {"wash": start}), pricing, 2).flags
         candidate = ScheduleAssignment({"wash": start, **fixed}, flags)
         cost = evaluate_cost(candidate, objective, instances)
         if best is None or cost < best[0]:
@@ -1216,14 +1212,9 @@ def test_solve_big_battery_leaves_only_fixed_load_on_grid():
         ]
     )
     pricing = make_pricing()
-    pv = PvSystem(
-        generation=np.zeros(48),
-        battery_capacity=10.0,
-        battery_soc=10.0,
-        charge_rate=1.0,
-    )
+    pv = PvSystem(battery_capacity=10.0, battery_soc=10.0, charge_rate=1.0)
     objective = make_objective(np.zeros(48))
-    result = solve(instances, objective, pricing=pricing, pv=pv)
+    result = solve(instances, objective, pricing=pricing, pv=pv, generation=np.zeros(48))
 
     assert result.assignment.starts["wash"] == 10  # all placements tie, keep preferred
     assert result.assignment.pv_flags[9] and result.assignment.pv_flags[10]
@@ -1264,6 +1255,8 @@ def test_assignment_export_schema():
 
 BAD_BASELINE = (FormatError, "baseline needs 48 finite values")
 BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
+UNPAIRED = (ParameterError, "pv and generation must be given together")
+WITH_PV = {"pricing": make_pricing(), "pv": PvSystem(battery_capacity=4.0, battery_soc=4.0)}
 
 
 @pytest.mark.parametrize(
@@ -1277,9 +1270,14 @@ BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
         ({"not_before": 2.5}, BAD_NOT_BEFORE),
         ({"not_before": float("nan")}, BAD_NOT_BEFORE),
         ({"not_before": 49}, (ParameterError, "not_before must be <= 48, got 49")),
+        (WITH_PV, UNPAIRED),
+        ({"generation": np.zeros(48)}, UNPAIRED),
+        *(({**WITH_PV, "generation": gen}, (error, message))
+          for gen, error, message in BAD_GENERATION),
     ],
     ids=["baseline of 47", "baseline of 1", "baseline nan", "baseline inf", "not_before 0",
-         "not_before 2.5", "not_before nan", "not_before 49"],
+         "not_before 2.5", "not_before nan", "not_before 49", "pv without generation",
+         "generation without pv", *BAD_GENERATION_IDS],
 )
 def test_solve_rejects_bad_input_before_searching(bad, expected, monkeypatch):
     def no_search(*args, **kwargs):

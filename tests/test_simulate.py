@@ -160,8 +160,8 @@ def test_online_pv_replay_reports_the_final_arbitration(monkeypatch):
     real = simulate.pv_arbitrate
     calls = []
 
-    def recording(pv, demand, pricing, max_app_duration):
-        arb = real(pv, demand, pricing, max_app_duration)
+    def recording(pv, generation, demand, pricing, max_app_duration):
+        arb = real(pv, generation, demand, pricing, max_app_duration)
         calls.append((demand, arb))
         return arb
 
@@ -597,6 +597,8 @@ def run_day_error_after(household, day, params, warm):
         # the 16th is missing: the day's window is whole, the anchor's is not
         ([i for i in range(24) if i != 15], datetime.date(2025, 5, 25), 5,
          "h9 2025-05-25: history days not consecutive: 2025-05-15 -> 2025-05-17"),
+        # no history at all: a PV household fails like one without load history
+        ((), datetime.date(2025, 5, 14), 30, "h9 2025-05-14: needs at least 3 history days"),
     ],
 )
 def test_history_errors_do_not_depend_on_record_order(keep, day, window, error):
@@ -610,7 +612,7 @@ def test_history_errors_do_not_depend_on_record_order(keep, day, window, error):
     load_gap = Household(id="h9", appliances=(make_fixed(),), pv=None, history=kept)
     pv_gap = Household(
         id="h9", appliances=(make_fixed(),), history=whole,
-        pv=PvSystem(generation=np.zeros(48), battery_capacity=2.0, history=kept),
+        pv=PvSystem(battery_capacity=2.0, history=kept),
     )
     expected = run_day_error_after(load_gap, day, params, warm=())
     assert expected[1].startswith(error)
