@@ -366,6 +366,10 @@ def read_appliances_csv(path) -> tuple[ApplianceSpec, ...]:
 # ---------------------------------------------------------------- manifest
 
 
+# a PV entry's number keys, which name the PvSystem fields they hold
+_PV_NUMBERS = ("battery_capacity", "battery_soc", "charge_rate", "charge_efficiency")
+
+
 def _manifest_entry(household: Household) -> dict:
     base = f"households/{household.id}"
     entry = {
@@ -375,13 +379,8 @@ def _manifest_entry(household: Household) -> dict:
         "pv": None,
     }
     if household.pv is not None:
-        entry["pv"] = {
-            "generation_history": f"{base}/pv_history.csv",
-            "battery_capacity": float(household.pv.battery_capacity),
-            "battery_soc": float(household.pv.battery_soc),
-            "charge_rate": float(household.pv.charge_rate),
-            "charge_efficiency": float(household.pv.charge_efficiency),
-        }
+        entry["pv"] = {"generation_history": f"{base}/pv_history.csv"}
+        entry["pv"].update((key, float(getattr(household.pv, key))) for key in _PV_NUMBERS)
     return entry
 
 
@@ -397,13 +396,14 @@ def save_bundle(config: FleetConfig, path) -> Path:
             raise FormatError(f"household {household.id}: history holds no days")
         if household.pv is not None and not household.pv.history:
             raise FormatError(f"household {household.id}: pv history holds no days")
+    entries = [_manifest_entry(h) for h in config.households]
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "mode": config.mode,
         "days": [day.isoformat() for day in config.days],
         "pricing": "pricing.csv",
         "recipe": config.recipe,
-        "households": [_manifest_entry(h) for h in config.households],
+        "households": entries,
     }
     # serialised before any file is written, so a refused manifest leaves nothing behind
     try:
@@ -412,14 +412,13 @@ def save_bundle(config: FleetConfig, path) -> Path:
         raise FormatError(f"manifest cannot be written as JSON: {exc}") from exc
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    write_pricing_csv(config.pricing, root / "pricing.csv")
-    for household in config.households:
-        base = root / "households" / household.id
-        base.mkdir(parents=True, exist_ok=True)
-        write_appliances_csv(household.appliances, base / "appliances.csv")
-        write_history_csv(household.history, base / "history.csv")
+    write_pricing_csv(config.pricing, root / manifest["pricing"])
+    for household, entry in zip(config.households, entries):
+        (root / entry["history"]).parent.mkdir(parents=True, exist_ok=True)
+        write_appliances_csv(household.appliances, root / entry["appliances"])
+        write_history_csv(household.history, root / entry["history"])
         if household.pv is not None:
-            write_history_csv(household.pv.history, base / "pv_history.csv")
+            write_history_csv(household.pv.history, root / entry["pv"]["generation_history"])
     (root / "manifest.json").write_text(text, encoding="utf-8")
     return root
 
@@ -509,15 +508,14 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
     pv_entry = entry.get("pv")
     if pv_entry is not None:
         _expect(pv_entry, dict, manifest_path, f"household {hid}: pv")
-        for key in ("generation_history", "battery_capacity", "battery_soc",
-                    "charge_rate", "charge_efficiency"):
+        for key in ("generation_history", *_PV_NUMBERS):
             if key not in pv_entry:
                 _fail(manifest_path, None, f"household {hid}: pv missing {key!r}")
         generation_path = _bundle_path(root, pv_entry["generation_history"], manifest_path,
                                        f"household {hid}: pv generation_history")
         numbers = {
             key: _expect_number(pv_entry[key], manifest_path, f"household {hid}: pv {key}")
-            for key in ("battery_capacity", "battery_soc", "charge_rate", "charge_efficiency")
+            for key in _PV_NUMBERS
         }
         pv_history = read_history_csv(generation_path)
         try:
@@ -531,60 +529,57 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
         raise FormatError(f"{manifest_path}: household {hid}: {exc}") from exc
 
 
+def _read_bundle(root: Path, problems: list[str] | None = None) -> FleetConfig | None:
+    """Walk a bundle: manifest, days, pricing, then each household in order.
+
+    With no ``problems`` list the first problem raises its :class:`FormatError`.
+    With a list, each problem's message is appended and the walk goes on,
+    unless the manifest itself is unusable; the fleet is returned only when
+    no problem was found.
+    """
+
+    def step(read, *args):
+        try:
+            return read(*args)
+        except LoadshiftError as exc:
+            if problems is None:
+                raise
+            problems.append(str(exc))
+
+    manifest_path = root / "manifest.json"
+    doc = step(_load_manifest, root)
+    if doc is None:
+        return None
+    days = step(_parse_days, doc, manifest_path)
+    pricing = step(
+        lambda: read_pricing_csv(_bundle_path(root, doc["pricing"], manifest_path, "pricing"))
+    )
+    households = []
+    seen = set()
+    for entry in doc["households"]:
+        hid = entry.get("id") if isinstance(entry, dict) else None
+        if isinstance(hid, str):  # a missing or non-string id is reported by _load_household
+            if hid in seen:
+                step(_fail, manifest_path, None, f"duplicate household id {hid!r}")
+            seen.add(hid)
+        households.append(step(_load_household, root, entry, manifest_path))
+    if problems:
+        return None
+    return FleetConfig(households=tuple(households), pricing=pricing, days=days,
+                       mode=doc["mode"], recipe=doc.get("recipe"))
+
+
 def load_bundle(path) -> FleetConfig:
     """Read a bundle directory back into a validated fleet.
 
     Raises:
-        FormatError: on the first structural problem, citing file and line.
+        FormatError: on the first problem ``lint_bundle`` lists, citing file and line.
     """
-    root = Path(path)
-    manifest_path = root / "manifest.json"
-    doc = _load_manifest(root)
-    days = _parse_days(doc, manifest_path)
-    pricing = read_pricing_csv(_bundle_path(root, doc["pricing"], manifest_path, "pricing"))
-    households = tuple(
-        _load_household(root, entry, manifest_path) for entry in doc["households"]
-    )
-    try:
-        return FleetConfig(
-            households=households,
-            pricing=pricing,
-            days=days,
-            mode=doc["mode"],
-            recipe=doc.get("recipe"),
-        )
-    except LoadshiftError as exc:
-        raise FormatError(f"{manifest_path}: {exc}") from exc
+    return _read_bundle(Path(path))
 
 
 def lint_bundle(path) -> tuple[str, ...]:
     """Collect every problem found in a bundle instead of stopping at one."""
-    root = Path(path)
-    manifest_path = root / "manifest.json"
     problems = []
-    try:
-        doc = _load_manifest(root)
-    except LoadshiftError as exc:
-        return (str(exc),)
-
-    try:
-        _parse_days(doc, manifest_path)
-    except LoadshiftError as exc:
-        problems.append(str(exc))
-    try:
-        read_pricing_csv(_bundle_path(root, doc["pricing"], manifest_path, "pricing"))
-    except LoadshiftError as exc:
-        problems.append(str(exc))
-
-    seen = set()
-    for entry in doc["households"]:
-        hid = entry.get("id") if isinstance(entry, dict) else None
-        if isinstance(hid, str):  # a missing or non-string id is reported by the load below
-            if hid in seen:
-                problems.append(f"{manifest_path}: duplicate household id {hid!r}")
-            seen.add(hid)
-        try:
-            _load_household(root, entry, manifest_path)
-        except LoadshiftError as exc:
-            problems.append(str(exc))
+    _read_bundle(Path(path), problems)
     return tuple(problems)

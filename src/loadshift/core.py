@@ -22,6 +22,10 @@ SLOT_HOURS = SLOT_MINUTES / 60.0
 
 APPLIANCE_KINDS = ("fixed", "shiftable")
 
+# The most candidate starts one solve scores over all its shiftable instances,
+# which keeps its pairwise terms (8 B per pair of starts) within 8 MB.
+MAX_CANDIDATE_STARTS = 1024
+
 
 def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -123,7 +127,8 @@ class ApplianceSpec:
         preferred_start: the customer's preferred start slot.
         max_shift: the most slots a run may start away from
             ``preferred_start``, in either direction; 0 for a fixed appliance.
-        count: number of identical instances of this appliance.
+        count: number of identical instances of this appliance, at most
+            ``MAX_CANDIDATE_STARTS``.
     """
 
     id: str
@@ -144,6 +149,10 @@ class ApplianceSpec:
         for name, least in _WHOLE_FIELD_MINIMUMS.items():
             whole = _whole_number(getattr(self, name), least, f"appliance {self.id}: {name}")
             object.__setattr__(self, name, whole)
+        if self.count > MAX_CANDIDATE_STARTS:
+            raise ParameterError(
+                f"appliance {self.id}: count must be <= {MAX_CANDIDATE_STARTS}, got {self.count}"
+            )
 
         profile = np.asarray(self.power_profile, dtype=float)
         if profile.shape != (self.duration_slots,):

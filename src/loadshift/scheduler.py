@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    MAX_CANDIDATE_STARTS,
     SLOT_COUNT,
     SLOT_HOURS,
     ApplianceInstance,
@@ -592,7 +593,9 @@ def solve(
         InfeasibleProblemError: any instance has no feasible start.
         ParameterError: ``not_before`` is not a whole slot number in
             1..SLOT_COUNT, or ``pv`` is given without ``pricing`` or
-            ``generation``, or ``generation`` without ``pv``.
+            ``generation``, or ``generation`` without ``pv``, or the
+            shiftable instances have more than ``MAX_CANDIDATE_STARTS``
+            feasible starts in all.
         FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
         FormatError, ParameterError: ``generation`` is not a valid ``LoadCurve``.
 
@@ -624,6 +627,11 @@ def solve(
     if offenders:
         raise InfeasibleProblemError(
             "; ".join(problems), offenders=tuple(offenders)
+        )
+    candidates = sum(len(starts) for starts in starts_by_id.values())
+    if candidates > MAX_CANDIDATE_STARTS:
+        raise ParameterError(
+            f"{candidates} candidate starts exceed MAX_CANDIDATE_STARTS {MAX_CANDIDATE_STARTS}"
         )
 
     fixed_curve = total_curve(fixed, preferred_starts(fixed)).values

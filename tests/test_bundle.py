@@ -31,7 +31,7 @@ from loadshift.bundle import (
     write_history_csv,
     write_pricing_csv,
 )
-from loadshift.core import DailyRecord, LoadCurve
+from loadshift.core import MAX_CANDIDATE_STARTS, DailyRecord, LoadCurve
 from loadshift.errors import FormatError, LoadshiftError
 from loadshift.simulate import RunParams, run_day
 from loadshift.synth import SyntheticRecipe, generate_fleet
@@ -651,7 +651,7 @@ def test_load_wraps_fleet_errors_as_format_errors(tmp_path):
     doc["days"] = doc["days"][::-1]
     doc["households"].append(doc["households"][0])
     (root / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match=r"manifest.json: household ids must be unique"):
+    with pytest.raises(FormatError, match=r"manifest.json: duplicate household id 'h001'$"):
         load_bundle(root)
 
 
@@ -682,6 +682,37 @@ def test_lint_flags_duplicate_household_ids(tmp_path):
     (root / "manifest.json").write_text(json.dumps(doc))
     problems = lint_bundle(root)
     assert any("duplicate household id 'h001'" in p for p in problems)
+
+
+def test_load_stops_at_a_duplicate_id_before_reading_its_files(tmp_path):
+    # the repeated entry names a history file that is not there; the id is
+    # refused at the entry, before any of its files is read
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    doc = json.loads((root / "manifest.json").read_text())
+    doc["households"].insert(1, {**doc["households"][0], "history": "missing.csv"})
+    (root / "manifest.json").write_text(json.dumps(doc))
+    problems = lint_bundle(root)
+    assert problems[0] == f"{root / 'manifest.json'}: duplicate household id 'h001'"
+    with pytest.raises(FormatError) as caught:
+        load_bundle(root)
+    assert str(caught.value) == problems[0]
+
+
+def test_appliance_count_over_the_candidate_start_limit_cites_the_row(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    path = root / "households" / "h001" / "appliances.csv"
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[2][-1] = str(MAX_CANDIDATE_STARTS + 1)
+    with path.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    message = (
+        f"{path}:3: appliance {rows[2][0]}: "
+        f"count must be <= {MAX_CANDIDATE_STARTS}, got {MAX_CANDIDATE_STARTS + 1}"
+    )
+    assert lint_bundle(root) == (message,)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_bundle(root)
 
 
 def test_lint_leaves_entries_without_a_string_id_out_of_the_duplicate_check(tmp_path):
@@ -897,9 +928,12 @@ def test_mutated_bundle_loads_or_raises_a_loadshift_error(clean_bundle, data):
 
         try:
             load_bundle(root)
-            loaded = True
-        except LoadshiftError:
-            loaded = False
+            failure = None
+        except LoadshiftError as exc:
+            failure = exc
         problems = lint_bundle(root)
         assert all(isinstance(p, str) for p in problems)
-        assert loaded == (problems == ()), problems
+        assert (failure is None) == (problems == ()), problems
+        if failure is not None:
+            assert isinstance(failure, FormatError)
+            assert str(failure) == problems[0]

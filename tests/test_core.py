@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_fixed, make_pricing, make_shiftable
 from loadshift.core import (
+    MAX_CANDIDATE_STARTS,
     ApplianceSpec,
     DailyRecord,
     Household,
@@ -133,6 +134,13 @@ def test_profile_and_counts():
         make_shiftable(count=0)
     with pytest.raises(ParameterError):
         make_shiftable(max_shift=-1)
+
+
+def test_appliance_count_is_bounded_by_the_candidate_start_limit():
+    assert make_shiftable(count=MAX_CANDIDATE_STARTS).count == MAX_CANDIDATE_STARTS
+    message = f"appliance dev: count must be <= {MAX_CANDIDATE_STARTS}, got 1025"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        make_shiftable(count=MAX_CANDIDATE_STARTS + 1)
 
 
 def test_expand_instances_names_and_count():

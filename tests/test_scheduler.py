@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshift.core import (
+    MAX_CANDIDATE_STARTS,
     ApplianceInstance,
     PvSystem,
     expand_instances,
@@ -891,6 +892,18 @@ def test_solve_infeasible_problem_names_offenders():
         solve(instances, objective, not_before=20)
     assert excinfo.value.offenders == ("early",)
     assert "early" in str(excinfo.value)
+
+
+def test_solve_refuses_more_candidate_starts_than_the_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a candidate space was built")
+
+    monkeypatch.setattr(scheduler, "_CandidateSpace", refuse)
+    # 600 instances with starts 1 and 2 each: 1200 candidate starts in all
+    spec = make_shiftable(count=600, duration=2, window=(1, 3), preferred=1, max_shift=1)
+    message = f"^1200 candidate starts exceed MAX_CANDIDATE_STARTS {MAX_CANDIDATE_STARTS}$"
+    with pytest.raises(ParameterError, match=message):
+        solve(expand_instances([spec]), make_objective(np.zeros(48)))
 
 
 def test_solve_not_before_clips_starts_and_deviation():
