@@ -32,6 +32,7 @@ from .core import (
     PvSystem,
 )
 from .errors import FormatError, LoadshiftError
+from .scheduler import candidate_starts
 from .simulate import MODES, FleetConfig
 
 BUNDLE_FORMAT_VERSION = 1
@@ -111,23 +112,25 @@ def _parse_int(text, path, line, column) -> int:
         _fail(path, line, f"non-integer {column}: {text!r}")
 
 
+def _write_csv(path, columns, rows) -> Path:
+    """Write a header of ``columns`` and then ``rows``, one CSV line each."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return path
+
+
 # ---------------------------------------------------------------- history
 
 
 def write_history_csv(records, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HISTORY_COLUMNS)
-        for record in records:
-            day = record.day.isoformat()
-            for idx, value in enumerate(record.curve.values, start=1):
-                writer.writerow([day, idx, repr(float(value))])
-    return path
-
-
-# canonical slot texts, so a well-formed row skips int()
-_SLOT_NUMBERS = {str(slot): slot for slot in range(1, SLOT_COUNT + 1)}
+    return _write_csv(path, HISTORY_COLUMNS, (
+        (record.day.isoformat(), slot, repr(float(value)))
+        for record in records
+        for slot, value in enumerate(record.curve.values, start=1)
+    ))
 
 
 def _day_record(path, line, day, values) -> DailyRecord:
@@ -207,23 +210,21 @@ def _read_canonical_history(path) -> tuple[DailyRecord, ...] | None:
 def _walk_history_rows(path) -> tuple[DailyRecord, ...]:
     """Read stacked daily curves, streaming the rows once without holding them all.
 
-    Each row is checked as it arrives; a date is parsed only when its text
-    changes.  The first malformed row, day, repeated day or CSV syntax error
-    raises a :class:`FormatError` naming ``file:line``.
+    Each row is checked as it arrives.  The first malformed row, day,
+    repeated day or CSV syntax error raises a :class:`FormatError` naming
+    ``file:line``.
     """
     records = []
-    day_text = day = None
+    day = None
     values = []
     for line, row in enumerate(_open_rows(path, HISTORY_COLUMNS), start=2):
         if len(row) != 3:
             _fail(path, line, f"expected 3 fields, got {len(row)}")
-        if row[0] != day_text:
-            try:
-                row_day = datetime.date.fromisoformat(row[0])
-            except ValueError:
-                _fail(path, line, f"bad date: {row[0]!r}")
-            day_text = row[0]
-        slot = _SLOT_NUMBERS.get(row[1]) or _parse_int(row[1], path, line, "slot")
+        try:
+            row_day = datetime.date.fromisoformat(row[0])
+        except ValueError:
+            _fail(path, line, f"bad date: {row[0]!r}")
+        slot = _parse_int(row[1], path, line, "slot")
         value = _parse_float(row[2], path, line, "value_kw")
         if row_day != day:
             if day is not None:
@@ -259,14 +260,10 @@ def read_history_csv(path) -> tuple[DailyRecord, ...]:
 
 
 def write_pricing_csv(pricing: PricingSignal, path) -> Path:
-    path = Path(path)
-    mask = pricing.peak_mask()
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PRICING_COLUMNS)
-        for idx in range(SLOT_COUNT):
-            writer.writerow([idx + 1, repr(float(pricing.prices[idx])), int(mask[idx])])
-    return path
+    return _write_csv(path, PRICING_COLUMNS, (
+        (slot, repr(float(price)), int(peak))
+        for slot, (price, peak) in enumerate(zip(pricing.prices, pricing.peak_mask()), start=1)
+    ))
 
 
 def read_pricing_csv(path) -> PricingSignal:
@@ -287,18 +284,11 @@ def read_pricing_csv(path) -> PricingSignal:
             _fail(path, line, f"is_peak must be 0 or 1, got {flag!r}")
         peak[slot - 1] = flag == "1"
 
-    windows = []
-    idx = 0
-    while idx < SLOT_COUNT:
-        if peak[idx]:
-            start = idx + 1
-            while idx < SLOT_COUNT and peak[idx]:
-                idx += 1
-            windows.append((start, idx))
-        else:
-            idx += 1
+    # a window opens after each rising edge of the padded mask and closes at the next falling one
+    edges = np.flatnonzero(np.diff([False, *peak, False]))
+    windows = tuple(zip((edges[::2] + 1).tolist(), edges[1::2].tolist()))
     try:
-        return PricingSignal(prices=prices, peak_windows=tuple(windows))
+        return PricingSignal(prices=prices, peak_windows=windows)
     except LoadshiftError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -307,25 +297,14 @@ def read_pricing_csv(path) -> PricingSignal:
 
 
 def write_appliances_csv(appliances, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(APPLIANCE_COLUMNS)
-        for spec in appliances:
-            writer.writerow(
-                [
-                    spec.id,
-                    spec.kind,
-                    spec.duration_slots,
-                    spec.window_start,
-                    spec.window_end,
-                    spec.preferred_start,
-                    spec.max_shift,
-                    ";".join(repr(float(p)) for p in spec.power_profile),
-                    spec.count,
-                ]
-            )
-    return path
+    return _write_csv(path, APPLIANCE_COLUMNS, (
+        [
+            ";".join(repr(float(p)) for p in spec.power_profile) if column == "power_csv"
+            else getattr(spec, column)
+            for column in APPLIANCE_COLUMNS
+        ]
+        for spec in appliances
+    ))
 
 
 def read_appliances_csv(path) -> tuple[ApplianceSpec, ...]:
@@ -336,26 +315,19 @@ def read_appliances_csv(path) -> tuple[ApplianceSpec, ...]:
     for line, row in enumerate(rows, start=2):
         if len(row) != len(APPLIANCE_COLUMNS):
             _fail(path, line, f"expected {len(APPLIANCE_COLUMNS)} fields, got {len(row)}")
-        name = row[0].strip()
+        fields = dict(zip(APPLIANCE_COLUMNS, row))
+        name = fields.pop("id").strip()
         if not name:
             _fail(path, line, "empty appliance id")
-        profile = [
-            _parse_float(piece, path, line, "power_csv") for piece in row[7].split(";") if piece
-        ]
+        kind = fields.pop("kind").strip()
+        profile = np.array([
+            _parse_float(piece, path, line, "power_csv")
+            for piece in fields.pop("power_csv").split(";") if piece
+        ])
+        # every other column is a whole number
+        numbers = {column: _parse_int(text, path, line, column) for column, text in fields.items()}
         try:
-            specs.append(
-                ApplianceSpec(
-                    id=name,
-                    kind=row[1].strip(),
-                    power_profile=np.array(profile),
-                    duration_slots=_parse_int(row[2], path, line, "duration_slots"),
-                    window_start=_parse_int(row[3], path, line, "window_start"),
-                    window_end=_parse_int(row[4], path, line, "window_end"),
-                    preferred_start=_parse_int(row[5], path, line, "preferred_start"),
-                    max_shift=_parse_int(row[6], path, line, "max_shift"),
-                    count=_parse_int(row[8], path, line, "count"),
-                )
-            )
+            specs.append(ApplianceSpec(id=name, kind=kind, power_profile=profile, **numbers))
         except FormatError:
             raise
         except LoadshiftError as exc:
@@ -524,9 +496,12 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
             raise FormatError(f"{manifest_path}: household {hid}: {exc}") from exc
 
     try:
-        return Household(id=hid, appliances=appliances, pv=pv, history=history)
+        household = Household(id=hid, appliances=appliances, pv=pv, history=history)
+        # a solve from slot 1 scores the most starts; a later re-solve scores some of them
+        candidate_starts([i for i in household.instances() if i.kind == "shiftable"])
     except LoadshiftError as exc:
         raise FormatError(f"{manifest_path}: household {hid}: {exc}") from exc
+    return household
 
 
 def _read_bundle(root: Path, problems: list[str] | None = None) -> FleetConfig | None:

@@ -66,4 +66,4 @@ class DegenerateRegressionError(LoadshiftError):
 
 
 class TemporalConsistencyError(LoadshiftError):
-    """Realized history does not line up with the current slot."""
+    """A history window skips a day, or lacks the day before the one it serves."""

@@ -169,6 +169,34 @@ def feasible_starts(
     return tuple(range(lo, hi + 1))
 
 
+def candidate_starts(
+    shiftable: Sequence[ApplianceInstance], not_before: int = 1
+) -> dict[str, tuple[int, ...]]:
+    """The starts one solve scores: each shiftable instance's ``feasible_starts``, by id.
+
+    Raises:
+        InfeasibleProblemError: some instance has no feasible start.
+        ParameterError: more than ``MAX_CANDIDATE_STARTS`` starts in all.
+    """
+    starts_by_id: dict[str, tuple[int, ...]] = {}
+    offenders = []
+    problems = []
+    for inst in shiftable:
+        try:
+            starts_by_id[inst.instance_id] = feasible_starts(inst, not_before=not_before)
+        except InfeasibleApplianceError as exc:
+            offenders.append(inst.instance_id)
+            problems.append(str(exc))
+    if offenders:
+        raise InfeasibleProblemError("; ".join(problems), offenders=tuple(offenders))
+    candidates = sum(len(starts) for starts in starts_by_id.values())
+    if candidates > MAX_CANDIDATE_STARTS:
+        raise ParameterError(
+            f"{candidates} candidate starts exceed MAX_CANDIDATE_STARTS {MAX_CANDIDATE_STARTS}"
+        )
+    return starts_by_id
+
+
 # ---------------------------------------------------------------- pv
 
 
@@ -324,16 +352,8 @@ class _CandidateSpace:
     evaluate_cost's grid-facing curve.
 
     Every instance's contribution rows are stacked in one C-contiguous
-    (rows, columns) array; ``contribs[i]`` is instance i's block of it and
-    ``offsets[i]`` that block's first row.  The screen terms are built from
-    the stack once per space: with r the residual and c a row's contribution,
-
-        ||r + sum_i c_i||^2
-            = ||r||^2 + sum_i unary[row_i] + sum_{i<j} pairs[row_i, row_j]
-
-    where ``unary = 2 c.r + ||c||^2`` and ``pairs = 2 C C^T``
-    (8 B per pair of stacked rows).  A candidate whose screened total lies
-    more than ``tol`` above another's also scores exactly above it.
+    (rows, columns) array, ``stack``; ``contribs[i]`` is instance i's block
+    of it and ``offsets[i]`` that block's first row.
     """
 
     def __init__(
@@ -357,33 +377,47 @@ class _CandidateSpace:
             cells = (starts - 1)[:, np.newaxis] + np.arange(inst.duration_slots)
             grid[np.arange(first, first + starts.size)[:, np.newaxis], cells] = inst.power_profile
         grid *= (~flags).astype(float)  # PV-covered slots leave the grid curve
-        stack = np.ascontiguousarray(grid[:, cols])
-        self.contribs = [stack[first : first + n] for first, n in zip(self.offsets, sizes)]
+        self.stack = np.ascontiguousarray(grid[:, cols])
+        self.contribs = [self.stack[first : first + n] for first, n in zip(self.offsets, sizes)]
         self.shift_abs = [
             np.abs(starts - inst.preferred_start) for inst, starts in zip(shiftable, self.starts)
         ]
 
-        self.unary = 2.0 * (stack @ self.residual) + np.einsum("ij,ij->i", stack, stack)
-        self.pairs = 2.0 * (stack @ stack.T)
-        # Screened (unary and pair terms) or exact (curve, einsum), a total
-        # takes at most n = columns + (instances + 2)^2 roundings of sums whose
-        # absolute parts add up to at most
-        #   magnitude = sum_t (|r_t| + sum_i max|c_i,t|)^2,
-        # so it lies within gamma_n * magnitude of its real value, with
-        # gamma_n = n u / (1 - n u).  Candidates screened more than
-        # 4 gamma_n * magnitude apart therefore score exactly in the same
-        # order.  The factor 8 leaves room for the cutoff's own roundings and
-        # ``tiny`` for underflow.
-        reach = np.abs(self.residual) + sum(
-            (np.abs(c).max(axis=0) for c in self.contribs), np.zeros(self.residual.size)
-        )
-        magnitude = float(reach @ reach)
-        n = self.residual.size + (len(sizes) + 2) ** 2
-        unit = np.finfo(float).eps / 2
-        self.tol = 8.0 * n * unit / (1.0 - n * unit) * magnitude + np.finfo(float).tiny
-
     def starts_mapping(self, choice: tuple[int, ...]) -> dict[str, int]:
         return {self.ids[i]: int(self.starts[i][row]) for i, row in enumerate(choice)}
+
+
+def _screen_terms(space: _CandidateSpace) -> tuple[np.ndarray, np.ndarray, float]:
+    """The space's screen terms ``(unary, pairs, tol)``, built from its stack.
+
+    With r the residual and c a row's contribution,
+
+        ||r + sum_i c_i||^2
+            = ||r||^2 + sum_i unary[row_i] + sum_{i<j} pairs[row_i, row_j]
+
+    where ``unary = 2 c.r + ||c||^2`` and ``pairs = 2 C C^T``
+    (8 B per pair of stacked rows).  A candidate whose screened total lies
+    more than ``tol`` above another's also scores exactly above it.
+    """
+    stack = space.stack
+    unary = 2.0 * (stack @ space.residual) + np.einsum("ij,ij->i", stack, stack)
+    pairs = 2.0 * (stack @ stack.T)
+    # Screened (unary and pair terms) or exact (curve, einsum), a total
+    # takes at most n = columns + (instances + 2)^2 roundings of sums whose
+    # absolute parts add up to at most
+    #   magnitude = sum_t (|r_t| + sum_i max|c_i,t|)^2,
+    # so it lies within gamma_n * magnitude of its real value, with
+    # gamma_n = n u / (1 - n u).  Candidates screened more than
+    # 4 gamma_n * magnitude apart therefore score exactly in the same
+    # order.  The factor 8 leaves room for the cutoff's own roundings and
+    # ``tiny`` for underflow.
+    reach = np.abs(space.residual) + sum(
+        (np.abs(c).max(axis=0) for c in space.contribs), np.zeros(space.residual.size)
+    )
+    magnitude = float(reach @ reach)
+    n = space.residual.size + (len(space.contribs) + 2) ** 2
+    unit = np.finfo(float).eps / 2
+    return unary, pairs, 8.0 * n * unit / (1.0 - n * unit) * magnitude + np.finfo(float).tiny
 
 
 # Candidates per screening block, and the largest product of broadcast
@@ -448,19 +482,20 @@ def _enumerate_exact(
     row-major order of the product: the leading instances' rows are gathered
     for a run of prefixes and the trailing instances, whose product may fill
     a block, are broadcast.  Each candidate's screened total adds the
-    space's ``unary`` and ``pairs`` terms of its rows, a few additions in
-    place of a pass over every slot (terms shared by every candidate are
-    left out).  A candidate screened more than ``space.tol`` above the least
-    screened total so far scores exactly above another candidate, so it
-    cannot win and is dropped.  A block's survivors go to ``_least_key`` in
-    chunks of at most ``_BLOCK_ROWS``; ``_exact_totals`` gives each the
-    arithmetic of scoring it alone, whatever the block, the chunk or the
-    subset, so exact float ties stay exact.  Ties on the total go to the
-    least total |shift|, then to the least start tuple, which no order of the
-    chunks changes.  Every candidate that ties the least total survives the
-    screen, so the choice and its key are those of scoring every candidate
-    exactly.
+    ``unary`` and ``pairs`` terms of its rows (``_screen_terms``, built once
+    per call), a few additions in place of a pass over every slot (terms
+    shared by every candidate are left out).  A candidate screened more than
+    ``tol`` above the least screened total so far scores exactly above
+    another candidate, so it cannot win and is dropped.  A block's survivors
+    go to ``_least_key`` in chunks of at most ``_BLOCK_ROWS``;
+    ``_exact_totals`` gives each the arithmetic of scoring it alone, whatever
+    the block, the chunk or the subset, so exact float ties stay exact.  Ties
+    on the total go to the least total |shift|, then to the least start
+    tuple, which no order of the chunks changes.  Every candidate that ties
+    the least total survives the screen, so the choice and its key are those
+    of scoring every candidate exactly.
     """
+    unary, pairs, tol = _screen_terms(space)
     k = len(space.starts)
     sizes = [s.size for s in space.starts]
     # instances split..k-1 are broadcast inside a block (inner rows per
@@ -479,8 +514,8 @@ def _enumerate_exact(
         stacked[i] = stacked[i].reshape((1,) * (i - split + 1) + (-1,) + (1,) * (k - 1 - i))
     tail = range(split, k)
     # the part of the screen over the broadcast instances alone, once per call
-    tail_screened = sum(space.unary[stacked[i]] for i in tail) + sum(
-        space.pairs[stacked[i], stacked[j]] for i, j in itertools.combinations(tail, 2)
+    tail_screened = sum(unary[stacked[i]] for i in tail) + sum(
+        pairs[stacked[i], stacked[j]] for i, j in itertools.combinations(tail, 2)
     )
 
     best_key: tuple[float, int, tuple[int, ...]] | None = None
@@ -494,14 +529,14 @@ def _enumerate_exact(
         lead = [stacked[i][picks[i]].reshape((-1,) + (1,) * (k - split)) for i in range(split)]
         # terms over the prefixes first, then each broadcast instance's axis
         # joins, so that few additions run over the whole block
-        screened = sum(space.unary[rows] for rows in lead) + sum(
-            space.pairs[a, b] for a, b in itertools.combinations(lead, 2)
+        screened = sum(unary[rows] for rows in lead) + sum(
+            pairs[a, b] for a, b in itertools.combinations(lead, 2)
         )
         for j in tail:
-            screened = screened + sum(space.pairs[rows, stacked[j]] for rows in lead)
+            screened = screened + sum(pairs[rows, stacked[j]] for rows in lead)
         screened = np.reshape(screened + tail_screened, -1)
         least_screened = min(least_screened, float(screened.min()))
-        survivors = np.flatnonzero(screened <= least_screened + space.tol)
+        survivors = np.flatnonzero(screened <= least_screened + tol)
         del screened
         for first in range(0, survivors.size, _BLOCK_ROWS):
             flat = survivors[first : first + _BLOCK_ROWS] + lo * inner
@@ -595,7 +630,7 @@ def solve(
             1..SLOT_COUNT, or ``pv`` is given without ``pricing`` or
             ``generation``, or ``generation`` without ``pv``, or the
             shiftable instances have more than ``MAX_CANDIDATE_STARTS``
-            feasible starts in all.
+            feasible starts in all (``candidate_starts``).
         FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
         FormatError, ParameterError: ``generation`` is not a valid ``LoadCurve``.
 
@@ -615,24 +650,7 @@ def solve(
         (i for i in instances if i.kind == "shiftable"), key=lambda i: i.instance_id
     )
 
-    starts_by_id: dict[str, tuple[int, ...]] = {}
-    offenders = []
-    problems = []
-    for inst in shiftable:
-        try:
-            starts_by_id[inst.instance_id] = feasible_starts(inst, not_before=not_before)
-        except InfeasibleApplianceError as exc:
-            offenders.append(inst.instance_id)
-            problems.append(str(exc))
-    if offenders:
-        raise InfeasibleProblemError(
-            "; ".join(problems), offenders=tuple(offenders)
-        )
-    candidates = sum(len(starts) for starts in starts_by_id.values())
-    if candidates > MAX_CANDIDATE_STARTS:
-        raise ParameterError(
-            f"{candidates} candidate starts exceed MAX_CANDIDATE_STARTS {MAX_CANDIDATE_STARTS}"
-        )
+    starts_by_id = candidate_starts(shiftable, not_before)
 
     fixed_curve = total_curve(fixed, preferred_starts(fixed)).values
     committed = fixed_curve if baseline is None else fixed_curve + baseline

@@ -33,6 +33,7 @@ from loadshift.bundle import (
 )
 from loadshift.core import MAX_CANDIDATE_STARTS, DailyRecord, LoadCurve
 from loadshift.errors import FormatError, LoadshiftError
+from loadshift.scheduler import feasible_starts
 from loadshift.simulate import RunParams, run_day
 from loadshift.synth import SyntheticRecipe, generate_fleet
 
@@ -424,6 +425,40 @@ def test_pricing_round_trip_recovers_windows(tmp_path):
     assert back.peak_windows == ((10, 14), (35, 44))
 
 
+def reference_peak_windows(mask):
+    """The maximal runs of peak slots, found by a walk over the slots."""
+    windows = []
+    start = None
+    for slot, flag in enumerate([*mask, 0], start=1):
+        if flag and start is None:
+            start = slot
+        elif not flag and start is not None:
+            windows.append((start, slot - 1))
+            start = None
+    return tuple(windows)
+
+
+PEAK_MASKS = {
+    "touching slots 1 and 48": [1, 1, 1] + [0] * 42 + [1, 1, 1],
+    "single slots": [1, 0, 1] + [0] * 20 + [1] + [0] * 23 + [1],
+    "alternating": [1, 0] * 24,
+    "every slot": [1] * 48,
+    "no slot": [0] * 48,
+    "one inner run": [0] * 34 + [1] * 10 + [0] * 4,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEAK_MASKS))
+def test_pricing_windows_match_a_loop_reference(tmp_path, case):
+    mask = PEAK_MASKS[case]
+    path = tmp_path / "pricing.csv"
+    rows = "".join(f"{slot},0.1,{flag}\n" for slot, flag in enumerate(mask, start=1))
+    path.write_text("slot,price,is_peak\n" + rows)
+    pricing = read_pricing_csv(path)
+    assert pricing.peak_windows == reference_peak_windows(mask)
+    assert np.array_equal(pricing.peak_mask(), np.array(mask, dtype=bool))
+
+
 def test_pricing_flag_must_be_binary(tmp_path):
     path = write_pricing_csv(make_pricing(), tmp_path / "pricing.csv")
     lines = path.read_text().splitlines()
@@ -459,6 +494,30 @@ def test_appliance_constraint_errors_cite_the_row(tmp_path):
         "oven,shiftable,6,10,12,10,2,1.0;1.0;1.0;1.0;1.0;1.0,1\n"
     )
     with pytest.raises(FormatError, match=rf"{path}:2: .*window shorter than one run"):
+        read_appliances_csv(path)
+
+
+WHOLE_NUMBER_COLUMNS = (
+    "duration_slots", "window_start", "window_end", "preferred_start", "max_shift", "count",
+)
+
+
+@pytest.mark.parametrize("column", WHOLE_NUMBER_COLUMNS)
+def test_appliance_non_integer_field_names_its_column(tmp_path, column):
+    path = write_appliances_csv(
+        (make_fixed(id="fridge"), make_shiftable(id="wash")), tmp_path / "appliances.csv"
+    )
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[2].split(",")
+    fields[header.index(column)] = "2.5"
+    # every whole-number column after it is bad too: the first one is reported
+    for later in WHOLE_NUMBER_COLUMNS[WHOLE_NUMBER_COLUMNS.index(column) + 1 :]:
+        fields[header.index(later)] = "x"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:3: non-integer {column}: '2.5'"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         read_appliances_csv(path)
 
 
@@ -713,6 +772,32 @@ def test_appliance_count_over_the_candidate_start_limit_cites_the_row(tmp_path):
     assert lint_bundle(root) == (message,)
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         load_bundle(root)
+
+
+def test_household_over_the_candidate_start_limit_fails_lint_as_load(tmp_path):
+    # every row's count is within the limit, but the household's shiftable
+    # instances have more candidate starts than one solve may score
+    fleet = tiny_fleet()
+    root = save_bundle(fleet, tmp_path / "bundle")
+    path = root / "households" / "h001" / "appliances.csv"
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    for row in rows[1:]:
+        if row[1] == "shiftable":
+            row[-1] = "600"
+    with path.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    shiftable = [a for a in fleet.households[0].appliances if a.kind == "shiftable"]
+    starts = sum(600 * len(feasible_starts(a)) for a in shiftable)
+    assert starts > MAX_CANDIDATE_STARTS
+    message = (
+        f"{root / 'manifest.json'}: household h001: "
+        f"{starts} candidate starts exceed MAX_CANDIDATE_STARTS {MAX_CANDIDATE_STARTS}"
+    )
+    assert lint_bundle(root) == (message,)
+    with pytest.raises(FormatError) as caught:
+        load_bundle(root)
+    assert str(caught.value) == lint_bundle(root)[0]
 
 
 def test_lint_leaves_entries_without_a_string_id_out_of_the_duplicate_check(tmp_path):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
@@ -172,14 +173,24 @@ def _oversized_manifest_integer(bundle):
     )
 
 
+def _many_candidate_starts(bundle):
+    path = bundle / "households" / "h001" / "appliances.csv"
+    lines = path.read_text().splitlines()
+    path.write_text(
+        "\n".join(re.sub(r",1$", ",600", line) if ",shiftable," in line else line
+                  for line in lines) + "\n"
+    )
+
+
 @pytest.mark.parametrize(
     "breakage, message",
     [
         (_break_days_order, "simulation days must be strictly increasing"),
         (_append_invalid_utf8, "pricing.csv: not UTF-8 text"),
         (_oversized_manifest_integer, "manifest.json: invalid JSON: Exceeds the limit"),
+        (_many_candidate_starts, "candidate starts exceed MAX_CANDIDATE_STARTS 1024"),
     ],
-    ids=["days out of order", "invalid utf-8", "oversized integer"],
+    ids=["days out of order", "invalid utf-8", "oversized integer", "candidate starts"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, breakage, message):
     bundle = generate(tmp_path)

@@ -1122,6 +1122,23 @@ def test_local_search_never_enumerates_a_start_product(monkeypatch):
         assert result.assignment.starts == space.starts_mapping(ref_choice)
 
 
+def test_local_search_builds_no_screen_terms(monkeypatch):
+    # only exhaustive enumeration reads the unary and pairwise terms
+    monkeypatch.setattr(scheduler, "_EXACT_LIMIT", 1)
+    rng = np.random.default_rng(47)
+    instances, objective = local_search_problem(rng, 1)
+    unpatched = solve(instances, objective)
+
+    def refuse(space):
+        raise AssertionError("a local-search round built screen terms")
+
+    monkeypatch.setattr(scheduler, "_screen_terms", refuse)
+    result = solve(instances, objective)
+    assert result.mode == "local_search"
+    assert result.assignment.starts == unpatched.assignment.starts
+    assert result.cost == unpatched.cost
+
+
 # ---------------------------------------------------------------- solve: pv
 
 
