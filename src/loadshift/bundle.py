@@ -328,8 +328,6 @@ def read_appliances_csv(path) -> tuple[ApplianceSpec, ...]:
         numbers = {column: _parse_int(text, path, line, column) for column, text in fields.items()}
         try:
             specs.append(ApplianceSpec(id=name, kind=kind, power_profile=profile, **numbers))
-        except FormatError:
-            raise
         except LoadshiftError as exc:
             _fail(path, line, str(exc))
     return tuple(specs)

@@ -44,7 +44,10 @@ class LoadCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        try:
+            arr = np.array(self.values, dtype=float)
+        except (TypeError, ValueError):  # non-numbers, ragged rows
+            raise FormatError(f"load curve needs {SLOT_COUNT} numbers") from None
         if arr.shape != (SLOT_COUNT,):
             raise FormatError(f"load curve needs {SLOT_COUNT} values, got shape {arr.shape}")
         # one test passes every valid curve (a NaN fails both comparisons)
@@ -66,6 +69,11 @@ class LoadCurve:
         return LoadCurve(self.values + other.values)
 
 
+def as_curve(curve: LoadCurve | np.ndarray) -> LoadCurve:
+    """``curve`` itself when it is a ``LoadCurve``, else ``LoadCurve(curve)``, which checks it."""
+    return curve if isinstance(curve, LoadCurve) else LoadCurve(curve)
+
+
 @dataclass(frozen=True, eq=False)
 class DailyRecord:
     """A dated daily curve, the unit of consumption/generation history."""
@@ -76,8 +84,7 @@ class DailyRecord:
     def __post_init__(self):
         if not isinstance(self.day, datetime.date):
             raise FormatError(f"day must be a date, got {type(self.day).__name__}")
-        if not isinstance(self.curve, LoadCurve):
-            object.__setattr__(self, "curve", LoadCurve(self.curve))
+        object.__setattr__(self, "curve", as_curve(self.curve))
 
 
 def _day_sorted(history, owner: str) -> tuple[DailyRecord, ...]:
@@ -418,10 +425,6 @@ def load_factor(curve: LoadCurve) -> float:
 
 
 def bill(curve: LoadCurve | np.ndarray, pricing: PricingSignal) -> float:
-    """Daily cost of a curve under a tariff: sum(kW * 0.5h * price)."""
-    values = curve.values if isinstance(curve, LoadCurve) else np.asarray(curve, dtype=float)
-    if values.shape != (SLOT_COUNT,):
-        raise FormatError(
-            f"bill needs a {SLOT_COUNT}-slot curve, got shape {values.shape}"
-        )
-    return float(np.sum(values * SLOT_HOURS * pricing.prices))
+    """Daily cost of a curve (a ``LoadCurve``, or values it checks) under a
+    tariff: sum(kW * 0.5h * price)."""
+    return float(np.sum(as_curve(curve).values * SLOT_HOURS * pricing.prices))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal
+from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal, as_curve
 from .errors import DegenerateRegressionError, FormatError, ParameterError
 
 PROVENANCE_FLAGS = ("predicted", "capped", "realized")
@@ -58,11 +58,9 @@ def off_peak_segment_means(curve: LoadCurve | np.ndarray, pricing: PricingSignal
 
     Off-peak slots (in slot order) are partitioned into ``SEGMENT_COUNT``
     contiguous segments of near-equal size; the mean power of each is
-    returned.
+    returned.  ``curve`` is a ``LoadCurve``, or values it checks.
     """
-    values = curve.values if isinstance(curve, LoadCurve) else np.asarray(curve, dtype=float)
-    if values.shape != (SLOT_COUNT,):
-        raise FormatError(f"curve needs {SLOT_COUNT} values, got shape {values.shape}")
+    values = as_curve(curve).values
     return np.array([float(values[seg].mean()) for seg in _off_peak_segments(pricing)])
 
 
@@ -150,8 +148,9 @@ def fit_peak_regression(
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectiveCurve:
-    """The target consumption curve the scheduler tracks.
+class ObjectiveCurve(LoadCurve):
+    """The target consumption curve the scheduler tracks: a ``LoadCurve``
+    with a provenance.
 
     ``provenance`` records, per slot, whether the value came from the
     (reshaped) prediction, the peak cap, or (in online mode) the realized
@@ -159,31 +158,19 @@ class ObjectiveCurve:
     refresh: :func:`update_online` takes the day-ahead inputs again.
     """
 
-    values: np.ndarray
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (SLOT_COUNT,):
-            raise FormatError(f"objective needs {SLOT_COUNT} values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ParameterError("objective values must be finite and >= 0")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        super().__post_init__()
         prov = tuple(self.provenance)
         if len(prov) != SLOT_COUNT or any(p not in PROVENANCE_FLAGS for p in prov):
-            raise FormatError("provenance needs 48 flags from "
-                              f"{PROVENANCE_FLAGS}")
+            raise FormatError(f"provenance needs {SLOT_COUNT} flags from {PROVENANCE_FLAGS}")
         object.__setattr__(self, "provenance", prov)
 
     @property
     def mode(self) -> str:
         """``"online"`` once a slot holds realized consumption, else ``"offline"``."""
         return "online" if "realized" in self.provenance else "offline"
-
-    def energy_kwh(self) -> float:
-        return float(self.values.sum() * SLOT_HOURS)
 
 
 def _build(

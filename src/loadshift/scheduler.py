@@ -32,6 +32,7 @@ from .core import (
     PricingSignal,
     PvSystem,
     _whole_number,
+    as_curve,
     preferred_starts,
     split_consumption,
     total_curve,
@@ -236,13 +237,9 @@ def pv_arbitrate(
             is not a valid ``LoadCurve``, or ``max_app_duration`` is not a
             whole number >= 0.
     """
-    if not isinstance(generation, LoadCurve):
-        generation = LoadCurve(generation)
-    if not isinstance(shiftable_demand, LoadCurve):
-        shiftable_demand = LoadCurve(shiftable_demand)
     # Python floats and bools: the 48-slot loop runs the same IEEE arithmetic faster
-    demand = shiftable_demand.values.tolist()
-    generation = generation.values.tolist()
+    demand = as_curve(shiftable_demand).values.tolist()
+    generation = as_curve(generation).values.tolist()
     max_app_duration = _whole_number(max_app_duration, 0, "max_app_duration")
 
     peak_mask = pricing.peak_mask().tolist()
@@ -276,35 +273,22 @@ def pv_arbitrate(
 # ---------------------------------------------------------------- cost
 
 
-def _baseline_values(baseline) -> np.ndarray | None:
-    """``baseline`` as an array of ``SLOT_COUNT`` finite floats, or None."""
-    if baseline is None:
-        return None
-    try:
-        base = np.asarray(baseline, dtype=float)
-    except (TypeError, ValueError):
-        base = np.empty(0)
-    if base.shape != (SLOT_COUNT,) or not np.all(np.isfinite(base)):
-        raise FormatError(f"baseline needs {SLOT_COUNT} finite values")
-    return base
-
-
 def evaluate_cost(
     assignment: ScheduleAssignment,
     objective: ObjectiveCurve,
     instances: Sequence[ApplianceInstance],
-    baseline: np.ndarray | None = None,
+    baseline: LoadCurve | np.ndarray | None = None,
     active_from: int = 1,
 ) -> float:
     """Squared deviation of a feasible assignment from the objective curve.
 
     The gap is between the grid-facing curve (PV-supplied energy excluded,
-    plus any committed ``baseline`` load) and the objective, summed over
-    slots >= ``active_from``.
+    plus any committed ``baseline`` load, a ``LoadCurve`` or 48 values that
+    ``LoadCurve`` checks) and the objective, summed over slots >= ``active_from``.
 
     Raises:
         FeasibilityError: the assignment violates a hard constraint.
-        FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
+        FormatError, ParameterError: ``baseline`` is not a valid ``LoadCurve``.
         ParameterError: ``active_from`` is not a whole number in
             1..``SLOT_COUNT``.
     """
@@ -313,9 +297,8 @@ def evaluate_cost(
         raise FeasibilityError("; ".join(violations))
     parts = split_consumption(instances, assignment.starts, assignment.pv_flags)
     grid = parts.grid.values
-    base = _baseline_values(baseline)
-    if base is not None:
-        grid = grid + base
+    if baseline is not None:
+        grid = grid + as_curve(baseline).values
     active_from = _whole_number(active_from, 1, "active_from")
     if active_from > SLOT_COUNT:
         raise ParameterError(f"active_from must be <= {SLOT_COUNT}, got {active_from}")
@@ -591,7 +574,7 @@ def solve(
     pricing: PricingSignal | None = None,
     pv: PvSystem | None = None,
     generation: LoadCurve | np.ndarray | None = None,
-    baseline: np.ndarray | None = None,
+    baseline: LoadCurve | np.ndarray | None = None,
     not_before: int = 1,
 ) -> SolveResult:
     """Schedule every instance to track the objective curve.
@@ -619,8 +602,10 @@ def solve(
         objective: the curve to track.
         pricing: required when ``pv`` is given (peak windows drive timing).
         pv: optional PV/battery system.
-        generation: the day's PV generation (kW per slot), exactly with ``pv``.
-        baseline: committed grid load added to every candidate curve.
+        generation: the day's PV generation (kW per slot), exactly with
+            ``pv``: a ``LoadCurve``, or 48 values that ``LoadCurve`` checks.
+        baseline: committed grid load added to every candidate curve, taken
+            as ``generation`` is.
         not_before: earliest permitted start (intra-day re-solves); deviation
             is likewise evaluated on slots >= this.
 
@@ -631,12 +616,12 @@ def solve(
             ``generation``, or ``generation`` without ``pv``, or the
             shiftable instances have more than ``MAX_CANDIDATE_STARTS``
             feasible starts in all (``candidate_starts``).
-        FormatError: ``baseline`` is not ``SLOT_COUNT`` finite values.
-        FormatError, ParameterError: ``generation`` is not a valid ``LoadCurve``.
+        FormatError, ParameterError: ``baseline`` or ``generation`` is not a
+            valid ``LoadCurve``.
 
     Every argument is checked before any search.
     """
-    baseline = _baseline_values(baseline)
+    baseline = None if baseline is None else as_curve(baseline)
     not_before = _whole_number(not_before, 1, "not_before")
     if not_before > SLOT_COUNT:
         raise ParameterError(f"not_before must be <= {SLOT_COUNT}, got {not_before}")
@@ -653,7 +638,7 @@ def solve(
     starts_by_id = candidate_starts(shiftable, not_before)
 
     fixed_curve = total_curve(fixed, preferred_starts(fixed)).values
-    committed = fixed_curve if baseline is None else fixed_curve + baseline
+    committed = fixed_curve if baseline is None else fixed_curve + baseline.values
     residual = committed - objective.values
     max_duration = max((i.duration_slots for i in shiftable), default=0)
 

@@ -31,6 +31,7 @@ of ``forecast`` and ``objective`` that it lists.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import datetime
 import functools
 import hashlib
@@ -261,11 +262,17 @@ def run_day(
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     params = params or RunParams()
-    context = f"{household.id} {day.isoformat()}"
-    try:
+    with _labelled(household.id, day):
         return _run_day(household, day, pricing, mode, params, seed)
+
+
+@contextlib.contextmanager
+def _labelled(household_id: str, day: datetime.date):
+    """Prefix ``"<household_id> <day>: "`` to a ``LoadshiftError``'s message in place."""
+    try:
+        yield
     except LoadshiftError as exc:
-        exc.args = (f"{context}: {exc}",)
+        exc.args = (f"{household_id} {day.isoformat()}: {exc}",)
         raise
 
 
@@ -291,7 +298,7 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
 
     if mode == "online" and shiftable:
         assignment, objective = _replay_online(
-            instances, shiftable, fixed, assignment, objective, predicted, model,
+            shiftable, fixed, assignment, objective, predicted, model,
             history[-1].curve, pricing, pv, generation, seed, household.id, day,
         )
 
@@ -309,7 +316,7 @@ def _run_day(household, day, pricing, mode, params, seed) -> DayResult:
 
 
 def _replay_online(
-    instances, shiftable, fixed, assignment, objective, predicted, model,
+    shiftable, fixed, assignment, objective, predicted, model,
     previous_day, pricing, pv, generation, seed, household_id, day,
 ):
     """Slot-by-slot replay: observe, update the objective, re-solve the rest.
@@ -341,9 +348,7 @@ def _replay_online(
         current = update_online(predicted, pricing, model, previous_day, realized[: slot_now - 1])
         committed = [i for i in shiftable if starts[i.instance_id] < slot_now]
         committed_starts = {i.instance_id: starts[i.instance_id] for i in committed}
-        baseline = split_consumption(
-            committed, committed_starts, assignment.pv_flags
-        ).grid.values
+        baseline = split_consumption(committed, committed_starts, assignment.pv_flags).grid
         partial = solve(
             open_instances + fixed, current, baseline=baseline, not_before=slot_now
         )
@@ -365,9 +370,19 @@ def run_fleet(
     """Simulate every household over every configured day.
 
     Results are sorted by (household id, day), whatever the order of
-    ``config.households``.
+    ``config.households``.  Every load and PV window that ``run_day`` reads,
+    the day's and its week anchor's, is checked before the first fit, with
+    ``run_day``'s message.
     """
     params = params or RunParams()
+    for household in config.households:
+        series = [household.history] + ([] if household.pv is None else [household.pv.history])
+        for day in config.days:
+            with _labelled(household.id, day):
+                for ordered in series:
+                    _usable_history(ordered, day, params.history_window_days)
+                    anchor = _week_anchor(ordered, day)
+                    _usable_history(ordered, anchor, params.history_window_days)
     results = [
         run_day(household, day, config.pricing, config.mode, params, seed)
         for household in config.households

@@ -774,6 +774,22 @@ def test_appliance_count_over_the_candidate_start_limit_cites_the_row(tmp_path):
         load_bundle(root)
 
 
+def test_appliance_profile_errors_cite_the_row(tmp_path):
+    root = save_bundle(tiny_fleet(), tmp_path / "bundle")
+    path = root / "households" / "h001" / "appliances.csv"
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    duration = int(rows[1][2])
+    rows[1][-2] = ";".join(rows[1][-2].split(";")[:-1])  # one power value short
+    with path.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    prefix = f"{path}:2: appliance {rows[1][0]}: "
+    message = f"{prefix}power profile length ({duration - 1},) != duration {duration}"
+    assert lint_bundle(root)[0] == message
+    with pytest.raises(FormatError, match=f"^{re.escape(prefix)}"):
+        load_bundle(root)
+
+
 def test_household_over_the_candidate_start_limit_fails_lint_as_load(tmp_path):
     # every row's count is within the limit, but the household's shiftable
     # instances have more candidate starts than one solve may score

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from loadshift.core import SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal
 from loadshift.errors import (
     DegenerateRegressionError,
     FormatError,
+    LoadshiftError,
     ParameterError,
     TemporalConsistencyError,
 )
@@ -330,6 +332,15 @@ def test_objective_curve_validation():
         ObjectiveCurve(values=np.full(48, -1.0), provenance=("predicted",) * 48)
     with pytest.raises(FormatError):
         ObjectiveCurve(values=np.ones(48), provenance=("mystery",) * 48)
+    curve = ObjectiveCurve(values=np.ones(48), provenance=("predicted",) * 48)
+    assert isinstance(curve, LoadCurve)
+    assert curve.energy_kwh() == LoadCurve(np.ones(48)).energy_kwh() == 24.0
+    # the values are checked by LoadCurve alone: the same error, the same message
+    for bad in (np.ones(47), np.full(48, np.nan), np.full(48, np.inf)):
+        with pytest.raises(LoadshiftError) as expected:
+            LoadCurve(bad)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            ObjectiveCurve(values=bad, provenance=("predicted",) * 48)
 
 
 def test_mode_follows_the_provenance():

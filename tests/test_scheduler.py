@@ -1283,7 +1283,9 @@ def test_assignment_export_schema():
     assert payload["pv_flags"][5] == 1 and sum(payload["pv_flags"]) == 1
 
 
-BAD_BASELINE = (FormatError, "baseline needs 48 finite values")
+# a baseline is checked as a LoadCurve, with LoadCurve's messages
+SHORT_BASELINE = (FormatError, r"load curve needs 48 values, got shape \(47,\)")
+NON_FINITE_BASELINE = (FormatError, "load curve contains non-finite values")
 BAD_NOT_BEFORE = (ParameterError, "not_before must be a whole number >= 1")
 UNPAIRED = (ParameterError, "pv and generation must be given together")
 WITH_PV = {"pricing": make_pricing(), "pv": PvSystem(battery_capacity=4.0, battery_soc=4.0)}
@@ -1292,10 +1294,13 @@ WITH_PV = {"pricing": make_pricing(), "pv": PvSystem(battery_capacity=4.0, batte
 @pytest.mark.parametrize(
     "bad, expected",
     [
-        ({"baseline": np.zeros(47)}, BAD_BASELINE),
-        ({"baseline": np.array([0.0])}, BAD_BASELINE),
-        ({"baseline": np.full(48, np.nan)}, BAD_BASELINE),
-        ({"baseline": np.full(48, np.inf)}, BAD_BASELINE),
+        ({"baseline": np.zeros(47)}, SHORT_BASELINE),
+        ({"baseline": np.array([0.0])},
+         (FormatError, r"load curve needs 48 values, got shape \(1,\)")),
+        ({"baseline": np.full(48, np.nan)}, NON_FINITE_BASELINE),
+        ({"baseline": np.full(48, np.inf)}, NON_FINITE_BASELINE),
+        ({"baseline": np.full(48, -0.1)}, (ParameterError, "load curve contains negative power")),
+        ({"baseline": ["kw"] * 48}, (FormatError, "load curve needs 48 numbers")),
         ({"not_before": 0}, BAD_NOT_BEFORE),
         ({"not_before": 2.5}, BAD_NOT_BEFORE),
         ({"not_before": float("nan")}, BAD_NOT_BEFORE),
@@ -1305,7 +1310,8 @@ WITH_PV = {"pricing": make_pricing(), "pv": PvSystem(battery_capacity=4.0, batte
         *(({**WITH_PV, "generation": gen}, (error, message))
           for gen, error, message in BAD_GENERATION),
     ],
-    ids=["baseline of 47", "baseline of 1", "baseline nan", "baseline inf", "not_before 0",
+    ids=["baseline of 47", "baseline of 1", "baseline nan", "baseline inf", "baseline negative",
+         "baseline of words", "not_before 0",
          "not_before 2.5", "not_before nan", "not_before 49", "pv without generation",
          "generation without pv", *BAD_GENERATION_IDS],
 )

@@ -221,6 +221,35 @@ def test_history_gap_is_rejected():
         run_day(household, datetime.date(2025, 5, 14), make_pricing(), params=FAST)
 
 
+def test_run_fleet_checks_every_window_before_the_first_fit(monkeypatch):
+    simulate._fit_network.cache_clear()
+    fitted = []
+    real = simulate.fit_series
+
+    def counted(series, cfg):
+        fitted.append(cfg.rng_seed)
+        return real(series, cfg)
+
+    monkeypatch.setattr(simulate, "fit_series", counted)
+    fleet = generate_fleet(
+        SyntheticRecipe(household_count=3, history_days=40, simulated_days=2), seed=3
+    )
+    # the last household's history skips 2025-02-01, inside every window it reads
+    *ahead, last = fleet.households
+    gap = tuple(r for r in last.history if r.day != datetime.date(2025, 2, 1))
+    fleet = dataclasses.replace(
+        fleet, households=(*ahead, dataclasses.replace(last, history=gap))
+    )
+    message = "h003 2025-02-10: history days not consecutive: 2025-01-31 -> 2025-02-02"
+    with pytest.raises(TemporalConsistencyError) as info:
+        run_fleet(fleet, FAST, seed=1)
+    assert str(info.value) == message
+    assert fitted == []
+    # run_day raises the same message for that household-day
+    with pytest.raises(TemporalConsistencyError, match=f"^{message}$"):
+        run_day(fleet.households[2], fleet.days[0], fleet.pricing, params=FAST, seed=1)
+
+
 def test_mode_and_worker_validation():
     fleet = small_fleet()
     with pytest.raises(ParameterError, match="mode"):
