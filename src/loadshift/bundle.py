@@ -403,16 +403,6 @@ def _expect(value, kind: type, path, what: str):
     return value
 
 
-def _expect_number(value, path, what: str) -> float:
-    """A manifest field that must be a JSON number, as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    _fail(path, None, f"{what} must be a number, got {value!r}")
-
-
 def _bundle_path(root: Path, value, manifest_path, what: str) -> Path:
     """A manifest file path, which must be a string naming a file inside the bundle."""
     _expect(value, str, manifest_path, what)
@@ -483,15 +473,11 @@ def _load_household(root: Path, entry, manifest_path) -> Household:
                 _fail(manifest_path, None, f"household {hid}: pv missing {key!r}")
         generation_path = _bundle_path(root, pv_entry["generation_history"], manifest_path,
                                        f"household {hid}: pv generation_history")
-        numbers = {
-            key: _expect_number(pv_entry[key], manifest_path, f"household {hid}: pv {key}")
-            for key in _PV_NUMBERS
-        }
         pv_history = read_history_csv(generation_path)
         try:
-            pv = PvSystem(history=pv_history, **numbers)
+            pv = PvSystem(history=pv_history, **{key: pv_entry[key] for key in _PV_NUMBERS})
         except LoadshiftError as exc:
-            raise FormatError(f"{manifest_path}: household {hid}: {exc}") from exc
+            raise FormatError(f"{manifest_path}: household {hid}: pv {exc}") from exc
 
     try:
         household = Household(id=hid, appliances=appliances, pv=pv, history=history)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,10 +103,22 @@ def _day_sorted(history, owner: str) -> tuple[DailyRecord, ...]:
     return records
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; ParameterError naming ``name`` unless a real number, which no bool
+    (numpy's too), string, None, array or int past the float range is.  NaN and inf pass."""
+    if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ParameterError(f"{name} must be a number, got {value!r}")
+
+
 def _whole_number(value, least: int, name: str) -> int:
-    """``value`` as an int; ParameterError naming ``name`` unless a whole number >= ``least``."""
+    """``value`` as an int; ParameterError naming ``name`` unless a whole number >= ``least``.
+    A whole float such as 3.0 counts; a bool (numpy's too) does not."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
         whole = None
     if whole is None or whole != value or whole < least:
@@ -281,7 +294,7 @@ class PricingSignal:
 class PvSystem:
     """Rooftop PV with a battery in line: the battery and its generation history.
 
-    Args:
+    Args (each number a real number, not a bool, and held as a float):
         battery_capacity: usable battery capacity (kWh).
         battery_soc: charge held at the start of the day (kWh), in
             [0, capacity].  ``pv_arbitrate`` derives the per-slot trajectory.
@@ -298,20 +311,15 @@ class PvSystem:
     history: tuple[DailyRecord, ...] = ()
 
     def __post_init__(self):
-        if not (np.isfinite(self.battery_capacity) and self.battery_capacity > 0):
+        for name in ("battery_capacity", "battery_soc", "charge_rate", "charge_efficiency"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not 0 < self.battery_capacity < np.inf:
             raise ParameterError("battery capacity must be > 0")
-        object.__setattr__(self, "battery_capacity", float(self.battery_capacity))
-
-        if np.ndim(self.battery_soc) != 0:
-            raise FormatError("battery soc must be a scalar: the charge at the start of the day")
-        soc = float(self.battery_soc)
-        if not 0 <= soc <= self.battery_capacity:
+        if not 0 <= self.battery_soc <= self.battery_capacity:
             raise ParameterError("battery soc must lie in [0, capacity]")
-        object.__setattr__(self, "battery_soc", soc)
-
-        if not (np.isfinite(self.charge_rate) and self.charge_rate > 0):
+        if not 0 < self.charge_rate < np.inf:
             raise ParameterError("charge rate must be > 0")
-        if not (0 < self.charge_efficiency <= 1):
+        if not 0 < self.charge_efficiency <= 1:
             raise ParameterError("charge efficiency must be in (0, 1]")
         object.__setattr__(self, "history", _day_sorted(self.history, "pv"))
 
@@ -390,6 +398,19 @@ class ConsumptionBreakdown:
     grid: LoadCurve
 
 
+def _pv_flags(values) -> np.ndarray:
+    """``values`` as 48 read-only bools; FormatError unless each is a bool or 0/1."""
+    try:
+        flags = np.asarray(values)
+    except ValueError:  # ragged nesting
+        flags = np.empty(0)
+    as_bool = flags.astype(bool) if flags.dtype.kind in "biuf" else None
+    if as_bool is None or as_bool.shape != (SLOT_COUNT,) or np.any(as_bool != flags):
+        raise FormatError(f"pv_flags needs {SLOT_COUNT} entries, each a bool or 0/1")
+    as_bool.setflags(write=False)
+    return as_bool
+
+
 def split_consumption(
     instances: Sequence[ApplianceInstance],
     starts: Mapping[str, int],
@@ -405,10 +426,7 @@ def split_consumption(
     total = fixed + shiftable
     if pv_flags is None:
         return ConsumptionBreakdown(total=total, grid=total)
-    flags = np.asarray(pv_flags, dtype=bool)
-    if flags.shape != (SLOT_COUNT,):
-        raise FormatError(f"pv_flags needs {SLOT_COUNT} entries")
-    grid = LoadCurve(total.values - np.where(flags, shiftable.values, 0.0))
+    grid = LoadCurve(total.values - np.where(_pv_flags(pv_flags), shiftable.values, 0.0))
     return ConsumptionBreakdown(total=total, grid=grid)
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SLOT_COUNT, SLOT_MINUTES, DailyRecord, LoadCurve, _whole_number
+from .core import SLOT_COUNT, SLOT_MINUTES, DailyRecord, LoadCurve, _real, _whole_number
 from .errors import (
     DatasetTooSmallError,
     FormatError,
@@ -70,12 +70,18 @@ class SeriesDataset:
     def pairs_for_targets(self, target_indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Supervised (window, next value) pairs for the given target samples.
 
-        Indices below ``lag`` have no full window and are skipped.
+        Indices below ``lag`` have no full window and are skipped.  ParameterError
+        unless ``target_indices`` is empty or a 1-D sequence of ints inside the series.
         """
-        targets = np.sort(np.asarray(target_indices, dtype=int))
+        try:
+            targets = np.sort(np.asarray(target_indices))
+        except (TypeError, ValueError):  # ragged nesting, unorderable entries
+            targets = None
+        if targets is None or targets.ndim != 1 or targets.size and targets.dtype.kind not in "iu":
+            raise ParameterError("target indices must be a 1-D sequence of ints")
         if targets.size and (targets[0] < 0 or targets[-1] >= self.sample_count):
             raise ParameterError("target index outside the series")
-        targets = targets[targets >= self.lag]
+        targets = targets[targets >= self.lag].astype(int, copy=False)
         X = self.values[targets[:, None] + np.arange(-self.lag, 0)]
         return X, self.values[targets]
 
@@ -169,18 +175,17 @@ class NarNetwork:
         hidden = w_in.shape[0]
         if b_in.shape != (hidden,) or w_out.shape != (hidden,):
             raise FormatError("bias/output vectors inconsistent with hidden size")
-        for arr in (w_in, b_in, w_out):
+        for name in ("b_out", "norm_min", "norm_max"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for arr in (w_in, b_in, w_out, self.b_out):
             if not np.all(np.isfinite(arr)):
                 raise FormatError("network parameters must be finite")
-        if not np.isfinite(self.b_out):
-            raise FormatError("network parameters must be finite")
         if not self.norm_max > self.norm_min:
             raise ParameterError("norm_max must exceed norm_min")
         for name, arr in (("w_in", w_in), ("b_in", b_in), ("w_out", w_out)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "b_out", float(self.b_out))
 
     @property
     def input_size(self) -> int:
@@ -210,11 +215,11 @@ def initialize_network(input_size: int, hidden_size: int, seed: int = 0) -> NarN
     """Fresh network: weights uniform in [-0.5, 0.5]/sqrt(fan-in), zero biases.
 
     Raises:
-        ParameterError: a layer size is not a whole number >= 1.
+        ParameterError: a layer size is not a whole number >= 1, or the seed one >= 0.
     """
     input_size = _whole_number(input_size, 1, "input_size")
     hidden_size = _whole_number(hidden_size, 1, "hidden_size")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole_number(seed, 0, "seed"))
     w_in = rng.uniform(-0.5, 0.5, size=(hidden_size, input_size)) / np.sqrt(input_size)
     w_out = rng.uniform(-0.5, 0.5, size=hidden_size) / np.sqrt(hidden_size)
     return NarNetwork(w_in=w_in, b_in=np.zeros(hidden_size), w_out=w_out, b_out=0.0)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal, as_curve
+from .core import SLOT_COUNT, SLOT_HOURS, DailyRecord, LoadCurve, PricingSignal, _real, as_curve
 from .errors import DegenerateRegressionError, FormatError, ParameterError
 
 PROVENANCE_FLAGS = ("predicted", "capped", "realized")
@@ -79,12 +79,12 @@ class PeakRegressionModel:
         coef = np.asarray(self.coefficients, dtype=float)
         if coef.shape != (SEGMENT_COUNT,):
             raise FormatError(f"coefficients need shape ({SEGMENT_COUNT},), got {coef.shape}")
+        object.__setattr__(self, "intercept", _real(self.intercept, "intercept"))
         if not np.all(np.isfinite(coef)) or not np.isfinite(self.intercept):
             raise FormatError("regression parameters must be finite")
         coef = coef.copy()
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "intercept", float(self.intercept))
 
     def evaluate(self, segment_means: Sequence[float]) -> float:
         """Predicted peak-window maximum for the given segment means."""

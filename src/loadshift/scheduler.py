@@ -31,6 +31,7 @@ from .core import (
     LoadCurve,
     PricingSignal,
     PvSystem,
+    _pv_flags,
     _whole_number,
     as_curve,
     preferred_starts,
@@ -39,7 +40,6 @@ from .core import (
 )
 from .errors import (
     FeasibilityError,
-    FormatError,
     InfeasibleApplianceError,
     InfeasibleProblemError,
     ParameterError,
@@ -59,12 +59,8 @@ class ScheduleAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "starts", dict(self.starts))
-        flags = np.zeros(SLOT_COUNT) if self.pv_flags is None else self.pv_flags
-        flags = np.array(flags, dtype=bool)
-        if flags.shape != (SLOT_COUNT,):
-            raise FormatError(f"pv_flags needs {SLOT_COUNT} entries")
-        flags.setflags(write=False)
-        object.__setattr__(self, "pv_flags", flags)
+        flags = np.zeros(SLOT_COUNT, dtype=bool) if self.pv_flags is None else self.pv_flags
+        object.__setattr__(self, "pv_flags", _pv_flags(flags))
 
     def to_json_dict(self, instances: Sequence[ApplianceInstance]) -> dict:
         """Export schema: per-appliance placement plus the sourcing vector.

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import datetime
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -31,6 +30,7 @@ from .core import (
     LoadCurve,
     PricingSignal,
     PvSystem,
+    _real,
     _whole_number,
 )
 from .errors import ParameterError
@@ -79,13 +79,6 @@ DEFAULT_MIX = {
     "laundry_machine": 0.8,
     "iron": 0.7,
 }
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a JSON-safe float; ParameterError naming ``name`` unless a real number."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

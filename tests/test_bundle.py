@@ -683,6 +683,14 @@ WRONG_TYPED_FIELDS = {
         lambda doc: _pv(doc).update(charge_rate=10**400),
         r"household h001: pv charge_rate must be a number",
     ),
+    "charge_efficiency": (
+        lambda doc: _pv(doc).update(charge_efficiency=None),
+        r"household h001: pv charge_efficiency must be a number, got None",
+    ),
+    "battery_capacity range": (
+        lambda doc: _pv(doc).update(battery_capacity=0),
+        r"household h001: pv battery capacity must be > 0",
+    ),
 }
 
 

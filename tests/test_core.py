@@ -30,6 +30,11 @@ from loadshift.errors import (
     PlacementError,
     UndefinedMetricError,
 )
+from loadshift.forecast import NarNetwork, TrainingConfig
+from loadshift.objective import SEGMENT_COUNT, PeakRegressionModel
+from loadshift.scheduler import ScheduleAssignment
+from loadshift.simulate import RunParams
+from loadshift.synth import SyntheticRecipe
 
 
 # ---------------------------------------------------------------- curves
@@ -266,6 +271,23 @@ def test_split_consumption_sources():
     npt.assert_array_equal(np.delete(off_grid, 9), 0.0)  # only the flagged slot
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [[float("nan")] * 48, [0.5] * 48, [2] * 48, ["1"] * 48, [None] * 48, [0, 1] * 23,
+     [[0, 1]] * 24],
+    ids=["nan", "half", "two", "str", "none", "short", "nested"],
+)
+def test_pv_flags_must_be_48_bools_or_0_1(flags):
+    instances = expand_instances([make_shiftable(id="dev", preferred=10)])
+    with pytest.raises(FormatError, match="pv_flags needs 48 entries, each a bool or 0/1"):
+        split_consumption(instances, preferred_starts(instances), flags)
+    with pytest.raises(FormatError, match="pv_flags needs 48 entries, each a bool or 0/1"):
+        ScheduleAssignment({}, pv_flags=flags)
+    # 0/1 numbers and numpy bools read as bools
+    for ok in ([0, 1] * 24, np.tile([0.0, 1.0], 24), [np.True_] * 48):
+        assert ScheduleAssignment({}, pv_flags=ok).pv_flags.tolist() == [bool(x) for x in ok]
+
+
 # ---------------------------------------------------------------- load factor
 
 
@@ -370,7 +392,7 @@ def test_pv_system_validation():
         PvSystem(battery_capacity=2.0, charge_efficiency=1.5)
     with pytest.raises(ParameterError):
         PvSystem(battery_capacity=2.0, battery_soc=-0.1)
-    with pytest.raises(FormatError, match="scalar"):
+    with pytest.raises(ParameterError, match="battery_soc must be a number, got array"):
         PvSystem(battery_capacity=2.0, battery_soc=np.full(48, 1.0))
     pv = PvSystem(battery_capacity=2.0, battery_soc=np.float64(1))
     assert pv.battery_soc == 1.0 and type(pv.battery_soc) is float
@@ -433,3 +455,64 @@ def test_histories_reject_a_repeated_day():
             Household(id="h1", appliances=(make_shiftable(),), history=repeated)
         with pytest.raises(FormatError, match=r"^pv history repeats day 2025-03-02$"):
             PvSystem(battery_capacity=2.0, history=repeated)
+
+
+# ---------------------------------------------------------------- scalars
+
+# each builder takes one malformed scalar; the field its error must name
+MALFORMED_SCALARS = {
+    "capacity-str": (lambda: PvSystem(battery_capacity="4"), "battery_capacity"),
+    "capacity-bool": (lambda: PvSystem(battery_capacity=True), "battery_capacity"),
+    "capacity-huge-int": (lambda: PvSystem(battery_capacity=10**400), "battery_capacity"),
+    "soc-str": (lambda: PvSystem(battery_capacity=2.0, battery_soc="1"), "battery_soc"),
+    "soc-numpy-bool": (
+        lambda: PvSystem(battery_capacity=2.0, battery_soc=np.bool_(True)), "battery_soc"
+    ),
+    "rate-none": (lambda: PvSystem(battery_capacity=2.0, charge_rate=None), "charge_rate"),
+    "efficiency-str": (
+        lambda: PvSystem(battery_capacity=2.0, charge_efficiency="0.9"), "charge_efficiency"
+    ),
+    "efficiency-none": (
+        lambda: PvSystem(battery_capacity=2.0, charge_efficiency=None), "charge_efficiency"
+    ),
+    "intercept-str": (
+        lambda: PeakRegressionModel(np.ones(SEGMENT_COUNT), "1"), "intercept"
+    ),
+    "intercept-none": (
+        lambda: PeakRegressionModel(np.ones(SEGMENT_COUNT), None), "intercept"
+    ),
+    "b_out-str": (lambda: NarNetwork(np.ones((2, 3)), np.zeros(2), np.ones(2), "1"), "b_out"),
+    "norm_max-str": (
+        lambda: NarNetwork(np.ones((2, 3)), np.zeros(2), np.ones(2), 0.0, norm_max="2"),
+        "norm_max",
+    ),
+    "max_epochs-bool": (lambda: RunParams(max_epochs=True), "max_epochs"),
+    "count-bool": (lambda: make_shiftable(count=True), "count"),
+    "household_count-bool": (lambda: SyntheticRecipe(household_count=True), "household_count"),
+    "rng_seed-bool": (lambda: TrainingConfig(rng_seed=True), "rng_seed"),
+    "rng_seed-numpy-bool": (lambda: TrainingConfig(rng_seed=np.bool_(False)), "rng_seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCALARS))
+def test_a_malformed_scalar_is_a_parameter_error_naming_its_field(case):
+    build, field = MALFORMED_SCALARS[case]
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert field in str(err.value)
+
+
+def test_scalars_are_held_as_floats():
+    pv = PvSystem(battery_capacity=np.float32(4), battery_soc=np.int64(1), charge_rate=2,
+                  charge_efficiency=1)
+    numbers = (pv.battery_capacity, pv.battery_soc, pv.charge_rate, pv.charge_efficiency)
+    assert numbers == (4.0, 1.0, 2.0, 1.0) and {type(x) for x in numbers} == {float}
+    net = NarNetwork(np.ones((2, 3)), np.zeros(2), np.ones(2), np.int64(1), norm_min=0,
+                     norm_max=np.float64(2))
+    assert (net.b_out, net.norm_min, net.norm_max) == (1.0, 0.0, 2.0)
+    assert PeakRegressionModel(np.ones(SEGMENT_COUNT), 3).intercept == 3.0
+    # NaN and inf reach each field's own range check
+    with pytest.raises(ParameterError, match="battery capacity must be > 0"):
+        PvSystem(battery_capacity=float("inf"))
+    with pytest.raises(FormatError, match="network parameters must be finite"):
+        NarNetwork(np.ones((2, 3)), np.zeros(2), np.ones(2), float("nan"))

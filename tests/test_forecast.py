@@ -103,6 +103,17 @@ def test_pairs_match_a_row_by_row_gather():
             ds.pairs_for_targets(bad)
 
 
+@pytest.mark.parametrize(
+    "targets",
+    [[10.7], [10.0], [[10, 11]], ["x"], [True], [None, 10], [[10], [11, 12]]],
+    ids=["fraction", "float", "nested", "str", "bool", "none", "ragged"],
+)
+def test_pairs_need_a_1d_sequence_of_int_targets(targets):
+    ds = make_series(np.arange(40.0), lag=3)
+    with pytest.raises(ParameterError, match="target indices must be a 1-D sequence of ints"):
+        ds.pairs_for_targets(targets)
+
+
 def test_hourly_series_from_history():
     day1 = LoadCurve(np.arange(48, dtype=float))
     day2 = LoadCurve(np.ones(48))
@@ -430,6 +441,14 @@ def test_layer_sizes_must_be_whole_numbers(layer, size):
         initialize_network(**{"input_size": 3, "hidden_size": 2, layer: size})
     net = initialize_network(input_size=3.0, hidden_size=2.0)
     assert net.w_in.shape == (2, 3) and net.b_in.shape == net.w_out.shape == (2,)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "x", None, True])
+def test_initialize_network_seed_must_be_a_whole_number(seed):
+    with pytest.raises(ParameterError, match="seed must be a whole number >= 0"):
+        initialize_network(input_size=3, hidden_size=2, seed=seed)
+    same = initialize_network(input_size=3, hidden_size=2, seed=4.0)
+    assert same.w_in.tobytes() == initialize_network(3, 2, seed=4).w_in.tobytes()
 
 
 def test_train_zero_data_stops_immediately():
